@@ -468,9 +468,8 @@ def _fit_probe(feature_dim, probe_cfg, x, labels, seed):
 
 
 def _dual_mean_rows(predictions: list[np.ndarray]) -> np.ndarray:
-    log_mean = np.mean([np.log(p) for p in predictions], axis=0)
-    z = np.exp(log_mean - log_mean.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    """Row-wise dual mean (normalized geometric mean) of (n, 2) predictions."""
+    return NegativeEntropy(2).from_dual(np.mean([np.log(p) for p in predictions], axis=0))
 
 
 def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:

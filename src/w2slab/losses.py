@@ -5,7 +5,9 @@ entropy, their analytic binary gradients in the tied-coordinate
 parameterization (the second coordinate moves as 1 - yhat_1), proportional
 label smoothing, and the composite training losses: the confidence-adaptive
 CE/RCE switch, the weighted symmetric cross-entropy, and the
-confidence-regularized loss with hardened self-targets.
+confidence-regularized loss with hardened self-targets.  ``loss_values`` and
+``loss_grads`` are the batch loss table the trainer uses, over ``(n, 2)``
+rows; ``numeric_loss_grads`` is its central-difference oracle.
 
 All loss functions accept :class:`ProbVector` instances or plain arrays
 whose trailing axis indexes classes; arrays are assumed to already lie in
@@ -14,11 +16,11 @@ the clamped simplex.  Loss values broadcast over leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bregman import SIMPLEX_EPS, clamp_simplex
+from .bregman import clamp_simplex
 
 __all__ = [
     "ProbVector",
@@ -43,7 +45,13 @@ __all__ = [
     "aux",
     "aux_beta",
     "rce_ordering_gap",
+    "LOSS_NAMES",
+    "loss_values",
+    "loss_grads",
+    "numeric_loss_grads",
 ]
+
+LOSS_NAMES = ("ce", "rce", "kl", "rkl", "cace", "sl", "aux")
 
 
 class BinaryOnlyError(ValueError):
@@ -94,6 +102,13 @@ def _p(x) -> np.ndarray:
     if isinstance(x, ProbVector):
         return x.probs
     return np.asarray(x, dtype=float)
+
+
+def _rows(batch) -> np.ndarray:
+    """(n, K) array from an array or a sequence of (ProbVector) rows."""
+    if not isinstance(batch, np.ndarray):
+        batch = [_p(p) for p in batch]
+    return np.atleast_2d(np.asarray(batch, dtype=float))
 
 
 def _pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
@@ -233,14 +248,7 @@ class CompositeLossConfig:
     def with_threshold_from(self, pseudo_labels) -> "CompositeLossConfig":
         """Return a copy with c set from the pseudo-label confidence quantile."""
         c = confidence_threshold(pseudo_labels, self.cace_quantile_pct)
-        return CompositeLossConfig(
-            cace_threshold=c,
-            cace_quantile_pct=self.cace_quantile_pct,
-            sl_weights=self.sl_weights,
-            aux_beta_max=self.aux_beta_max,
-            aux_warmup_fraction=self.aux_warmup_fraction,
-            aux_hardening=self.aux_hardening,
-        )
+        return replace(self, cace_threshold=c)
 
 
 def confidence(y) -> np.ndarray:
@@ -253,8 +261,7 @@ def confidence(y) -> np.ndarray:
 
 def confidence_threshold(pseudo_labels, quantile_pct: int) -> float:
     """Confidence cut such that ~quantile_pct percent of labels fall below it."""
-    labels = np.atleast_2d(np.asarray([_p(y) for y in pseudo_labels], dtype=float))
-    return float(np.quantile(confidence(labels), quantile_pct / 100.0))
+    return float(np.quantile(confidence(_rows(pseudo_labels)), quantile_pct / 100.0))
 
 
 def cace(y, yhat, cfg: CompositeLossConfig):
@@ -277,7 +284,7 @@ def harden_threshold(batch_predictions) -> float:
     (n//2 + 1)-th largest score, so strictly more confident predictions are
     hardened.  Ties at the cut are left soft.
     """
-    batch = np.atleast_2d(np.asarray([_p(p) for p in batch_predictions], dtype=float))
+    batch = _rows(batch_predictions)
     if batch.size == 0:
         raise ValueError("empty prediction batch")
     scores = np.sort(batch.max(axis=-1))[::-1]
@@ -285,13 +292,11 @@ def harden_threshold(batch_predictions) -> float:
 
 
 def harden(yhat, threshold: float) -> np.ndarray:
-    """One-hot (clamped) argmax of yhat when its score exceeds the cut."""
+    """Per row, the one-hot (clamped) argmax of yhat when its score exceeds
+    the cut, and yhat itself otherwise; argmax ties go to the first class."""
     p = _p(yhat)
-    if p.max(axis=-1) > threshold:
-        out = np.zeros_like(p)
-        out[..., int(np.argmax(p))] = 1.0
-        return clamp_simplex(out)
-    return p
+    hard = clamp_simplex(np.eye(p.shape[-1]))[np.argmax(p, axis=-1)]
+    return np.where((p.max(axis=-1) > threshold)[..., None], hard, p)
 
 
 def aux(y_weak, yhat, beta: float, batch_predictions):
@@ -325,3 +330,64 @@ def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
     f_alpha, f_plain = f_risks
     fstar_alpha, fstar_plain = fstar_risks
     return 0.0, float(f_alpha - fstar_alpha), float(f_plain - fstar_plain)
+
+
+# --- batch loss table ----------------------------------------------------------
+# y and p are (n, 2) rows; gradients are taken along the first coordinate
+# with the second tied as its complement.
+
+
+def loss_values(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
+    """Per-row loss values for a batch; ``p`` doubles as the aux batch."""
+    if name == "ce":
+        return ce(y, p)
+    if name == "rce":
+        return rce(y, p)
+    if name == "kl":
+        return kl(y, p)
+    if name == "rkl":
+        return rkl(y, p)
+    if name == "cace":
+        return cace(y, p, cfg)
+    if name == "sl":
+        return sl(y, p, cfg)
+    if name == "aux":
+        return aux(y, p, beta, p)
+    raise ValueError(f"unknown loss {name!r}")
+
+
+def loss_grads(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
+    """Per-row d(loss)/d(p_1) for a batch in the tied parameterization."""
+    if name in ("ce", "kl"):
+        return grad_ce(y, p)[:, 0]
+    if name == "rce":
+        return grad_rce(y, p)[:, 0]
+    if name == "rkl":
+        return grad_rkl(y, p)[:, 0]
+    if name == "cace":
+        low = confidence(y) < cfg.cace_threshold
+        return np.where(low, grad_rce(y, p)[:, 0], grad_ce(y, p)[:, 0])
+    if name == "sl":
+        l1, l2 = cfg.sl_weights
+        return l1 * grad_rce(y, p)[:, 0] + l2 * grad_ce(y, p)[:, 0]
+    if name == "aux":
+        # hardened targets are constants under differentiation
+        target = harden(p, harden_threshold(p))
+        return beta * grad_ce(y, p)[:, 0] + (1 - beta) * grad_ce(target, p)[:, 0]
+    raise ValueError(f"unknown loss {name!r}")
+
+
+def numeric_loss_grads(
+    name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0, step: float = 1e-6
+) -> np.ndarray:
+    """Central-difference d(loss)/d(p_1) with aux targets frozen."""
+    target = harden(p, harden_threshold(p))
+
+    def shifted(delta: float) -> np.ndarray:
+        q1 = p[:, 0] + delta
+        q = np.stack([q1, 1.0 - q1], axis=-1)
+        if name == "aux":
+            return beta * ce(y, q) + (1 - beta) * ce(target, q)
+        return loss_values(name, y, q, cfg, beta)
+
+    return (shifted(step) - shifted(-step)) / (2 * step)

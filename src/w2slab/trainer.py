@@ -7,21 +7,30 @@ them under a pluggable loss.  Mini-batch gradient descent with a fixed step
 size keeps optimizer choice out of loss comparisons; everything is
 deterministic given the seeds.
 
-Losses dispatch to analytic per-sample gradients in the tied binary
-parameterization; a central-difference route computes the same quantities
-numerically and serves as the oracle they are checked against.
+Losses and their analytic per-sample gradients in the tied binary
+parameterization come from the batch loss table in :mod:`w2slab.losses`
+(``LOSS_NAMES``, ``loss_values``, ``loss_grads``), which also holds their
+central-difference oracle ``numeric_loss_grads``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bregman import clamp_simplex
-from .losses import CompositeLossConfig, aux_beta, smooth_labels_array
+from .losses import (
+    LOSS_NAMES,
+    CompositeLossConfig,
+    aux_beta,
+    loss_grads,
+    loss_values,
+    rce,
+    smooth_labels_array,
+)
 
 __all__ = [
     "SyntheticTask",
@@ -39,10 +48,7 @@ __all__ = [
     "alpha_sweep",
     "loss_values",
     "loss_grads",
-    "numeric_loss_grads",
 ]
-
-LOSS_NAMES = ("ce", "rce", "kl", "rkl", "cace", "sl", "aux")
 
 
 class TrainingDiverged(RuntimeError):
@@ -116,6 +122,12 @@ class SyntheticTask:
         return float(0.5 * (1.0 + math.erf(self.separation / self.noise / math.sqrt(2))))
 
 
+def _sigmoid(u: np.ndarray) -> np.ndarray:
+    # exp(-u) overflows to inf for u below about -709, giving exactly 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
+
+
 def labels_to_soft(y: np.ndarray) -> np.ndarray:
     """Clamped one-hot (p_pos, p_neg) rows from {-1, +1} class labels."""
     pos = (np.asarray(y) > 0).astype(float)
@@ -172,8 +184,7 @@ class LinearProbeModel:
 
     def predict_pos(self, x: np.ndarray) -> np.ndarray:
         """P(class +1) per row."""
-        u = self.features(x) @ self.weights + self.bias
-        return 1.0 / (1.0 + np.exp(-u))
+        return _sigmoid(self.features(x) @ self.weights + self.bias)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """(n, 2) clamped probability rows."""
@@ -193,116 +204,6 @@ class LinearProbeModel:
 
     def distance_from_init(self) -> float:
         return param_distance(self.theta, self._theta0)
-
-
-# --- loss dispatch ------------------------------------------------------------
-# y and p are (n, 2) rows; values and gradients are taken along the first
-# coordinate with the second tied as its complement.
-
-
-def _aux_targets(p: np.ndarray, threshold: float) -> np.ndarray:
-    scores = p.max(axis=-1)
-    hard = np.where(p[:, 0] >= p[:, 1], 1.0, 0.0)
-    hardened = clamp_simplex(np.stack([hard, 1.0 - hard], axis=-1))
-    return np.where((scores > threshold)[:, None], hardened, p)
-
-
-def _half_batch_threshold(p: np.ndarray) -> float:
-    scores = np.sort(p.max(axis=-1))[::-1]
-    return float(scores[len(scores) // 2])
-
-
-def _ce_vals(y1, p1):
-    return -(y1 * np.log(p1) + (1 - y1) * np.log(1 - p1))
-
-
-def _rce_vals(y1, p1):
-    return -(p1 * np.log(y1) + (1 - p1) * np.log(1 - y1))
-
-
-def loss_values(
-    name: str,
-    y: np.ndarray,
-    p: np.ndarray,
-    cfg: CompositeLossConfig,
-    beta: float = 0.0,
-) -> np.ndarray:
-    """Per-sample loss values for a batch; ``p`` doubles as the aux batch."""
-    y1, p1 = y[:, 0], p[:, 0]
-    if name == "ce":
-        return _ce_vals(y1, p1)
-    if name == "rce":
-        return _rce_vals(y1, p1)
-    if name == "kl":
-        return _ce_vals(y1, p1) - _ce_vals(y1, y1)
-    if name == "rkl":
-        return _rce_vals(y1, p1) - _ce_vals(p1, p1)
-    if name == "cace":
-        low = np.abs(y1 - 0.5) < cfg.cace_threshold
-        return np.where(low, _rce_vals(y1, p1), _ce_vals(y1, p1))
-    if name == "sl":
-        l1, l2 = cfg.sl_weights
-        return l1 * _rce_vals(y1, p1) + l2 * _ce_vals(y1, p1)
-    if name == "aux":
-        t1 = _aux_targets(p, _half_batch_threshold(p))[:, 0]
-        return beta * _ce_vals(y1, p1) + (1 - beta) * _ce_vals(t1, p1)
-    raise ValueError(f"unknown loss {name!r}")
-
-
-def loss_grads(
-    name: str,
-    y: np.ndarray,
-    p: np.ndarray,
-    cfg: CompositeLossConfig,
-    beta: float = 0.0,
-) -> np.ndarray:
-    """Per-sample d(loss)/d(p_1) in the tied parameterization."""
-    y1, p1 = y[:, 0], p[:, 0]
-    grad_ce = -y1 / p1 + (1 - y1) / (1 - p1)
-    if name in ("ce", "kl"):
-        return grad_ce
-    if name == "rce":
-        return np.log((1 - y1) / y1)
-    if name == "rkl":
-        return np.log((1 - y1) / y1) - np.log((1 - p1) / p1)
-    if name == "cace":
-        low = np.abs(y1 - 0.5) < cfg.cace_threshold
-        return np.where(low, np.log((1 - y1) / y1), grad_ce)
-    if name == "sl":
-        l1, l2 = cfg.sl_weights
-        return l1 * np.log((1 - y1) / y1) + l2 * grad_ce
-    if name == "aux":
-        # hardened targets are constants under differentiation
-        t1 = _aux_targets(p, _half_batch_threshold(p))[:, 0]
-        grad_aux = -t1 / p1 + (1 - t1) / (1 - p1)
-        return beta * grad_ce + (1 - beta) * grad_aux
-    raise ValueError(f"unknown loss {name!r}")
-
-
-def numeric_loss_grads(
-    name: str,
-    y: np.ndarray,
-    p: np.ndarray,
-    cfg: CompositeLossConfig,
-    beta: float = 0.0,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference d(loss)/d(p_1) with aux targets frozen."""
-    if name == "aux":
-        t = _aux_targets(p, _half_batch_threshold(p))
-        y1, t1 = y[:, 0], t[:, 0]
-
-        def frozen(p1):
-            return beta * _ce_vals(y1, p1) + (1 - beta) * _ce_vals(t1, p1)
-
-        return (frozen(p[:, 0] + step) - frozen(p[:, 0] - step)) / (2 * step)
-
-    def shifted(delta: float) -> np.ndarray:
-        q1 = p[:, 0] + delta
-        q = np.stack([q1, 1.0 - q1], axis=-1)
-        return loss_values(name, y, q, cfg, beta)
-
-    return (shifted(step) - shifted(-step)) / (2 * step)
 
 
 # --- training ------------------------------------------------------------------
@@ -436,7 +337,7 @@ def train(
         u = zb @ model.weights + model.bias
         # clamp into the simplex interior so saturated sigmoids keep the
         # loss and the tied-coordinate gradients finite
-        p1 = np.clip(1.0 / (1.0 + np.exp(-u)), 1e-12, 1.0 - 1e-12)
+        p1 = np.clip(_sigmoid(u), 1e-12, 1.0 - 1e-12)
         pb = np.stack([p1, 1.0 - p1], axis=-1)
         beta = aux_beta(step, steps, loss_cfg) if loss_name == "aux" else 0.0
         vals = loss_values(loss_name, yb, pb, loss_cfg, beta)
@@ -458,9 +359,8 @@ def train(
             gdv_trace.append(_safe_gdv(epoch_grads))
             epoch_grads, epoch_norms = [], []
 
-    test_pred = model.predict_proba(data.test_x)
     test_truth = labels_to_soft(data.test_y)
-    test_rce = float(np.mean(-np.sum(test_pred * np.log(test_truth), axis=-1)))
+    test_rce = float(np.mean(rce(test_truth, model.predict_proba(data.test_x))))
     return TrainReport(
         accuracy=model.accuracy(data.test_x, data.test_y),
         param_distance=model.distance_from_init(),

@@ -1,5 +1,6 @@
-"""Loss identities, analytic gradients vs finite differences, smoothing,
-composite losses, and the smoothed-risk ordering inequality."""
+"""Loss identities, analytic gradients vs finite differences, the batch
+loss table, smoothing, composite losses, and the smoothed-risk ordering
+inequality."""
 
 import numpy as np
 import pytest
@@ -135,6 +136,56 @@ class TestGradients:
             L.grad_ce(y, y)
 
 
+class TestGradientEngine:
+    """The batch loss table over (n, 2) rows, checked against its
+    central-difference oracle and against the per-row losses."""
+
+    @pytest.mark.parametrize("name", L.LOSS_NAMES)
+    def test_analytic_matches_numeric(self, name):
+        """100 random (batch, parameter) points per loss, 1e-4 relative."""
+        rng = np.random.default_rng(3)
+        cfg = CompositeLossConfig(cace_threshold=0.2, sl_weights=(0.7, 0.3))
+        for _ in range(100):
+            n = int(rng.integers(2, 12))
+            y1 = rng.uniform(1e-3, 1 - 1e-3, size=n)
+            p1 = rng.uniform(1e-3, 1 - 1e-3, size=n)
+            y = np.stack([y1, 1 - y1], axis=-1)
+            p = np.stack([p1, 1 - p1], axis=-1)
+            beta = float(rng.uniform(0, 1))
+            a = L.loss_grads(name, y, p, cfg, beta)
+            num = L.numeric_loss_grads(name, y, p, cfg, beta)
+            np.testing.assert_allclose(a, num, rtol=1e-4, atol=1e-7)
+
+    def test_values_match_scalar_losses(self):
+        rng = np.random.default_rng(4)
+        cfg = CompositeLossConfig(cace_threshold=0.25)
+        y1 = rng.uniform(0.05, 0.95, size=6)
+        p1 = rng.uniform(0.05, 0.95, size=6)
+        y = np.stack([y1, 1 - y1], axis=-1)
+        p = np.stack([p1, 1 - p1], axis=-1)
+        np.testing.assert_allclose(L.loss_values("ce", y, p, cfg), L.ce(y, p))
+        np.testing.assert_allclose(L.loss_values("rce", y, p, cfg), L.rce(y, p))
+        np.testing.assert_allclose(L.loss_values("kl", y, p, cfg), L.kl(y, p))
+        np.testing.assert_allclose(L.loss_values("rkl", y, p, cfg), L.rkl(y, p))
+        np.testing.assert_allclose(
+            L.loss_values("cace", y, p, cfg), [L.cace(yy, pp, cfg) for yy, pp in zip(y, p)]
+        )
+        np.testing.assert_allclose(
+            L.loss_values("sl", y, p, cfg), [L.sl(yy, pp, cfg) for yy, pp in zip(y, p)]
+        )
+        np.testing.assert_allclose(
+            L.loss_values("aux", y, p, cfg, 0.4),
+            [L.aux(yy, pp, 0.4, p) for yy, pp in zip(y, p)],
+        )
+
+    def test_unknown_loss_rejected(self):
+        y = p = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError):
+            L.loss_values("mse", y, p, CompositeLossConfig())
+        with pytest.raises(ValueError):
+            L.loss_grads("mse", y, p, CompositeLossConfig())
+
+
 class TestSmoothing:
     def test_identity_at_alpha_one(self):
         y = ProbVector([0.9, 0.1])
@@ -227,6 +278,17 @@ class TestAux:
         assert np.allclose(hardened[1], clamp_simplex([1.0, 0.0]))
         np.testing.assert_allclose(hardened[2], batch[2])
         np.testing.assert_allclose(hardened[3], batch[3])
+
+    def test_row_harden_matches_per_row(self):
+        batch = np.array([[0.9, 0.1], [0.3, 0.7], [0.7, 0.3],
+                          [0.7, 0.3], [0.5, 0.5], [0.2, 0.8]])
+        t = L.harden_threshold(batch)
+        assert t == 0.7  # three rows tie at the half-batch cut and stay soft
+        for threshold in (t, 0.0):  # at 0 every row hardens, the p0 == p1 row to class 0
+            rows = L.harden(batch, threshold)
+            np.testing.assert_array_equal(rows, [L.harden(p, threshold) for p in batch])
+        np.testing.assert_array_equal(L.harden(batch, 0.0)[4], clamp_simplex([1.0, 0.0]))
+        np.testing.assert_array_equal(L.harden(batch, t)[2:5], batch[2:5])
 
     def test_beta_one_reduces_to_ce(self):
         y_weak = ProbVector([0.7, 0.3])

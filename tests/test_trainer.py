@@ -1,12 +1,13 @@
-"""Trainer tests: gradient engine vs finite differences, determinism,
-direction-variance bookkeeping, and the weak-to-strong pipeline behaviors."""
+"""Trainer tests: determinism, saturated predictions, direction-variance
+bookkeeping, and the weak-to-strong pipeline behaviors.  The loss table the
+trainer uses is tested in test_losses.py."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from w2slab.losses import CompositeLossConfig
 from w2slab.trainer import (
     LOSS_NAMES,
     LinearProbeModel,
@@ -15,9 +16,6 @@ from w2slab.trainer import (
     TrainData,
     gdv,
     labels_to_soft,
-    loss_grads,
-    loss_values,
-    numeric_loss_grads,
     param_distance,
     train,
     w2s_pipeline,
@@ -60,46 +58,17 @@ class TestTask:
         np.testing.assert_array_equal(a.test_y, b.test_y)
 
 
-class TestGradientEngine:
-    @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_analytic_matches_numeric(self, name):
-        """100 random (batch, parameter) points per loss, 1e-4 relative."""
-        rng = np.random.default_rng(3)
-        cfg = CompositeLossConfig(cace_threshold=0.2, sl_weights=(0.7, 0.3))
-        for _ in range(100):
-            n = int(rng.integers(2, 12))
-            y1 = rng.uniform(1e-3, 1 - 1e-3, size=n)
-            p1 = rng.uniform(1e-3, 1 - 1e-3, size=n)
-            y = np.stack([y1, 1 - y1], axis=-1)
-            p = np.stack([p1, 1 - p1], axis=-1)
-            beta = float(rng.uniform(0, 1))
-            a = loss_grads(name, y, p, cfg, beta)
-            num = numeric_loss_grads(name, y, p, cfg, beta)
-            np.testing.assert_allclose(a, num, rtol=1e-4, atol=1e-7)
-
-    def test_values_match_scalar_losses(self):
-        from w2slab import losses as L
-
-        rng = np.random.default_rng(4)
-        cfg = CompositeLossConfig(cace_threshold=0.25)
-        y1 = rng.uniform(0.05, 0.95, size=6)
-        p1 = rng.uniform(0.05, 0.95, size=6)
-        y = np.stack([y1, 1 - y1], axis=-1)
-        p = np.stack([p1, 1 - p1], axis=-1)
-        np.testing.assert_allclose(loss_values("ce", y, p, cfg), L.ce(y, p))
-        np.testing.assert_allclose(loss_values("rce", y, p, cfg), L.rce(y, p))
-        np.testing.assert_allclose(loss_values("kl", y, p, cfg), L.kl(y, p))
-        np.testing.assert_allclose(loss_values("rkl", y, p, cfg), L.rkl(y, p))
-        np.testing.assert_allclose(
-            loss_values("cace", y, p, cfg), [L.cace(yy, pp, cfg) for yy, pp in zip(y, p)]
-        )
-        np.testing.assert_allclose(
-            loss_values("sl", y, p, cfg), [L.sl(yy, pp, cfg) for yy, pp in zip(y, p)]
-        )
-        np.testing.assert_allclose(
-            loss_values("aux", y, p, cfg, 0.4),
-            [L.aux(yy, pp, 0.4, p) for yy, pp in zip(y, p)],
-        )
+class TestPrediction:
+    def test_saturated_logits_stay_finite_without_warning(self):
+        model = make_model(dim=2)
+        model.weights = np.array([1.0, 0.0])
+        x = np.array([[1e3, 0.0], [-1e3, 0.0], [0.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = model.predict_pos(x)
+        assert np.all(np.isfinite(p))
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        np.testing.assert_array_equal(p, [1.0, 0.0, 0.5])
 
 
 class TestGdv:
