@@ -395,6 +395,8 @@ def cmd_classify(cfg: dict, out_dir: str) -> int:
     start = time.time()
     if not cfg["alphas"]:
         raise ConfigError("alphas must be nonempty")
+    if cfg["repeats"] < 1:
+        raise ConfigError(f"repeats must be at least 1, got {cfg['repeats']}")
     unknown = set(cfg["losses"]) - set(trainer.LOSS_NAMES)
     if unknown:
         raise ConfigError(f"unknown losses: {sorted(unknown)}")

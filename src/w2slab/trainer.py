@@ -15,8 +15,10 @@ central-difference oracle ``numeric_loss_grads``.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,6 +207,20 @@ class LinearProbeModel:
     def distance_from_init(self) -> float:
         return param_distance(self.theta, self._theta0)
 
+    def head(self) -> LinearProbeModel:
+        """A copy of this probe that takes ``self.features(x)`` in place of ``x``.
+
+        The copy's feature map is the identity, its weights and bias start
+        where this probe's are now, and its settings are this probe's, so
+        training it on precomputed features repeats bit for bit what
+        training this probe on the raw inputs would do.
+        """
+        head = copy.copy(self)
+        head.projection = None
+        head.weights = self.weights.copy()
+        head._theta0 = head.theta.copy()
+        return head
+
 
 # --- training ------------------------------------------------------------------
 
@@ -369,7 +385,7 @@ def train(
         loss_name=loss_name,
         alpha=alpha,
         final_loss=final_loss,
-        mean_prediction=float(model.predict_pos(data.x).mean()),
+        mean_prediction=float(_sigmoid(z @ model.weights + model.bias).mean()),
         test_rce_risk=test_rce,
     )
 
@@ -386,18 +402,21 @@ def default_student_config(task: SyntheticTask) -> ProbeConfig:
     return replace(DEFAULT_STUDENT, width=8 * task.dim)
 
 
-def w2s_pipeline(
+def _repeat_stage(
     task: SyntheticTask,
-    teacher_cfg: ProbeConfig | None = None,
-    student_cfg: ProbeConfig | None = None,
-    loss_name: str = "ce",
-    alpha: float = 1.0,
-    seed: int = 0,
-    loss_cfg: CompositeLossConfig | None = None,
-) -> tuple[TrainReport, TrainReport]:
-    """Teacher on ground truth, smoothed pseudo-labels, student under ``loss_name``."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    teacher_cfg: ProbeConfig | None,
+    student_cfg: ProbeConfig | None,
+    seed: int,
+) -> tuple[TrainReport, Callable[..., TrainReport]]:
+    """The work of one task draw and seed that every (loss, alpha) cell shares.
+
+    Draws the task, fits the teacher on ground truth, labels the pseudo
+    split with the teacher's probabilities and projects the pseudo and test
+    splits through an untrained student.  Returns the teacher's report and
+    ``cell(loss_name, alpha, loss_cfg)``, which smooths the labels and
+    trains a copy of that untrained student on them.  The state lives as
+    long as ``cell`` does.
+    """
     teacher_cfg = teacher_cfg or DEFAULT_TEACHER
     student_cfg = student_cfg or default_student_config(task)
     data = task.sample()
@@ -410,21 +429,47 @@ def w2s_pipeline(
         TrainData(data.train_x, labels_to_soft(data.train_y), data.test_x, data.test_y),
         "ce",
         seed=t_seed,
-        alpha=alpha,
+    )
+    student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
+    student_data = TrainData(
+        student.features(data.pseudo_x),
+        teacher.predict_proba(data.pseudo_x),
+        student.features(data.test_x),
+        data.test_y,
     )
 
-    pseudo = teacher.predict_proba(data.pseudo_x)
-    smoothed = smooth_labels_array(pseudo, alpha)
-    student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
-    student_report = train(
-        student,
-        TrainData(data.pseudo_x, smoothed, data.test_x, data.test_y),
-        loss_name,
-        seed=s_seed,
-        loss_cfg=loss_cfg,
-        alpha=alpha,
-    )
-    return teacher_report, student_report
+    def cell(loss_name: str, alpha: float,
+             loss_cfg: CompositeLossConfig | None = None) -> TrainReport:
+        labels = smooth_labels_array(student_data.labels, alpha)
+        return train(student.head(), replace(student_data, labels=labels), loss_name,
+                     seed=s_seed, loss_cfg=loss_cfg, alpha=alpha)
+
+    return teacher_report, cell
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+
+
+def w2s_pipeline(
+    task: SyntheticTask,
+    teacher_cfg: ProbeConfig | None = None,
+    student_cfg: ProbeConfig | None = None,
+    loss_name: str = "ce",
+    alpha: float = 1.0,
+    seed: int = 0,
+    loss_cfg: CompositeLossConfig | None = None,
+) -> tuple[TrainReport, TrainReport]:
+    """Teacher on ground truth, smoothed pseudo-labels, student under ``loss_name``.
+
+    The one-cell case of ``alpha_sweep``, built from the same per-repeat
+    stage and per-cell training.  The teacher's report carries the cell's
+    ``alpha``.
+    """
+    _check_alpha(alpha)
+    teacher_report, cell = _repeat_stage(task, teacher_cfg, student_cfg, seed)
+    return replace(teacher_report, alpha=alpha), cell(loss_name, alpha, loss_cfg)
 
 
 def summarize_sweep(rows: list[dict]) -> list[dict]:
@@ -460,38 +505,62 @@ def alpha_sweep(
 ) -> list[dict]:
     """Cross product of losses and smoothing levels, repeated with fresh seeds.
 
-    The task redraws per repeat (shared across cells of that repeat, so
-    loss comparisons are paired); one row per (loss, alpha, repeat).
+    One row per (loss, alpha, repeat).  Each repeat redraws the task from
+    its own seed and does once the work that all cells of the repeat share,
+    which also pairs the loss comparisons: the task draw, the teacher
+    fit and its pseudo-label probabilities, the student's random projection
+    and initial weights, and the student features of the pseudo and test
+    splits.  Each cell redoes only the label smoothing and the student's
+    training, from those initial weights; the adaptive loss's confidence
+    cut comes from that cell's smoothed labels.  Every alpha and loss name
+    is checked before any training.
     """
     if not alphas:
         raise ValueError("alphas must be nonempty")
     if not losses:
         raise ValueError("losses must be nonempty")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+    for alpha in alphas:
+        _check_alpha(alpha)
+    unknown = sorted(set(losses) - set(LOSS_NAMES))
+    if unknown:
+        raise ValueError(f"losses must be among {LOSS_NAMES}, got {unknown}")
     rows: list[dict] = []
     for repeat in range(repeats):
-        repeat_task = replace(task, seed=int(
-            np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
-        ))
-        for loss_name in losses:
-            for alpha in alphas:
-                t_rep, s_rep = w2s_pipeline(
-                    repeat_task,
-                    teacher_cfg,
-                    student_cfg,
-                    loss_name=loss_name,
-                    alpha=alpha,
-                    seed=repeat,
-                    loss_cfg=loss_cfg,
-                )
-                rows.append(
-                    {
-                        "loss": loss_name,
-                        "alpha": alpha,
-                        "repeat": repeat,
-                        "teacher_acc": t_rep.accuracy,
-                        "student_acc": s_rep.accuracy,
-                        "param_distance": s_rep.param_distance,
-                        "mean_gdv": s_rep.mean_gdv,
-                    }
-                )
+        rows += _sweep_repeat(task, repeat, losses, alphas,
+                              teacher_cfg, student_cfg, loss_cfg)
+    return rows
+
+
+def _sweep_repeat(
+    task: SyntheticTask,
+    repeat: int,
+    losses: list[str],
+    alphas: list[float],
+    teacher_cfg: ProbeConfig | None,
+    student_cfg: ProbeConfig | None,
+    loss_cfg: CompositeLossConfig | None,
+) -> list[dict]:
+    # the repeat's feature matrices are freed when this returns, before the
+    # next repeat builds its own
+    repeat_task = replace(task, seed=int(
+        np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
+    ))
+    teacher_report, cell = _repeat_stage(repeat_task, teacher_cfg, student_cfg, repeat)
+    rows = []
+    for loss_name in losses:
+        for alpha in alphas:
+            s_rep = cell(loss_name, alpha, loss_cfg)
+            rows.append(
+                {
+                    "loss": loss_name,
+                    "alpha": alpha,
+                    "repeat": repeat,
+                    "teacher_acc": teacher_report.accuracy,
+                    "student_acc": s_rep.accuracy,
+                    "param_distance": s_rep.param_distance,
+                    "mean_gdv": s_rep.mean_gdv,
+                }
+            )
     return rows

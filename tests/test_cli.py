@@ -76,6 +76,12 @@ class TestExitCodes:
         code = run(["classify", "--set", "losses=mse", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_zero_repeats_is_config_error(self, tmp_path, capsys):
+        code = run(["classify", "--set", "repeats=0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not (tmp_path / "classify.csv").exists()
+
     def test_degenerate_split_count_rejected(self, tmp_path):
         code = run([
             "bias-variance", "--set", "k=1", "--set", "n_splits=1",

@@ -185,6 +185,29 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(make_model(), gt_train_data(small_task()), "mse")
 
+    @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 40)])
+    def test_mean_prediction_is_final_prediction_on_training_inputs(
+            self, feature, width):
+        task = small_task()
+        data = task.sample()
+        train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
+                               data.test_x, data.test_y)
+        model = make_model(feature=feature, width=width, init_scale=0.1, seed=7)
+        rep = train(model, train_data, "ce", steps=40, seed=7)
+        assert rep.mean_prediction == model.predict_pos(data.pseudo_x).mean()
+
+    def test_head_on_features_repeats_raw_training(self):
+        task = small_task()
+        data = task.sample()
+        model = make_model(feature="projection", width=40, init_scale=0.1, seed=8)
+        head = model.head()
+        raw = train(model, TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
+                                     data.test_x, data.test_y), "rce", steps=40, seed=8)
+        projected = TrainData(model.features(data.pseudo_x),
+                              labels_to_soft(data.pseudo_y),
+                              model.features(data.test_x), data.test_y)
+        assert train(head, projected, "rce", steps=40, seed=8) == raw
+
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_every_loss_trains(self, name):
         task = small_task()
@@ -221,6 +244,71 @@ class TestPipeline:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             w2s_pipeline(small_task(), loss_name="ce", alpha=1.2)
+
+    def test_sweep_rows_equal_per_cell_pipelines(self):
+        from w2slab.trainer import alpha_sweep
+
+        task = small_task()
+        losses, alphas = ["ce", "rce", "cace", "aux"], [0.01, 1.0]
+        student = ProbeConfig(feature="projection", width=40, init_scale=0.1)
+        rows = alpha_sweep(task, losses, alphas, repeats=2, student_cfg=student)
+        expected = []
+        for repeat in range(2):
+            repeat_task = dataclasses.replace(task, seed=int(
+                np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]))
+            for loss in losses:
+                for alpha in alphas:
+                    t_rep, s_rep = w2s_pipeline(
+                        repeat_task, student_cfg=student, loss_name=loss,
+                        alpha=alpha, seed=repeat)
+                    expected.append({
+                        "loss": loss, "alpha": alpha, "repeat": repeat,
+                        "teacher_acc": t_rep.accuracy,
+                        "student_acc": s_rep.accuracy,
+                        "param_distance": s_rep.param_distance,
+                        "mean_gdv": s_rep.mean_gdv,
+                    })
+        assert rows == expected
+        # the cells differ, so no cell's training leaked into another's start
+        assert len({r["param_distance"] for r in rows}) == len(rows)
+
+    def test_sweep_draws_and_fits_once_per_repeat(self, monkeypatch):
+        from w2slab import trainer
+
+        draws, teacher_fits = [], []
+        sample, fit = trainer.SyntheticTask.sample, trainer.train
+
+        def counted_sample(self):
+            draws.append(self.seed)
+            return sample(self)
+
+        def counted_train(model, data, loss_name, **kw):
+            if model.cfg.feature == "identity":
+                teacher_fits.append(kw.get("seed"))
+            return fit(model, data, loss_name, **kw)
+
+        monkeypatch.setattr(trainer.SyntheticTask, "sample", counted_sample)
+        monkeypatch.setattr(trainer, "train", counted_train)
+        rows = trainer.alpha_sweep(
+            small_task(), ["ce", "rce"], [0.1, 1.0], repeats=2,
+            student_cfg=ProbeConfig(feature="projection", width=40))
+        assert len(rows) == 8
+        assert len(draws) == 2 and len(set(draws)) == 2
+        assert len(teacher_fits) == 2 and len(set(teacher_fits)) == 2
+
+    def test_sweep_checks_every_alpha_before_training(self, monkeypatch):
+        from w2slab import trainer
+
+        def no_sample(self):
+            raise AssertionError("task drawn before the alphas were checked")
+
+        monkeypatch.setattr(trainer.SyntheticTask, "sample", no_sample)
+        with pytest.raises(ValueError, match="alpha"):
+            trainer.alpha_sweep(small_task(), ["ce"], [0.1, 1.0, 1.5], repeats=1)
+        with pytest.raises(ValueError, match="losses"):
+            trainer.alpha_sweep(small_task(), ["ce", "mse"], [0.1], repeats=1)
+        with pytest.raises(ValueError, match="repeats"):
+            trainer.alpha_sweep(small_task(), ["ce"], [0.1], repeats=0)
 
     def test_sweep_summary_cells(self):
         from w2slab.trainer import alpha_sweep, summarize_sweep
