@@ -101,6 +101,10 @@ class BregmanGeometry:
 
     All array arguments broadcast over leading axes; the geometry's
     dimension is the size of the trailing axis.
+
+    Public methods check each array argument once with ``check_point``.
+    ``grad``, ``_divergence`` and ``from_dual`` do not check: callers that
+    have already checked their arrays compute with these directly.
     """
 
     kind: str = "abstract"
@@ -159,18 +163,14 @@ class BregmanGeometry:
 
     # -- identities over points and samples ---------------------------------
 
-    def law_of_cosines_residual(self, x, y, z) -> float:
+    def law_of_cosines_residual(self, x, y, z) -> np.ndarray:
         """D(x,z) - D(x,y) - D(y,z) + <z* - y*, x - y>; zero identically."""
         x = self.check_point(x)
         y = self.check_point(y, interior=True)
         z = self.check_point(z, interior=True)
         corr = np.sum((self.grad(z) - self.grad(y)) * (x - y), axis=-1)
-        return float(
-            self._divergence(x, z)
-            - self._divergence(x, y)
-            - self._divergence(y, z)
-            + corr
-        )
+        return (self._divergence(x, z) - self._divergence(x, y)
+                - self._divergence(y, z) + corr)
 
     def dual_mean(self, sample: SampleSet) -> np.ndarray:
         """(E[X*])*: the minimizer of E[D(y, X)] over y."""
@@ -190,7 +190,7 @@ class BregmanGeometry:
         """Split E[D(y, X)] into (bias D(y, m*), dual variance E[D(m*, X)])."""
         y = self.check_point(y)
         pts = self.check_point(sample.points, interior=True)
-        dm = self.dual_mean(sample)
+        dm = self.from_dual(sample.weights @ self.grad(pts))
         bias = float(self._divergence(y, dm))
         dual_variance = float(sample.weights @ self._divergence(dm, pts))
         return bias, dual_variance

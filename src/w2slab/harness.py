@@ -133,6 +133,8 @@ class TheoremReport:
 
 
 def _domain_check(geometry: BregmanGeometry, sc: FiniteScenario) -> None:
+    # each public verifier checks its scenario once, before any arithmetic;
+    # the helpers below and the geometry primitives they use never check
     geometry.check_point(sc.truth)
     geometry.check_point(sc.teacher_preds, interior=True)
     geometry.check_point(sc.student_preds, interior=True)
@@ -143,7 +145,7 @@ def _posterior_dual_means(
 ) -> np.ndarray:
     """E*[f_W | W' = j] per (student, input): dual mean under the posterior."""
     post = sc.posterior()  # (nt, ns)
-    dual_T = geometry.to_dual(sc.teacher_preds)  # (nt, nx, K)
+    dual_T = geometry.grad(sc.teacher_preds)  # (nt, nx, K)
     return geometry.from_dual(np.einsum("ij,ixk->jxk", post, dual_T))
 
 
@@ -178,7 +180,7 @@ def verify_risk_gap(
 
     def div(a, b):
         # forward risks are D(truth, model); reverse ones swap the arguments
-        return geometry.divergence(a, b) if forward else geometry.divergence(b, a)
+        return geometry._divergence(a, b) if forward else geometry._divergence(b, a)
 
     lhs = float(np.einsum("j,jx,x->", p_s, div(G, S), mu))
     teacher_risk = float(np.einsum("i,ix,x->", p_t, div(G, T), mu))
@@ -187,12 +189,12 @@ def verify_risk_gap(
     if forward:
         # dual residual to the conditional dual mean, primal gap to the truth
         m_dual = _posterior_dual_means(sc, geometry)  # (ns, nx, K)
-        resid = geometry.tangent_project(geometry.to_dual(S) - geometry.to_dual(m_dual))
+        resid = geometry.tangent_project(geometry.grad(S) - geometry.grad(m_dual))
         gap = G[None, :, :] - S
     else:
         # primal residual to the conditional mean, dual gap to the truth
         resid = S - _posterior_means(sc)
-        gap = geometry.tangent_project(geometry.to_dual(G)[None, :, :] - geometry.to_dual(S))
+        gap = geometry.tangent_project(geometry.grad(G)[None, :, :] - geometry.grad(S))
     a2 = float(np.einsum("j,jx,x->", p_s, _sqnorm(resid), mu))
     b2 = float(np.einsum("j,jx,x->", p_s, _sqnorm(gap), mu))
     exact_inner = float(np.einsum("j,jx,x->", p_s, np.sum(-resid * gap, axis=-1), mu))
@@ -229,14 +231,7 @@ def with_posterior_mean_students(
     """
     _domain_check(geometry, sc)
     preds = _posterior_dual_means(sc, geometry) if dual else _posterior_means(sc)
-    return FiniteScenario(
-        input_probs=sc.input_probs,
-        truth=sc.truth,
-        teacher_preds=sc.teacher_preds,
-        student_preds=preds,
-        joint=sc.joint,
-        seed=sc.seed,
-    )
+    return replace(sc, student_preds=preds)
 
 
 def verify_posterior_mean_equality(
@@ -249,7 +244,8 @@ def verify_posterior_mean_equality(
     student risk equals teacher risk minus the misfit evaluated at the
     posterior mean, and the Cauchy-Schwarz residual degenerates to zero.
     """
-    _domain_check(geometry, sc)
+    # verify_risk_gap checks the scenario before any arithmetic here
+    report = verify_risk_gap(sc, geometry, direction)
     dual = direction == "forward"
     expected = (
         _posterior_dual_means(sc, geometry) if dual else _posterior_means(sc)
@@ -261,7 +257,6 @@ def verify_posterior_mean_equality(
             f"students deviate from the posterior {'dual ' if dual else ''}mean "
             f"by {gap:.3e} (> 1e-10)"
         )
-    report = verify_risk_gap(sc, geometry, direction)
     # equality: lhs = teacher risk - misfit evaluated at the posterior mean
     equality_gap = abs(report.lhs - (report.teacher_risk - report.misfit))
     if equality_gap > 1e-9:
@@ -278,12 +273,11 @@ def cross_entropy_form_report(sc: FiniteScenario, direction: str = "forward") ->
     entropy + eps1.  Reverse: RCE risks with a CE misfit.  The slack equals
     the KL-form slack identically, which is what tests assert.
     """
-    geometry = NegativeEntropy(sc.truth.shape[1])
-    _domain_check(geometry, sc)
+    # verify_risk_gap checks the scenario before any arithmetic here
+    base = verify_risk_gap(sc, NegativeEntropy(sc.truth.shape[1]), direction)
     mu = sc.input_probs
     T, S, G = sc.teacher_preds, sc.student_preds, sc.truth
     p_t, p_s = sc.teacher_marginal, sc.student_marginal
-    base = verify_risk_gap(sc, geometry, direction)
     student_entropy = float(np.einsum("j,jx,x->", p_s, entropy(S), mu))
 
     if direction == "forward":
@@ -362,8 +356,7 @@ def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
     teacher_ce = float(np.einsum("i,ix,x->", p_t, ce(G[None], T), mu))
     teacher_rce = float(np.einsum("i,ix,x->", p_t, rce(G[None], T), mu))
 
-    dual_sc = with_posterior_mean_students(sc, geometry, dual=True)
-    S_dual = dual_sc.student_preds
+    S_dual = _posterior_dual_means(sc, geometry)
     student_ce = float(np.einsum("j,jx,x->", p_s, ce(G[None], S_dual), mu))
     ce_gain = teacher_ce - student_ce
     ce_misfit = float(
@@ -375,8 +368,7 @@ def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
             f"{abs(ce_gain - ce_misfit):.3e}"
         )
 
-    mean_sc = with_posterior_mean_students(sc, geometry, dual=False)
-    S_mean = mean_sc.student_preds
+    S_mean = _posterior_means(sc)
     student_rce = float(np.einsum("j,jx,x->", p_s, rce(G[None], S_mean), mu))
     rce_gain = teacher_rce - student_rce
     rce_misfit = float(

@@ -228,7 +228,6 @@ class CompositeLossConfig:
     sl_weights: tuple[float, float] = (1.0, 1.0)
     aux_beta_max: float = 0.5
     aux_warmup_fraction: float = 0.2
-    aux_hardening: str = "half-batch"
 
     def __post_init__(self) -> None:
         l1, l2 = self.sl_weights
@@ -240,8 +239,6 @@ class CompositeLossConfig:
             raise ValueError("aux_warmup_fraction must lie in (0, 1]")
         if self.cace_quantile_pct not in (5, 10, 20, 30):
             raise ValueError("cace_quantile_pct must be one of {5, 10, 20, 30}")
-        if self.aux_hardening != "half-batch":
-            raise ValueError("only the half-batch hardening rule is implemented")
         if self.cace_threshold < 0:
             raise ValueError("cace_threshold must be nonnegative")
 

@@ -302,28 +302,21 @@ def train(
     model: LinearProbeModel,
     data: TrainData,
     loss_name: str,
-    steps: int | None = None,
-    learning_rate: float | None = None,
-    batch_size: int | None = None,
     seed: int = 0,
     loss_cfg: CompositeLossConfig | None = None,
     alpha: float = 1.0,
 ) -> TrainReport:
     """Run mini-batch gradient descent and report the outcome.
 
-    The confidence cut for the adaptive loss is fixed from the full label
-    set before the first step.  An epoch is one pass over the data;
-    gradient direction variance is computed per epoch from that epoch's
-    mini-batch gradients.
+    Steps, learning rate and batch size are the probe's ``ProbeConfig``
+    settings, validated when that config was built.  The confidence cut
+    for the adaptive loss is fixed from the full label set before the
+    first step.  An epoch is one pass over the data; gradient direction
+    variance is computed per epoch from that epoch's mini-batch gradients.
     """
     if loss_name not in LOSS_NAMES:
         raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
-    cfg = model.cfg
-    steps = cfg.steps if steps is None else steps
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
-    batch = cfg.batch_size if batch_size is None else batch_size
-    if steps < 0 or lr <= 0 or batch < 1:
-        raise ValueError("steps, learning_rate, and batch_size must be positive")
+    steps, lr, batch = model.cfg.steps, model.cfg.learning_rate, model.cfg.batch_size
     loss_cfg = loss_cfg or CompositeLossConfig()
     if loss_name == "cace" and loss_cfg.cace_threshold == 0.0:
         # fix the confidence cut from the full label set before training

@@ -147,6 +147,15 @@ class TestLawOfCosines:
         x, y = random_points(g, 2, rng)
         assert g.law_of_cosines_residual(x, y, y) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g", geometries(), ids=lambda g: g.kind)
+    def test_stacked_triples_equal_per_triple_loop(self, g):
+        rng = np.random.default_rng(8)
+        abc = random_points(g, 3 * 200, rng).reshape(200, 3, g.dimension)
+        stacked = g.law_of_cosines_residual(abc[:, 0], abc[:, 1], abc[:, 2])
+        looped = [g.law_of_cosines_residual(x, y, z) for x, y, z in abc]
+        assert all(isinstance(r, float) for r in looped)
+        np.testing.assert_array_equal(stacked, looped)
+
     def test_explicit_kl_triple(self):
         # evaluate both sides with the explicit KL and log-ratio formulas
         g = NegativeEntropy(2)

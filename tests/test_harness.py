@@ -10,7 +10,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from w2slab.bregman import NegativeEntropy, SquaredNorm, clamp_simplex
+from w2slab.bregman import (
+    BregmanGeometry,
+    DomainError,
+    NegativeEntropy,
+    SquaredNorm,
+    clamp_simplex,
+)
 from w2slab.harness import (
     FiniteScenario,
     PreconditionError,
@@ -233,6 +239,54 @@ class TestPosteriorMeanEquality:
         sc = random_scenario(g, rng, n_teachers=3)
         with pytest.raises(PreconditionError):
             verify_posterior_mean_equality(sc, g, "forward")
+
+
+class TestCheckedOnce:
+    @pytest.mark.parametrize("kind", ["squared-norm", "negative-entropy"])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_risk_gap_checks_each_prediction_array_once(self, kind, direction,
+                                                         monkeypatch):
+        rng = np.random.default_rng(50)
+        g = make_geometry(kind, rng)
+        sc = random_scenario(g, rng, n_teachers=3, n_students=2)
+        checked = []
+        check_point = BregmanGeometry.check_point
+
+        def counting_check(self, x, interior=False):
+            checked.append(x)
+            return check_point(self, x, interior)
+
+        monkeypatch.setattr(BregmanGeometry, "check_point", counting_check)
+        verify_risk_gap(sc, g, direction)
+        expected = (sc.truth, sc.teacher_preds, sc.student_preds)
+        assert len(checked) == 3
+        assert all(a is b for a, b in zip(checked, expected))
+
+    @pytest.mark.parametrize("verifier", [
+        lambda sc, g: verify_risk_gap(sc, g, "forward"),
+        lambda sc, g: verify_risk_gap(sc, g, "reverse"),
+        lambda sc, g: verify_risk_gap_product(sc, g, "forward"),
+        lambda sc, g: verify_risk_gap_product(sc, g, "reverse"),
+        lambda sc, g: with_posterior_mean_students(sc, g, dual=True),
+        lambda sc, g: with_posterior_mean_students(sc, g, dual=False),
+        lambda sc, g: verify_posterior_mean_equality(sc, g, "forward"),
+        lambda sc, g: verify_posterior_mean_equality(sc, g, "reverse"),
+        lambda sc, g: cross_entropy_form_report(sc, "forward"),
+        lambda sc, g: cross_entropy_form_report(sc, "reverse"),
+        lambda sc, g: verify_ideal_student_gains(sc),
+    ], ids=["risk_gap_fwd", "risk_gap_rev", "product_fwd", "product_rev",
+            "ideal_dual", "ideal_mean", "equality_fwd", "equality_rev",
+            "ce_form_fwd", "ce_form_rev", "ideal_gains"])
+    def test_off_simplex_teacher_raises_domain_error(self, verifier):
+        # the row sums to one but has negative coordinates, so a log taken
+        # before the check would warn (an error under the test settings);
+        # misfit_variance_split is left out: its squared geometry accepts it
+        g = NegativeEntropy(3)
+        sc = random_scenario(g, np.random.default_rng(51), n_teachers=2, n_students=2)
+        T = sc.teacher_preds.copy()
+        T[0, 0] = [1.5, -0.25, -0.25]
+        with pytest.raises(DomainError):
+            verifier(dataclasses.replace(sc, teacher_preds=T), g)
 
 
 class TestCrossEntropyForm:

@@ -130,9 +130,9 @@ def gt_train_data(task):
 class TestTrain:
     def test_zero_steps_is_identity(self):
         task = small_task()
-        model = make_model()
+        model = make_model(steps=0)
         before = model.accuracy(task.sample().test_x, task.sample().test_y)
-        rep = train(model, gt_train_data(task), "ce", steps=0)
+        rep = train(model, gt_train_data(task), "ce")
         assert rep.param_distance == 0.0
         assert rep.accuracy == pytest.approx(before)
 
@@ -140,20 +140,19 @@ class TestTrain:
         # margin of two noise units: optimal accuracy is at least 0.977
         task = small_task(separation=2.0, noise=1.0, n_train=400)
         assert task.bayes_accuracy() >= 0.97
-        model = make_model(seed=2)
-        rep = train(model, gt_train_data(task), "ce", steps=500, seed=2)
+        model = make_model(seed=2, steps=500)
+        rep = train(model, gt_train_data(task), "ce", seed=2)
         assert rep.accuracy >= 0.95
 
     def test_rce_uniform_labels_is_frozen(self):
         task = small_task()
         data = task.sample()
         uniform = np.full((task.n_train, 2), 0.5)
-        model = make_model(seed=3)
+        model = make_model(seed=3, steps=100)
         rep = train(
             model,
             TrainData(data.train_x, uniform, data.test_x, data.test_y),
             "rce",
-            steps=100,
             seed=3,
         )
         assert rep.param_distance == 0.0
@@ -163,8 +162,8 @@ class TestTrain:
         task = small_task()
         reports = []
         for _ in range(2):
-            model = make_model(seed=4)
-            reports.append(train(model, gt_train_data(task), "sl", steps=60, seed=4))
+            model = make_model(seed=4, steps=60)
+            reports.append(train(model, gt_train_data(task), "sl", seed=4))
         a, b = reports
         assert a == b
 
@@ -173,17 +172,23 @@ class TestTrain:
         from w2slab.trainer import TrainingDiverged
 
         task = small_task()
-        model = make_model(seed=5)
+        model = make_model(seed=5, steps=50, learning_rate=float("inf"))
         with pytest.raises(TrainingDiverged) as err, np.errstate(
             over="ignore", invalid="ignore"
         ):
-            train(model, gt_train_data(task), "ce", steps=50,
-                  learning_rate=float("inf"), seed=5)
+            train(model, gt_train_data(task), "ce", seed=5)
         assert err.value.step >= 0
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
             train(make_model(), gt_train_data(small_task()), "mse")
+
+    @pytest.mark.parametrize("bad", [{"steps": -1}, {"learning_rate": 0.0},
+                                     {"batch_size": 0}])
+    def test_probe_config_rejects_bad_optimizer_settings(self, bad):
+        # train reads these settings from the probe's config, the one check
+        with pytest.raises(ValueError):
+            make_model(**bad)
 
     @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 40)])
     def test_mean_prediction_is_final_prediction_on_training_inputs(
@@ -192,27 +197,27 @@ class TestTrain:
         data = task.sample()
         train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
                                data.test_x, data.test_y)
-        model = make_model(feature=feature, width=width, init_scale=0.1, seed=7)
-        rep = train(model, train_data, "ce", steps=40, seed=7)
+        model = make_model(feature=feature, width=width, init_scale=0.1, seed=7, steps=40)
+        rep = train(model, train_data, "ce", seed=7)
         assert rep.mean_prediction == model.predict_pos(data.pseudo_x).mean()
 
     def test_head_on_features_repeats_raw_training(self):
         task = small_task()
         data = task.sample()
-        model = make_model(feature="projection", width=40, init_scale=0.1, seed=8)
+        model = make_model(feature="projection", width=40, init_scale=0.1, seed=8, steps=40)
         head = model.head()
         raw = train(model, TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
-                                     data.test_x, data.test_y), "rce", steps=40, seed=8)
+                                     data.test_x, data.test_y), "rce", seed=8)
         projected = TrainData(model.features(data.pseudo_x),
                               labels_to_soft(data.pseudo_y),
                               model.features(data.test_x), data.test_y)
-        assert train(head, projected, "rce", steps=40, seed=8) == raw
+        assert train(head, projected, "rce", seed=8) == raw
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_every_loss_trains(self, name):
         task = small_task()
-        model = make_model(seed=6)
-        rep = train(model, gt_train_data(task), name, steps=40, seed=6)
+        model = make_model(seed=6, steps=40)
+        rep = train(model, gt_train_data(task), name, seed=6)
         assert np.isfinite(rep.final_loss)
         assert rep.accuracy >= 0.0
 
