@@ -281,7 +281,9 @@ class NegativeEntropy(BregmanGeometry):
         return bool(ok_sum and np.all(x >= 0))
 
     def _divergence(self, x, y):
-        return np.sum(rel_entr(x, y), axis=-1)
+        # points summing to 1 only up to rounding can give KL ~ -1e-17;
+        # the divergence is nonnegative, so round those up to zero
+        return np.maximum(np.sum(rel_entr(x, y), axis=-1), 0.0)
 
     def from_dual(self, s):
         s = np.asarray(s, dtype=float)

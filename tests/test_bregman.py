@@ -70,6 +70,14 @@ class TestDivergence:
         distinct = np.max(np.abs(x - y), axis=-1) > 1e-6
         assert np.all(d[distinct] > 0.0)
 
+    def test_kl_nonnegative_one_ulp_apart(self):
+        # y sums to 1 in floats but to 1 + 2**-54 exactly; the plain sum of
+        # relative entropies is -5.55e-17 here
+        g = NegativeEntropy(2)
+        y = np.array([0.5000000000000001, 0.49999999999999994])
+        assert g.divergence([0.5, 0.5], y) >= 0.0
+        assert g.divergence(np.array([[0.5, 0.5]] * 3), y).min() >= 0.0
+
     @pytest.mark.parametrize("g", geometries(), ids=lambda g: g.kind)
     def test_matches_generator_formula(self, g):
         rng = np.random.default_rng(3)
