@@ -196,6 +196,11 @@ def _verify_geometries(rng):
 
 def cmd_verify(cfg: dict, out_dir: str) -> int:
     start = time.time()
+    for key in ("scenarios", "pairs", "triples"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if not 0.0 < cfg["grid_step"] < 1.0:
+        raise ConfigError(f"grid_step must lie in (0, 1), got {cfg['grid_step']}")
     rng = np.random.default_rng(cfg["seed"])
     verdicts: list[dict] = []
     rows: list[dict] = []
@@ -340,29 +345,28 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
 
 def cmd_ridge(cfg: dict, out_dir: str) -> int:
     start = time.time()
+    try:
+        base = ridge.RidgeConfig(d_w=cfg["d_w"], n_ratio=cfg["n_ratio"], B=cfg["B"],
+                                 seed=cfg["seed"])
+        ridge.sweep_cells(base, cfg["gammas"], cfg["eta0s"], cfg["trials"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    estimates = ridge.sweep_misfit(base, cfg["gammas"], cfg["eta0s"], cfg["trials"])
     rows: list[dict] = []
     verdicts: list[dict] = []
-    cell_means: dict[tuple, float] = {}
     worst_ratio = 0.0
     worst_mp_gap = 0.0
-    for eta0 in cfg["eta0s"]:
-        for gamma in cfg["gammas"]:
-            config = ridge.RidgeConfig(
-                d_w=cfg["d_w"], gamma=gamma, n_ratio=cfg["n_ratio"],
-                eta0=eta0, B=cfg["B"], seed=cfg["seed"],
-            )
-            estimate = ridge.simulate_misfit(config, cfg["trials"])
-            h = ridge.h_closed_form(eta0, gamma)
-            mp = ridge.mp_integral(eta0, gamma)
-            worst_mp_gap = max(worst_mp_gap, abs(mp - h))
-            cell_means[(eta0, gamma)] = estimate.empirical_misfit
-            worst_ratio = max(worst_ratio, estimate.empirical_misfit / (cfg["B"] * h))
-            for t, value in enumerate(estimate.per_trial):
-                rows.append({
-                    "d_w": cfg["d_w"], "gamma": gamma, "n_ratio": cfg["n_ratio"],
-                    "eta0": eta0, "trial": t, "misfit": float(value),
-                    "bound": estimate.bound, "h": h, "mp_integral": mp,
-                })
+    for (eta0, gamma), estimate in estimates.items():
+        h = ridge.h_closed_form(eta0, gamma)
+        mp = ridge.mp_integral(eta0, gamma)
+        worst_mp_gap = max(worst_mp_gap, abs(mp - h))
+        worst_ratio = max(worst_ratio, estimate.empirical_misfit / (cfg["B"] * h))
+        for t, value in enumerate(estimate.per_trial):
+            rows.append({
+                "d_w": cfg["d_w"], "gamma": gamma, "n_ratio": cfg["n_ratio"],
+                "eta0": eta0, "trial": t, "misfit": float(value),
+                "bound": estimate.bound, "h": h, "mp_integral": mp,
+            })
     verdicts.append(_verdict(
         "misfit_within_bound", worst_ratio <= cfg["bound_slack"],
         f"max misfit / (B h) = {worst_ratio:.4f} (allowed {cfg['bound_slack']})"))
@@ -373,7 +377,7 @@ def cmd_ridge(cfg: dict, out_dir: str) -> int:
     gammas = sorted(cfg["gammas"])
     inversion_ok = True
     for eta0 in cfg["eta0s"]:
-        means = [cell_means[(eta0, g)] for g in gammas]
+        means = [estimates[(eta0, g)].empirical_misfit for g in gammas]
         inversions = sum(b > a for a, b in zip(means, means[1:]))
         inversion_ok &= inversions <= 1
     verdicts.append(_verdict(

@@ -12,14 +12,21 @@ the proportional limit, by B * h(eta0, gamma) with
 
 which also equals the Marchenko-Pastur integral of 1/(1 + (gamma/eta0) t)^2;
 both routes are implemented so each can check the other.
+
+A trial is solved in d_w space, never in d_s space: with A = W1^T W1 and
+G = X X^T, the push-through identity gives the student's map as
+W1^T w2 = (A G + eta I)^-1 A G W, so its residual against the teacher is
+-eta (A G + eta I)^-1 W, one d_w x d_w solve.  The draw and A G do not
+depend on eta0, so ``sweep_misfit`` runs the grid gamma by gamma and trial
+by trial, and the eta0 cells of one (gamma, trial) share one draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "RidgeConfig",
@@ -32,6 +39,8 @@ __all__ = [
     "mp_integral",
     "mp_density_mass",
     "run_trial",
+    "sweep_cells",
+    "sweep_misfit",
     "simulate_misfit",
     "verify_monotonicity",
     "MonotonicityReport",
@@ -79,6 +88,9 @@ def _mp_quad(gamma: float, f, tol: float) -> float:
     The substitution lam = c + r sin(theta) absorbs the square-root edge
     factor, leaving a smooth integrand for the adaptive rule.
     """
+    # imported here: only the quadrature needs it, and it is slow to import
+    from scipy import integrate
+
     lo = (1.0 - np.sqrt(1.0 / gamma)) ** 2
     hi = (1.0 + np.sqrt(1.0 / gamma)) ** 2
     c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
@@ -150,9 +162,9 @@ class RidgeConfig:
         if self.d_w < 2:
             raise ValueError("d_w must be at least 2")
         if not self.gamma > 1:
-            raise ValueError("gamma must exceed 1")
+            raise ValueError(f"gamma must exceed 1, got {self.gamma!r}")
         if not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
+            raise ValueError(f"eta0 must be positive, got {self.eta0!r}")
         if self.n_ratio < 1:
             raise ValueError("n_ratio must be at least 1")
         if not self.B > 0:
@@ -205,62 +217,114 @@ def _trial_rng(cfg: RidgeConfig, trial: int, attempt: int = 0) -> np.random.Gene
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, trial, attempt]))
 
 
+@functools.lru_cache(maxsize=1)
+def _draw(cfg: RidgeConfig, trial: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eta0-free part of a trial: the teacher W and the d_w x d_w product A G.
+
+    ``run_trial`` passes ``cfg`` with eta0 fixed, so consecutive cells that
+    differ only in eta0 hit this one-entry cache; the arrays are read-only.
+    """
+    rng = _trial_rng(cfg, trial, attempt)
+    d_w = cfg.d_w
+    W = rng.normal(0.0, np.sqrt(cfg.teacher_scale), size=d_w)
+    W1 = rng.normal(0.0, np.sqrt(1.0 / d_w), size=(cfg.d_s, d_w))
+    X = rng.normal(0.0, np.sqrt(1.0 / d_w), size=(d_w, cfg.n))
+    AG = (W1.T @ W1) @ (X @ X.T)
+    W.flags.writeable = AG.flags.writeable = False
+    return W, AG
+
+
 def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0) -> TrialResult:
     """Draw one teacher/student instance and compute its exact input-averaged misfit.
 
-    Inputs have covariance I / d_w, so the expectation over test inputs
-    reduces the misfit to ||W1'^T w2 - W||^2 / d_w with no sampling error.
+    The draw (teacher W, student features W1, inputs X) does not depend on
+    eta0, so it is shared with the previous call when that call differed
+    only in eta0.  The ridge student's map W1^T w2 equals
+    (A G + eta I)^-1 A G W (push-through identity, A = W1^T W1, G = X X^T),
+    so its residual W1^T w2 - W is -eta (A G + eta I)^-1 W: a d_w x d_w
+    solve with no cancellation against W.  Inputs have covariance I / d_w,
+    so the expectation over test inputs reduces the misfit to
+    ||W1^T w2 - W||^2 / d_w with no sampling error.
     """
-    rng = _trial_rng(cfg, trial, attempt)
-    d_w, d_s, n = cfg.d_w, cfg.d_s, cfg.n
-    W = rng.normal(0.0, np.sqrt(cfg.teacher_scale), size=d_w)
-    W1 = rng.normal(0.0, np.sqrt(1.0 / d_w), size=(d_s, d_w))
-    X = rng.normal(0.0, np.sqrt(1.0 / d_w), size=(d_w, n))
-
-    # Gram form of the ridge solution: (W1 G W1^T + eta I)^-1 W1 G W
-    # with G = X X^T, algebraically identical to solving on A = W1 X.
-    G = X @ X.T
-    K = W1 @ G @ W1.T + cfg.eta * np.eye(d_s)
-    b = W1 @ (G @ W)
-    w2 = np.linalg.solve(K, b)
-    rel_residual = np.linalg.norm(K @ w2 - b) / max(np.linalg.norm(b), 1e-300)
+    # eta0 does not enter the draw; fixing it makes the cache key eta0-free
+    W, AG = _draw(replace(cfg, eta0=1.0), trial, attempt)
+    K = AG + cfg.eta * np.eye(cfg.d_w)
+    x = np.linalg.solve(K, W)
+    rel_residual = np.linalg.norm(K @ x - W) / max(np.linalg.norm(W), 1e-300)
     if not np.isfinite(rel_residual) or rel_residual > 1e-8:
         raise np.linalg.LinAlgError(
             f"ridge solve left relative residual {rel_residual:.3e}"
         )
-    direction = W1.T @ w2 - W
-    return TrialResult(float(direction @ direction / d_w), direction)
+    direction = -cfg.eta * x
+    return TrialResult(float(direction @ direction / cfg.d_w), direction)
+
+
+def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
+    """Check a sweep grid and return its cell configs keyed (eta0, gamma).
+
+    Every cell takes d_w, n_ratio, B and seed from ``base``; the keys come
+    in (eta0, gamma) order.  Raises ValueError for trials < 1, an empty or
+    repeated grid value, and any value ``RidgeConfig`` rejects.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for name, grid in (("gammas", gammas), ("eta0s", eta0s)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} must be nonempty")
+        if len(set(grid)) != len(grid):
+            raise ValueError(f"{name} has repeated values: {list(grid)}")
+    return {(e, g): replace(base, gamma=g, eta0=e) for e in eta0s for g in gammas}
+
+
+def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
+    """Estimate the misfit of every (eta0, gamma) cell, keyed as ``sweep_cells``.
+
+    The loop runs gamma, then trial, then eta0, so the eta0 cells of one
+    (gamma, trial) reuse one draw.  Each cell still calls ``run_trial``
+    once per trial and is reproducible from (seed, trial) alone.  A
+    numerically singular solve is retried at the next attempt, which
+    draws afresh, and counted against its own cell.
+    """
+    cells = sweep_cells(base, gammas, eta0s, trials)
+    values = {key: np.empty(trials) for key in cells}
+    retries = dict.fromkeys(cells, 0)
+    for gamma in gammas:
+        for t in range(trials):
+            for eta0 in eta0s:
+                key = (eta0, gamma)
+                for attempt in range(10):
+                    try:
+                        values[key][t] = run_trial(cells[key], t, attempt).misfit
+                        break
+                    except np.linalg.LinAlgError:
+                        retries[key] += 1
+                else:
+                    raise np.linalg.LinAlgError(
+                        f"trial {t} of cell eta0={eta0}, gamma={gamma} "
+                        "failed after 10 attempts"
+                    )
+    estimates = {}
+    for key, cfg in cells.items():
+        v = values[key]
+        estimates[key] = MisfitEstimate(
+            empirical_misfit=float(v.mean()),
+            bound=cfg.B * h_closed_form(cfg.eta0, cfg.gamma),
+            trials=trials,
+            std_error=float(v.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+            per_trial=v,
+            retries=retries[key],
+        )
+    return estimates
 
 
 def simulate_misfit(cfg: RidgeConfig, trials: int) -> MisfitEstimate:
     """Average the per-trial misfit over independently seeded trials.
 
-    Trials are reproducible from (seed, trial index) alone, so results do
-    not depend on execution order.  A numerically singular solve is retried
-    with a fresh derived seed and counted.
+    The one-cell case of ``sweep_misfit``: trials are reproducible from
+    (seed, trial index) alone, and a numerically singular solve is
+    retried with a fresh derived seed and counted.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    values = np.empty(trials)
-    retries = 0
-    for t in range(trials):
-        for attempt in range(10):
-            try:
-                values[t] = run_trial(cfg, t, attempt).misfit
-                break
-            except np.linalg.LinAlgError:
-                retries += 1
-        else:
-            raise np.linalg.LinAlgError(f"trial {t} failed after 10 attempts")
-    std_error = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return MisfitEstimate(
-        empirical_misfit=float(values.mean()),
-        bound=cfg.B * h_closed_form(cfg.eta0, cfg.gamma),
-        trials=trials,
-        std_error=std_error,
-        per_trial=values,
-        retries=retries,
-    )
+    return sweep_misfit(cfg, [cfg.gamma], [cfg.eta0], trials)[(cfg.eta0, cfg.gamma)]
 
 
 @dataclass(frozen=True)

@@ -144,15 +144,16 @@ def test_criterion_4_capacity_bound_quantitative():
     worst_ratio = 0.0
     worst_mp = abs(ridge.mp_integral(1.0, 2.0) - (1 / np.sqrt(2) - 0.5))
     inversion_ok = True
-    for eta0 in (0.5, 1.0):
+    gammas, eta0s = (1.5, 2.0, 4.0), (0.5, 1.0)
+    base = ridge.RidgeConfig(d_w=200, n_ratio=20.0, B=1.0, seed=0)
+    estimates = ridge.sweep_misfit(base, gammas, eta0s, 50)
+    for eta0 in eta0s:
         means = []
-        for gamma in (1.5, 2.0, 4.0):
-            cfg = ridge.RidgeConfig(
-                d_w=200, gamma=gamma, n_ratio=20.0, eta0=eta0, B=1.0, seed=0)
-            est = ridge.simulate_misfit(cfg, 50)
+        for gamma in gammas:
+            est = estimates[(eta0, gamma)]
             h = ridge.h_closed_form(eta0, gamma)
             worst_mp = max(worst_mp, abs(ridge.mp_integral(eta0, gamma) - h))
-            worst_ratio = max(worst_ratio, est.empirical_misfit / (cfg.B * h))
+            worst_ratio = max(worst_ratio, est.empirical_misfit / (base.B * h))
             means.append(est.empirical_misfit)
         inversions = sum(b > a for a, b in zip(means, means[1:]))
         inversion_ok &= inversions <= 1

@@ -89,6 +89,40 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("override", [
+        "gammas=", "eta0s=", "gammas=2,2", "eta0s=0.5,0.5", "gammas=1,2",
+        "gammas=0.5", "eta0s=0,1", "eta0s=-1", "trials=0",
+    ])
+    def test_bad_ridge_grid_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                      override):
+        from w2slab import ridge
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the config was checked")
+
+        monkeypatch.setattr(ridge, "run_trial", no_trial)
+        code = run(["ridge", "--set", override, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "ridge.csv").exists()
+
+    def test_bad_ridge_grid_raises_config_error(self):
+        from w2slab.cli import cmd_ridge
+
+        cfg = load_config("ridge", None, ["gammas=2,2"])
+        with pytest.raises(ConfigError, match="gammas"):
+            cmd_ridge(cfg, "unused")
+
+    @pytest.mark.parametrize("override", [
+        "scenarios=0", "scenarios=-1", "pairs=0", "triples=0",
+        "grid_step=0", "grid_step=-0.1", "grid_step=1", "grid_step=1.5", "grid_step=nan",
+    ])
+    def test_bad_verify_config_rejected(self, tmp_path, capsys, override):
+        code = run(["verify", "--set", override, "--out", str(tmp_path)])
+        assert code == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "verify.csv").exists()
+
     def test_forced_failure_names_invariant(self, tmp_path, capsys):
         code = run([
             "verify", "--set", "tol_identity=1e-30", "--set", "scenarios=2",

@@ -1,10 +1,14 @@
 """Ridge lab tests: closed form vs quadrature, solver optimality, the
-misfit bound at finite size, and internal consistency of the exact
-input-average against a fresh Monte Carlo estimate."""
+misfit bound at finite size, internal consistency of the exact
+input-average against a fresh Monte Carlo estimate, and the d_w-space
+trial solve and shared-draw sweep against the d_s-space Gram solve."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from w2slab import cli, ridge
 from w2slab.ridge import (
     MisfitEstimate,
     RidgeConfig,
@@ -15,6 +19,7 @@ from w2slab.ridge import (
     ridge_solve,
     run_trial,
     simulate_misfit,
+    sweep_misfit,
     verify_monotonicity,
 )
 
@@ -180,6 +185,136 @@ class TestSimulation:
             means.append(simulate_misfit(cfg, 10).empirical_misfit)
         inversions = sum(b > a for a, b in zip(means, means[1:]))
         assert inversions <= 1
+
+
+def draw(cfg, trial, attempt=0):
+    """The teacher, student features and inputs of one trial, as run_trial draws them."""
+    rng = ridge._trial_rng(cfg, trial, attempt)
+    W = rng.normal(0.0, np.sqrt(cfg.teacher_scale), size=cfg.d_w)
+    W1 = rng.normal(0.0, np.sqrt(1.0 / cfg.d_w), size=(cfg.d_s, cfg.d_w))
+    X = rng.normal(0.0, np.sqrt(1.0 / cfg.d_w), size=(cfg.d_w, cfg.n))
+    return W, W1, X
+
+
+def gram_oracle(cfg, trial):
+    """Residual W1^T w2 - W from the d_s-space Gram system, in extended precision.
+
+    Solves (W1 G W1^T + eta I) w2 = W1 G W with G = X X^T.  The float64 LU
+    solve is refined against the system held in long double, so the
+    subtraction W1^T w2 - W, which loses about |W| / |residual| in relative
+    accuracy at small eta0, still leaves a reference good to ~1e-15.
+    """
+    W, W1, X = (a.astype(np.longdouble) for a in draw(cfg, trial))
+    G = X @ X.T
+    K = W1 @ G @ W1.T + np.longdouble(cfg.eta) * np.eye(cfg.d_s, dtype=np.longdouble)
+    b = W1 @ (G @ W)
+    K64 = K.astype(float)
+    w2 = np.zeros(cfg.d_s, dtype=np.longdouble)
+    for _ in range(4):
+        w2 += np.linalg.solve(K64, (b - K @ w2).astype(float))
+    return (W1.T @ w2 - W).astype(float)
+
+
+ORACLE_GRID = [(g, e) for g in (1.1, 1.5, 4.0, 16.0) for e in (1e-3, 0.5, 10.0)]
+
+
+class TestTrialSolve:
+    @pytest.mark.parametrize("gamma,eta0", ORACLE_GRID)
+    def test_matches_gram_solve_in_d_s_space(self, gamma, eta0):
+        cfg = RidgeConfig(d_w=40, gamma=gamma, n_ratio=5.0, eta0=eta0, seed=3)
+        for t in range(2):
+            res = run_trial(cfg, t)
+            direction = gram_oracle(cfg, t)
+            misfit = float(direction @ direction / cfg.d_w)
+            assert abs(res.misfit - misfit) <= 1e-12 * misfit
+            np.testing.assert_allclose(res.residual_direction, direction,
+                                       rtol=0, atol=1e-12 * np.linalg.norm(direction))
+
+    @pytest.mark.parametrize("gamma,eta0", ORACLE_GRID)
+    def test_matches_ridge_solve_on_the_same_draw(self, gamma, eta0):
+        """The float64 route on A = W1 X forms W1^T w2 - W by subtracting
+        two vectors of norm ~|W|, so its error scales with |W|: compare the
+        residual directions on that scale.  At eta0 = 1e-3 its misfit is
+        up to ~5e-12 relative off the extended-precision Gram solve, which
+        run_trial matches to 1e-12 (test above)."""
+        cfg = RidgeConfig(d_w=40, gamma=gamma, n_ratio=5.0, eta0=eta0, seed=3)
+        for t in range(2):
+            W, W1, X = draw(cfg, t)
+            direct = W1.T @ ridge_solve(W1 @ X, X.T @ W, cfg.eta) - W
+            np.testing.assert_allclose(run_trial(cfg, t).residual_direction, direct,
+                                       rtol=0, atol=1e-12 * np.linalg.norm(W))
+            if eta0 >= 0.5:
+                misfit = float(direct @ direct / cfg.d_w)
+                assert abs(run_trial(cfg, t).misfit - misfit) <= 1e-12 * misfit
+
+    def test_shared_draw_is_read_only(self):
+        cfg = RidgeConfig(d_w=20, gamma=2.0, n_ratio=5.0, seed=8)
+        run_trial(cfg, 0)
+        W, AG = ridge._draw(replace(cfg, eta0=1.0), 0, 0)
+        assert not (W.flags.writeable or AG.flags.writeable)
+
+
+class TestSweep:
+    BASE = RidgeConfig(d_w=30, n_ratio=5.0, seed=12)
+    GAMMAS = (1.5, 4.0, 2.0)
+    ETA0S = (1.0, 0.25)
+
+    def test_matches_separate_cells(self):
+        est = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 4)
+        assert list(est) == [(e, g) for e in self.ETA0S for g in self.GAMMAS]
+        for (eta0, gamma), got in est.items():
+            alone = simulate_misfit(replace(self.BASE, gamma=gamma, eta0=eta0), 4)
+            np.testing.assert_allclose(got.per_trial, alone.per_trial, rtol=1e-12, atol=0)
+            assert got.bound == alone.bound
+            assert got.retries == alone.retries == 0
+
+    def test_failed_solve_retries_only_its_cell(self, monkeypatch):
+        clean = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
+        original = ridge.run_trial
+
+        def flaky(cfg, trial, attempt=0):
+            if (cfg.eta0, cfg.gamma, trial, attempt) == (0.25, 4.0, 1, 0):
+                raise np.linalg.LinAlgError("singular")
+            return original(cfg, trial, attempt)
+
+        monkeypatch.setattr(ridge, "run_trial", flaky)
+        est = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
+        for key, got in est.items():
+            if key == (0.25, 4.0):
+                assert got.retries == 1
+                cfg = replace(self.BASE, gamma=4.0, eta0=0.25)
+                assert got.per_trial[1] == original(cfg, 1, 1).misfit
+                np.testing.assert_array_equal(got.per_trial[[0, 2]],
+                                              clean[key].per_trial[[0, 2]])
+            else:
+                assert got.retries == 0
+                np.testing.assert_array_equal(got.per_trial, clean[key].per_trial)
+
+    def test_one_draw_per_gamma_and_trial(self, tmp_path, monkeypatch):
+        calls = []
+        original = ridge._trial_rng
+
+        def counting(cfg, trial, attempt=0):
+            calls.append((cfg.gamma, trial, attempt))
+            return original(cfg, trial, attempt)
+
+        monkeypatch.setattr(ridge, "_trial_rng", counting)
+        code = cli.main([
+            "ridge", "--set", "d_w=12", "--set", "n_ratio=3", "--set", "trials=3",
+            "--set", "gammas=1.5,3", "--set", "eta0s=0.5,1,2", "--set", "seed=424242",
+            "--out", str(tmp_path),
+        ])
+        assert code in (0, 1)
+        # 2 gammas x 3 trials; one draw per (cell, trial) would be 18
+        assert sorted(calls) == [(g, t, 0) for g in (1.5, 3.0) for t in range(3)]
+        assert len((tmp_path / "ridge.csv").read_text().splitlines()) == 1 + 18
+
+    def test_rejects_bad_grid(self):
+        for gammas, eta0s, trials in (((), (1.0,), 2), ((2.0, 2.0), (1.0,), 2),
+                                      ((2.0,), (1.0, 1.0), 2), ((2.0,), (1.0,), 0),
+                                      ((1.0,), (1.0,), 2), ((2.0,), (0.0,), 2)):
+            with pytest.raises(ValueError):
+                sweep_misfit(self.BASE, gammas, eta0s, trials)
 
 
 class TestMonotonicityReport:
