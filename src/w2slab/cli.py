@@ -6,7 +6,9 @@ bound, ``classify`` runs the label-smoothing loss comparison, and
 ``bias-variance`` runs the split-ensemble estimator.  Configuration is a
 flat key=value text file with ``--set`` overrides; every command writes a
 CSV of rows and a JSON report whose verdicts are recomputable from the
-rows.  Exit status: 0 all verdicts pass, 1 a verdict failed, 2 bad config.
+rows.  Exit status: 0 all verdicts pass, 1 a verdict failed (artifacts
+written) or a program error (traceback), 2 bad config.  Each command checks
+its config with the library's own checks before any work.
 """
 
 from __future__ import annotations
@@ -30,15 +32,6 @@ __all__ = ["main", "ConfigError", "load_config", "SCHEMAS"]
 
 class ConfigError(ValueError):
     """Malformed or out-of-schema configuration."""
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -138,6 +131,8 @@ def load_config(command: str, path: str | None, overrides: list[str]) -> dict:
             values["seed"] = int(env_seed)
         except ValueError as err:
             raise ConfigError(f"W2SLAB_SEED must be an integer: {env_seed!r}") from err
+    if values["seed"] < 0:
+        raise ConfigError(f"seed must be nonnegative, got {values['seed']}")
     return values
 
 
@@ -274,6 +269,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     min_slack = float("inf")
     min_domination = float("inf")
     worst_equality = 0.0
+    worst_gains = 0.0
+    min_entropy_gap = float("inf")
     worst_split = 0.0
     worst_algo1 = 0.0
     worst_c3 = 0.0
@@ -298,10 +295,14 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
                 worst_equality = max(
                     worst_equality, abs(rep.lhs - (rep.teacher_risk - rep.misfit)))
             if geometry.kind == "squared-norm":
-                lhs, misfit, cond = harness.misfit_variance_split(scenario)
-                worst_split = max(worst_split, abs(lhs - (misfit - cond)))
+                *_, split_gap = harness.misfit_variance_split(scenario)
+                worst_split = max(worst_split, split_gap)
             else:
-                harness.verify_ideal_student_gains(scenario)
+                gains = harness.verify_ideal_student_gains(scenario)
+                worst_gains = max(
+                    worst_gains, abs(gains.ce_gain - gains.ce_misfit),
+                    abs(gains.rce_misfit - gains.rce_gain - gains.entropy_gap))
+                min_entropy_gap = min(min_entropy_gap, gains.entropy_gap)
                 for direction in ("forward", "reverse"):
                     ce_form = harness.cross_entropy_form_report(scenario, direction)
                     kl_form = harness.verify_risk_gap(scenario, geometry, direction)
@@ -324,8 +325,13 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         "posterior_mean_equality", worst_equality <= cfg["tol_equality"],
         f"max |gap| = {worst_equality:.3e} (tol {cfg['tol_equality']:.1e})"))
     verdicts.append(_verdict(
+        "ideal_student_gains",
+        worst_gains <= cfg["tol_equality"] and min_entropy_gap >= -1e-12,
+        f"max |gain identity gap| = {worst_gains:.3e} (tol {cfg['tol_equality']:.1e}), "
+        f"min entropy gap = {min_entropy_gap:.3e} (tol -1e-12)"))
+    verdicts.append(_verdict(
         "misfit_variance_split", worst_split <= 1e-10,
-        f"max |gap| = {worst_split:.3e} (tol 1e-10)"))
+        f"max per-input |gap| = {worst_split:.3e} (tol 1e-10)"))
     verdicts.append(_verdict(
         "cross_entropy_form_slack", worst_c3 <= cfg["tol_equality"],
         f"max |slack difference| = {worst_c3:.3e}"))
@@ -399,22 +405,19 @@ def cmd_ridge(cfg: dict, out_dir: str) -> int:
 
 def cmd_classify(cfg: dict, out_dir: str) -> int:
     start = time.time()
-    if not cfg["alphas"]:
-        raise ConfigError("alphas must be nonempty")
-    if cfg["repeats"] < 1:
-        raise ConfigError(f"repeats must be at least 1, got {cfg['repeats']}")
-    unknown = set(cfg["losses"]) - set(trainer.LOSS_NAMES)
-    if unknown:
-        raise ConfigError(f"unknown losses: {sorted(unknown)}")
-    task = trainer.SyntheticTask(
-        dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
-        n_train=cfg["n_train"], n_pseudo=cfg["n_pseudo"], n_test=cfg["n_test"],
-        seed=cfg["seed"],
-    )
-    student_cfg = None
-    if cfg["student_width"] > 0:
-        student_cfg = dataclasses.replace(
-            trainer.DEFAULT_STUDENT, width=cfg["student_width"])
+    try:
+        trainer.check_sweep(cfg["losses"], cfg["alphas"], cfg["repeats"])
+        task = trainer.SyntheticTask(
+            dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
+            n_train=cfg["n_train"], n_pseudo=cfg["n_pseudo"], n_test=cfg["n_test"],
+            seed=cfg["seed"],
+        )
+        student_cfg = None
+        if cfg["student_width"] != 0:
+            student_cfg = dataclasses.replace(
+                trainer.DEFAULT_STUDENT, width=cfg["student_width"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     rows = trainer.alpha_sweep(
         task, cfg["losses"], cfg["alphas"], cfg["repeats"], student_cfg=student_cfg)
 
@@ -488,8 +491,20 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
     plus an ensemble-supervised student whose pseudo-labels are the dual
     mean of all the round's teachers.
     """
+    for key in ("k", "n_splits", "task_seeds"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if cfg["k"] * cfg["n_splits"] < 2:
         raise ConfigError("k * n_splits must be at least 2")
+    try:
+        base_task = trainer.SyntheticTask(
+            dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
+            n_train=cfg["n_splits"] * cfg["split_train"],
+            n_pseudo=cfg["n_splits"] * cfg["split_pseudo"],
+            n_test=cfg["n_test"], seed=cfg["seed"],
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     rows: list[dict] = []
     identity_gap = 0.0
     ens_wins = 0
@@ -498,13 +513,8 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
     probe_teacher = trainer.DEFAULT_TEACHER
     probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
     for outer_seed in range(cfg["task_seeds"]):
-        task = trainer.SyntheticTask(
-            dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
-            n_train=cfg["n_splits"] * cfg["split_train"],
-            n_pseudo=cfg["n_splits"] * cfg["split_pseudo"],
-            n_test=cfg["n_test"],
-            seed=int(np.random.SeedSequence([cfg["seed"], outer_seed]).generate_state(1)[0]),
-        )
+        task = dataclasses.replace(base_task, seed=int(
+            np.random.SeedSequence([cfg["seed"], outer_seed]).generate_state(1)[0]))
         data = task.sample()
         truth = trainer.labels_to_soft(data.test_y)
         teacher_runs, student_runs, ens_runs = [], [], []
@@ -607,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.command, args.config, args.overrides)
         return COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,10 @@ Scenarios are finite tables: a finite input marginal, a ground-truth label
 per input, finite teacher and student model families, and a joint
 probability table over (teacher, student) indices.  Every expectation,
 posterior, misfit, and residual is then a finite sum, so inequality and
-equality claims are verified with zero sampling error.
+equality claims are measured with zero sampling error.
 
-Verified statements, each by independent enumeration of both sides:
+Measured statements, each by independent enumeration of both sides (the
+verifiers return what they measure; the ``verify`` suite judges it):
 
 * the risk-gap inequality driven by the expected misfit, with the
   Cauchy-Schwarz residual and the exact pre-Cauchy-Schwarz inner product;
@@ -243,6 +244,8 @@ def verify_posterior_mean_equality(
     mean (forward) or posterior mean (reverse) within 1e-10; then the
     student risk equals teacher risk minus the misfit evaluated at the
     posterior mean, and the Cauchy-Schwarz residual degenerates to zero.
+    Returns the report whose ``lhs - (teacher_risk - misfit)`` is the
+    equality's gap.
     """
     # verify_risk_gap checks the scenario before any arithmetic here
     report = verify_risk_gap(sc, geometry, direction)
@@ -256,12 +259,6 @@ def verify_posterior_mean_equality(
         raise PreconditionError(
             f"students deviate from the posterior {'dual ' if dual else ''}mean "
             f"by {gap:.3e} (> 1e-10)"
-        )
-    # equality: lhs = teacher risk - misfit evaluated at the posterior mean
-    equality_gap = abs(report.lhs - (report.teacher_risk - report.misfit))
-    if equality_gap > 1e-9:
-        raise AssertionError(
-            f"posterior-mean equality violated by {equality_gap:.3e}"
         )
     return report
 
@@ -297,16 +294,17 @@ def cross_entropy_form_report(sc: FiniteScenario, direction: str = "forward") ->
 
 def misfit_variance_split(
     sc: FiniteScenario,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, float]:
     """Split the squared misfit into residual and conditional variance.
 
     For every input x, enumerated independently,
 
-        E||s - E[t|W']||^2 = E||s - t||^2 - E||t - E[t|W']||^2,
+        E||s - E[t|W']||^2 = E||s - t||^2 - E||t - E[t|W']||^2.
 
-    verified to 1e-10 per input; returns the input-averaged
-    (lhs, misfit, conditional variance).  The misfit always dominates the
-    lhs, the term that drives the Cauchy-Schwarz residual.
+    Returns the input-averaged (lhs, misfit, conditional variance) and the
+    worst per-input |lhs - (misfit - conditional variance)|.  Since the
+    conditional variance is nonnegative, the misfit dominates the lhs, the
+    term that drives the Cauchy-Schwarz residual.
     """
     geometry = SquaredNorm(sc.truth.shape[1])
     _domain_check(geometry, sc)
@@ -319,15 +317,8 @@ def misfit_variance_split(
     misfit_x = np.einsum("ij,ijx->x", sc.joint, _sqnorm(S[None] - T[:, None]))
     cond_var_x = np.einsum("ij,ijx->x", sc.joint, _sqnorm(T[:, None] - m[None]))
 
-    worst = np.max(np.abs(lhs_x - (misfit_x - cond_var_x)))
-    if worst > 1e-10:
-        raise AssertionError(f"three-term identity violated by {worst:.3e}")
-    lhs = float(mu @ lhs_x)
-    misfit = float(mu @ misfit_x)
-    cond_var = float(mu @ cond_var_x)
-    if lhs > misfit + 1e-12:
-        raise AssertionError("residual term exceeded the misfit term")
-    return lhs, misfit, cond_var
+    worst = float(np.max(np.abs(lhs_x - (misfit_x - cond_var_x))))
+    return float(mu @ lhs_x), float(mu @ misfit_x), float(mu @ cond_var_x), worst
 
 
 @dataclass(frozen=True)
@@ -347,7 +338,7 @@ class IdealGainsReport:
 
 
 def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
-    """Check both ideal-student gain identities on the simplex."""
+    """Measure both ideal-student gain identities on the simplex."""
     geometry = NegativeEntropy(sc.truth.shape[1])
     _domain_check(geometry, sc)
     mu = sc.input_probs
@@ -362,11 +353,6 @@ def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
     ce_misfit = float(
         np.einsum("ij,ijx,x->", sc.joint, kl(S_dual[None], T[:, None]), mu)
     )
-    if abs(ce_gain - ce_misfit) > 1e-9:
-        raise AssertionError(
-            f"CE gain deviates from the dual-mean KL misfit by "
-            f"{abs(ce_gain - ce_misfit):.3e}"
-        )
 
     S_mean = _posterior_means(sc)
     student_rce = float(np.einsum("j,jx,x->", p_s, rce(G[None], S_mean), mu))
@@ -378,13 +364,6 @@ def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
         np.einsum("j,jx,x->", p_s, entropy(S_mean), mu)
         - np.einsum("i,ix,x->", p_t, entropy(T), mu)
     )
-    if entropy_gap < -1e-12:
-        raise AssertionError(f"Jensen entropy gap is negative: {entropy_gap:.3e}")
-    if abs(rce_misfit - rce_gain - entropy_gap) > 1e-9:
-        raise AssertionError(
-            "RCE gain + entropy gap deviates from the mean KL misfit by "
-            f"{abs(rce_misfit - rce_gain - entropy_gap):.3e}"
-        )
     return IdealGainsReport(ce_gain, ce_misfit, rce_gain, rce_misfit, entropy_gap)
 
 

@@ -161,14 +161,14 @@ class RidgeConfig:
     def __post_init__(self) -> None:
         if self.d_w < 2:
             raise ValueError("d_w must be at least 2")
-        if not self.gamma > 1:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma!r}")
-        if not self.eta0 > 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0!r}")
-        if self.n_ratio < 1:
-            raise ValueError("n_ratio must be at least 1")
-        if not self.B > 0:
-            raise ValueError("B must be positive")
+        if not 1 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma!r}")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError(f"eta0 must be finite and positive, got {self.eta0!r}")
+        if not 1 <= self.n_ratio < np.inf:
+            raise ValueError(f"n_ratio must be finite and at least 1, got {self.n_ratio!r}")
+        if not 0 < self.B < np.inf:
+            raise ValueError(f"B must be finite and positive, got {self.B!r}")
         if self.teacher_scale is None:
             object.__setattr__(self, "teacher_scale", self.B / self.d_w)
         if self.teacher_scale * self.d_w > self.B * (1 + 1e-12):

@@ -48,6 +48,7 @@ __all__ = [
     "gdv",
     "param_distance",
     "alpha_sweep",
+    "check_sweep",
     "loss_values",
     "loss_grads",
 ]
@@ -104,8 +105,8 @@ class SyntheticTask:
             n = getattr(self, name)
             if n < 10 or n % 2:
                 raise ValueError(f"{name} must be an even count of at least 10")
-        if self.dim < 1 or self.noise <= 0 or self.separation <= 0:
-            raise ValueError("dim, noise, and separation must be positive")
+        if self.dim < 1 or not 0 < self.noise < np.inf or not 0 < self.separation < np.inf:
+            raise ValueError("dim, noise, and separation must be positive and finite")
 
     def sample(self) -> TaskData:
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xDA7A]))
@@ -487,6 +488,25 @@ def summarize_sweep(rows: list[dict]) -> list[dict]:
     return summary
 
 
+def check_sweep(losses: list[str], alphas: list[float], repeats: int) -> None:
+    """Raise ValueError unless ``alpha_sweep`` can run these arguments.
+
+    Losses and alphas must be nonempty, every loss a ``LOSS_NAMES`` entry,
+    every alpha in [0, 1], and repeats at least 1.
+    """
+    if not alphas:
+        raise ValueError("alphas must be nonempty")
+    if not losses:
+        raise ValueError("losses must be nonempty")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+    for alpha in alphas:
+        _check_alpha(alpha)
+    unknown = sorted(set(losses) - set(LOSS_NAMES))
+    if unknown:
+        raise ValueError(f"losses must be among {LOSS_NAMES}, got {unknown}")
+
+
 def alpha_sweep(
     task: SyntheticTask,
     losses: list[str],
@@ -505,20 +525,10 @@ def alpha_sweep(
     and initial weights, and the student features of the pseudo and test
     splits.  Each cell redoes only the label smoothing and the student's
     training, from those initial weights; the adaptive loss's confidence
-    cut comes from that cell's smoothed labels.  Every alpha and loss name
-    is checked before any training.
+    cut comes from that cell's smoothed labels.  ``check_sweep`` checks the
+    arguments before any training.
     """
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    if not losses:
-        raise ValueError("losses must be nonempty")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
-    for alpha in alphas:
-        _check_alpha(alpha)
-    unknown = sorted(set(losses) - set(LOSS_NAMES))
-    if unknown:
-        raise ValueError(f"losses must be among {LOSS_NAMES}, got {unknown}")
+    check_sweep(losses, alphas, repeats)
     rows: list[dict] = []
     for repeat in range(repeats):
         rows += _sweep_repeat(task, repeat, losses, alphas,

@@ -91,7 +91,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override", [
         "gammas=", "eta0s=", "gammas=2,2", "eta0s=0.5,0.5", "gammas=1,2",
-        "gammas=0.5", "eta0s=0,1", "eta0s=-1", "trials=0",
+        "gammas=0.5", "eta0s=0,1", "eta0s=-1", "trials=0", "seed=-1",
+        "gammas=inf", "eta0s=inf", "n_ratio=nan", "B=inf",
     ])
     def test_bad_ridge_grid_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                       override):
@@ -116,12 +117,75 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "scenarios=0", "scenarios=-1", "pairs=0", "triples=0",
         "grid_step=0", "grid_step=-0.1", "grid_step=1", "grid_step=1.5", "grid_step=nan",
+        "seed=-1",
     ])
     def test_bad_verify_config_rejected(self, tmp_path, capsys, override):
         code = run(["verify", "--set", override, "--out", str(tmp_path)])
         assert code == 2
         assert override.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "verify.csv").exists()
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("classify", "losses="),
+        ("classify", "alphas=1.5"),
+        ("classify", "student_width=-5"),
+        ("classify", "seed=-1"),
+        ("classify", "separation=inf"),
+        ("classify", "noise=nan"),
+        ("bias-variance", "task_seeds=0"),
+        ("bias-variance", "k=-1 n_splits=-2"),
+        ("bias-variance", "split_train=5"),
+        ("bias-variance", "seed=-1"),
+        ("bias-variance", "noise=nan"),
+        ("ridge", "seed=-1"),
+        ("verify", "seed=-1"),
+    ])
+    def test_bad_config_rejected_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                command, overrides):
+        from w2slab import trainer
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was trained before the config was checked")
+
+        monkeypatch.setattr(trainer, "train", no_fit)
+        args = [command, "--out", str(tmp_path)]
+        for item in overrides.split():
+            args += ["--set", item]
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / f"{command.replace('-', '_')}.csv").exists()
+
+    def test_program_error_propagates(self, tmp_path, monkeypatch):
+        from w2slab import harness
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(harness, "bias_variance_estimate", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run([
+                "bias-variance", "--set", "task_seeds=1", "--set", "k=1",
+                "--set", "n_splits=2", "--set", "n_test=20",
+                "--set", "split_pseudo=128", "--set", "dim=20",
+                "--out", str(tmp_path),
+            ])
+
+    def test_violated_gain_identity_is_a_fail_verdict(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from w2slab import harness
+
+        entropy = harness.entropy
+        monkeypatch.setattr(harness, "entropy", lambda p: entropy(p) * (1.0 + 1e-6))
+        code = run([
+            "verify", "--set", "scenarios=3", "--set", "pairs=100",
+            "--set", "triples=20", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert "[FAIL] ideal_student_gains" in capsys.readouterr().out
+        assert (tmp_path / "verify.csv").exists()
+        report = json.loads((tmp_path / "verify.json").read_text())
+        gains = [v for v in report["verdicts"] if v["name"] == "ideal_student_gains"]
+        assert len(gains) == 1 and not gains[0]["passed"]
 
     def test_forced_failure_names_invariant(self, tmp_path, capsys):
         code = run([

@@ -308,7 +308,8 @@ class TestMisfitVarianceSplit:
         for s in range(50):
             g = SquaredNorm(int(rng.integers(1, 5)))
             sc = random_scenario(g, rng, seed=s)
-            lhs, misfit, cond_var = misfit_variance_split(sc)
+            lhs, misfit, cond_var, worst = misfit_variance_split(sc)
+            assert worst <= 1e-10
             assert lhs == pytest.approx(misfit - cond_var, abs=1e-10)
             assert lhs <= misfit + 1e-12
 
@@ -316,7 +317,8 @@ class TestMisfitVarianceSplit:
         rng = np.random.default_rng(8)
         g = SquaredNorm(2)
         sc = random_scenario(g, rng, n_teachers=1)
-        lhs, misfit, cond_var = misfit_variance_split(sc)
+        lhs, misfit, cond_var, worst = misfit_variance_split(sc)
+        assert worst <= 1e-10
         assert cond_var == pytest.approx(0.0, abs=1e-12)
         assert lhs == pytest.approx(misfit, abs=1e-12)
 
@@ -326,7 +328,8 @@ class TestMisfitVarianceSplit:
         sc = with_posterior_mean_students(
             random_scenario(g, rng, n_teachers=4, n_students=2), g, dual=False
         )
-        lhs, misfit, cond_var = misfit_variance_split(sc)
+        lhs, misfit, cond_var, worst = misfit_variance_split(sc)
+        assert worst <= 1e-10
         assert lhs == pytest.approx(0.0, abs=1e-12)
         assert misfit == pytest.approx(cond_var, abs=1e-10)
 
@@ -337,7 +340,8 @@ class TestMisfitVarianceSplit:
         # simplex predictions are legal squared-norm points, so this runs;
         # the operation is defined for the squared geometry only and the
         # identity still holds on those points
-        lhs, misfit, cond_var = misfit_variance_split(sc)
+        lhs, misfit, cond_var, worst = misfit_variance_split(sc)
+        assert worst <= 1e-10
         assert lhs == pytest.approx(misfit - cond_var, abs=1e-10)
 
 
