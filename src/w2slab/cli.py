@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -105,9 +106,15 @@ def load_config(command: str, path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"unknown key {key!r} for {command!r} ({where})")
         parse = schema[key][0]
         try:
-            values[key] = parse(raw)
+            value = parse(raw)
         except ValueError as err:
             raise ConfigError(f"bad value for {key!r} ({where}): {err}") from err
+        # a nan tolerance or bound would read as a violated identity, so
+        # every float, listed ones included, must be finite
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"bad value for {key!r} ({where}): must be finite, got {raw!r}")
+        values[key] = value
 
     if path is not None:
         text = Path(path).read_text()

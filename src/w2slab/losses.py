@@ -5,9 +5,10 @@ entropy, their analytic binary gradients in the tied-coordinate
 parameterization (the second coordinate moves as 1 - yhat_1), proportional
 label smoothing, and the composite training losses: the confidence-adaptive
 CE/RCE switch, the weighted symmetric cross-entropy, and the
-confidence-regularized loss with hardened self-targets.  ``loss_values`` and
-``loss_grads`` are the batch loss table the trainer uses, over ``(n, 2)``
-rows; ``numeric_loss_grads`` is its central-difference oracle.
+confidence-regularized loss with hardened self-targets.  ``loss_table`` is
+the batch loss table the trainer uses, giving values and gradients over
+``(n, 2)`` rows in one call; ``loss_values`` and ``loss_grads`` are its two
+halves and ``numeric_loss_grads`` is its central-difference oracle.
 
 All loss functions accept :class:`ProbVector` instances or plain arrays
 whose trailing axis indexes classes; arrays are assumed to already lie in
@@ -46,6 +47,7 @@ __all__ = [
     "aux_beta",
     "rce_ordering_gap",
     "LOSS_NAMES",
+    "loss_table",
     "loss_values",
     "loss_grads",
     "numeric_loss_grads",
@@ -304,10 +306,16 @@ def aux(y_weak, yhat, beta: float, batch_predictions):
     half-batch hardening cut, and yhat itself otherwise.  The target is
     treated as a constant when differentiating.
     """
+    _check_beta(beta)
+    return _aux_value(y_weak, yhat, beta, harden(yhat, harden_threshold(batch_predictions)))
+
+
+def _check_beta(beta: float) -> None:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    t = harden_threshold(batch_predictions)
-    target = harden(yhat, t)
+
+
+def _aux_value(y_weak, yhat, beta: float, target):
     return beta * ce(y_weak, yhat) + (1.0 - beta) * ce(target, yhat)
 
 
@@ -330,48 +338,48 @@ def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
 
 
 # --- batch loss table ----------------------------------------------------------
-# y and p are (n, 2) rows; gradients are taken along the first coordinate
-# with the second tied as its complement.
+# y and p are (..., n, 2) blocks of rows; gradients are taken along the first
+# coordinate with the second tied as its complement.  The aux entry needs a
+# single (n, 2) batch, since its hardening cut is a batch statistic.
+
+
+def loss_table(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
+    """Per-row loss values and d(loss)/d(p_1) of a batch, as one pair.
+
+    ``p`` doubles as the aux batch; the aux hardening cut and target are
+    computed once and shared by the values and the gradients.
+    """
+    if name == "ce":
+        return ce(y, p), grad_ce(y, p)[..., 0]
+    if name == "rce":
+        return rce(y, p), grad_rce(y, p)[..., 0]
+    if name == "kl":
+        return kl(y, p), grad_kl(y, p)[..., 0]
+    if name == "rkl":
+        return rkl(y, p), grad_rkl(y, p)[..., 0]
+    if name == "cace":
+        low = confidence(y) < cfg.cace_threshold
+        return cace(y, p, cfg), np.where(low, grad_rce(y, p)[..., 0], grad_ce(y, p)[..., 0])
+    if name == "sl":
+        l1, l2 = cfg.sl_weights
+        return sl(y, p, cfg), l1 * grad_rce(y, p)[..., 0] + l2 * grad_ce(y, p)[..., 0]
+    if name == "aux":
+        _check_beta(beta)
+        # hardened targets are constants under differentiation
+        target = harden(p, harden_threshold(p))
+        return (_aux_value(y, p, beta, target),
+                beta * grad_ce(y, p)[..., 0] + (1 - beta) * grad_ce(target, p)[..., 0])
+    raise ValueError(f"unknown loss {name!r}")
 
 
 def loss_values(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
-    """Per-row loss values for a batch; ``p`` doubles as the aux batch."""
-    if name == "ce":
-        return ce(y, p)
-    if name == "rce":
-        return rce(y, p)
-    if name == "kl":
-        return kl(y, p)
-    if name == "rkl":
-        return rkl(y, p)
-    if name == "cace":
-        return cace(y, p, cfg)
-    if name == "sl":
-        return sl(y, p, cfg)
-    if name == "aux":
-        return aux(y, p, beta, p)
-    raise ValueError(f"unknown loss {name!r}")
+    """Per-row loss values for a batch: the first half of ``loss_table``."""
+    return loss_table(name, y, p, cfg, beta)[0]
 
 
 def loss_grads(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
-    """Per-row d(loss)/d(p_1) for a batch in the tied parameterization."""
-    if name in ("ce", "kl"):
-        return grad_ce(y, p)[:, 0]
-    if name == "rce":
-        return grad_rce(y, p)[:, 0]
-    if name == "rkl":
-        return grad_rkl(y, p)[:, 0]
-    if name == "cace":
-        low = confidence(y) < cfg.cace_threshold
-        return np.where(low, grad_rce(y, p)[:, 0], grad_ce(y, p)[:, 0])
-    if name == "sl":
-        l1, l2 = cfg.sl_weights
-        return l1 * grad_rce(y, p)[:, 0] + l2 * grad_ce(y, p)[:, 0]
-    if name == "aux":
-        # hardened targets are constants under differentiation
-        target = harden(p, harden_threshold(p))
-        return beta * grad_ce(y, p)[:, 0] + (1 - beta) * grad_ce(target, p)[:, 0]
-    raise ValueError(f"unknown loss {name!r}")
+    """Per-row d(loss)/d(p_1) for a batch: the second half of ``loss_table``."""
+    return loss_table(name, y, p, cfg, beta)[1]
 
 
 def numeric_loss_grads(
@@ -384,7 +392,7 @@ def numeric_loss_grads(
         q1 = p[:, 0] + delta
         q = np.stack([q1, 1.0 - q1], axis=-1)
         if name == "aux":
-            return beta * ce(y, q) + (1 - beta) * ce(target, q)
+            return _aux_value(y, q, beta, target)
         return loss_values(name, y, q, cfg, beta)
 
     return (shifted(step) - shifted(-step)) / (2 * step)

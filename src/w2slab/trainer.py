@@ -9,8 +9,10 @@ deterministic given the seeds.
 
 Losses and their analytic per-sample gradients in the tied binary
 parameterization come from the batch loss table in :mod:`w2slab.losses`
-(``LOSS_NAMES``, ``loss_values``, ``loss_grads``), which also holds their
-central-difference oracle ``numeric_loss_grads``.
+(``LOSS_NAMES``, ``loss_table`` and its halves ``loss_values`` and
+``loss_grads``), which also holds their central-difference oracle
+``numeric_loss_grads``.  ``train_many`` trains the fits that share inputs,
+start weights and batch order in lockstep; ``train`` is its one-fit case.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .losses import (
     CompositeLossConfig,
     aux_beta,
     loss_grads,
+    loss_table,
     loss_values,
     rce,
     smooth_labels_array,
@@ -44,7 +47,9 @@ __all__ = [
     "TrainingDiverged",
     "LOSS_NAMES",
     "train",
+    "train_many",
     "w2s_pipeline",
+    "DirectionStream",
     "gdv",
     "param_distance",
     "alpha_sweep",
@@ -248,7 +253,7 @@ class TrainReport:
     accuracy: float
     param_distance: float
     grad_norms: tuple[float, ...]  # per epoch
-    gdv_trace: tuple[float, ...]  # per epoch, nan when undefined
+    gdv_trace: tuple[float, ...]  # per epoch, nan when undefined; empty if not tracked
     loss_name: str
     alpha: float
     final_loss: float
@@ -261,26 +266,61 @@ class TrainReport:
         return float(np.mean(finite)) if finite else float("nan")
 
 
+class DirectionStream:
+    """Running sums from which the gradient direction variance is read.
+
+    Holds, per fit, the sum of the unit gradients ``u`` seen so far, the sum
+    of their squared norms and their count ``m``; zero gradients have no
+    direction and are not counted.  The average pairwise ``1 - cos`` over
+    the ``m (m - 1)`` ordered pairs is then
+    ``1 - (||sum u||^2 - sum ||u||^2) / (m (m - 1))``, so no gradient is
+    held.
+    """
+
+    def __init__(self, fits: int, dim: int) -> None:
+        self.unit_sum = np.zeros((fits, dim))
+        self.square_sum = np.zeros(fits)
+        self.kept = np.zeros(fits, dtype=int)
+
+    def add(self, grads: np.ndarray, norms: np.ndarray) -> None:
+        """Count one ``(fits, dim)`` block of gradients with their norms."""
+        live = norms > 0.0
+        unit = grads[live] / norms[live, None]
+        self.unit_sum[live] += unit
+        self.square_sum[live] += (unit * unit).sum(axis=1)
+        self.kept += live
+
+    def close(self) -> np.ndarray:
+        """Per-fit value over what was added since the last close, nan where
+        fewer than two gradients were kept; then start over."""
+        m = self.kept
+        pairs = (self.unit_sum * self.unit_sum).sum(axis=1) - self.square_sum
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(m >= 2, 1.0 - pairs / (m * (m - 1)), np.nan)
+        self.unit_sum[:] = 0.0
+        self.square_sum[:] = 0.0
+        self.kept[:] = 0
+        return value
+
+
 def gdv(gradient_batches) -> float:
     """Average pairwise (1 - cosine similarity) of a gradient collection.
 
     Zero-norm gradients have no direction and are dropped with a warning;
     at least two usable gradients are required.  The value lies in [0, 2]
-    and does not depend on the ordering of the inputs.
+    and does not depend on the ordering of the inputs.  It is read off a
+    ``DirectionStream``, the one the trainer keeps per epoch.
     """
     grads = [np.asarray(g, dtype=float).ravel() for g in gradient_batches]
-    norms = [np.linalg.norm(g) for g in grads]
-    kept = [g / n for g, n in zip(grads, norms) if n > 0.0]
-    dropped = len(grads) - len(kept)
+    stream = DirectionStream(1, grads[0].size if grads else 0)
+    for g in grads:
+        stream.add(g[None], np.array([math.sqrt(g @ g)]))
+    dropped = len(grads) - int(stream.kept[0])
     if dropped:
         warnings.warn(f"gdv: dropped {dropped} zero-norm gradient(s)", stacklevel=2)
-    m = len(kept)
-    if m < 2:
+    if stream.kept[0] < 2:
         raise ValueError("gdv needs at least two nonzero gradients")
-    unit = np.stack(kept)
-    cosines = unit @ unit.T
-    total = cosines.sum() - np.trace(cosines)
-    return float(1.0 - total / (m * (m - 1)))
+    return float(stream.close()[0])
 
 
 def param_distance(theta: np.ndarray, theta0: np.ndarray) -> float:
@@ -292,11 +332,9 @@ def param_distance(theta: np.ndarray, theta0: np.ndarray) -> float:
     return float(np.linalg.norm(theta - theta0))
 
 
-def _safe_gdv(grads: list[np.ndarray]) -> float:
-    kept = [g for g in grads if np.linalg.norm(g) > 0.0]
-    if len(kept) < 2:
-        return float("nan")
-    return gdv(kept)
+# losses whose table entry reads no config: the cells of one such loss share
+# one table call per step, over their (cells, batch, 2) block
+_ROW_LOSSES = ("ce", "rce", "kl", "rkl")
 
 
 def train(
@@ -306,35 +344,100 @@ def train(
     seed: int = 0,
     loss_cfg: CompositeLossConfig | None = None,
     alpha: float = 1.0,
+    track_gdv: bool = False,
 ) -> TrainReport:
-    """Run mini-batch gradient descent and report the outcome.
+    """Run mini-batch gradient descent on ``model`` in place and report the outcome.
+
+    The one-fit case of ``train_many``, on ``data.labels``.
+    """
+    cell = (loss_name, data.labels, loss_cfg, alpha)
+    return _train_lockstep([model], data, [cell], seed, track_gdv)[0]
+
+
+def train_many(
+    model: LinearProbeModel,
+    data: TrainData,
+    cells,
+    seed: int = 0,
+    track_gdv: bool = False,
+) -> list[TrainReport]:
+    """Train one copy of ``model`` per cell, in lockstep, and report each.
+
+    A cell is a ``(loss_name, labels, loss_cfg, alpha)`` tuple whose
+    ``(n, 2)`` soft labels stand in for ``data.labels``.  The cells share
+    ``data.x``, the start weights and the batch order drawn from ``seed``,
+    so each step gathers its batch once; each cell keeps its own weight row
+    and its own two matrix-vector products, so its report is bit for bit
+    that of ``train`` on a copy of ``model`` with that cell's labels.
 
     Steps, learning rate and batch size are the probe's ``ProbeConfig``
-    settings, validated when that config was built.  The confidence cut
-    for the adaptive loss is fixed from the full label set before the
-    first step.  An epoch is one pass over the data; gradient direction
-    variance is computed per epoch from that epoch's mini-batch gradients.
+    settings, validated when that config was built; a batch never holds
+    more rows than ``data.x``.  The confidence cut for the adaptive loss is
+    fixed from the cell's full label set before the first step.  An epoch
+    is one pass over the data.  With ``track_gdv`` each report carries the
+    per-epoch gradient direction variance of that epoch's mini-batch
+    gradients, streamed through a ``DirectionStream``.  ``model`` itself is
+    not changed.
     """
-    if loss_name not in LOSS_NAMES:
-        raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
-    steps, lr, batch = model.cfg.steps, model.cfg.learning_rate, model.cfg.batch_size
-    loss_cfg = loss_cfg or CompositeLossConfig()
-    if loss_name == "cace" and loss_cfg.cace_threshold == 0.0:
-        # fix the confidence cut from the full label set before training
-        loss_cfg = loss_cfg.with_threshold_from(data.labels)
+    cells = list(cells)
+    # the copies share the start arrays; training rebinds, never writes, them
+    return _train_lockstep([copy.copy(model) for _ in cells], data, cells, seed, track_gdv)
 
+
+def _train_lockstep(models, data, cells, seed, track_gdv) -> list[TrainReport]:
+    """Train ``models`` in place, one per cell; they share one feature map,
+    config and start, which the first model stands for."""
+    if not cells:
+        raise ValueError("train_many needs at least one cell")
+    names, cfgs, labels = [], [], []
+    for loss_name, cell_labels, loss_cfg, _ in cells:
+        if loss_name not in LOSS_NAMES:
+            raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
+        loss_cfg = loss_cfg or CompositeLossConfig()
+        if loss_name == "cace" and loss_cfg.cace_threshold == 0.0:
+            # fix the confidence cut from the full label set before training
+            loss_cfg = loss_cfg.with_threshold_from(cell_labels)
+        names.append(loss_name)
+        cfgs.append(loss_cfg)
+        labels.append(np.asarray(cell_labels, dtype=float))
+    # one table call per step for each row-wise loss over its cells' rows,
+    # and one per cell for the others: (rows, loss, config, labels); a run
+    # of adjacent rows is a slice, whose blocks are views, not copies
+    calls = []
+    for name in _ROW_LOSSES:
+        rows = [j for j, other in enumerate(names) if other == name]
+        if rows:
+            adjacent = rows[-1] - rows[0] == len(rows) - 1
+            calls.append((slice(rows[0], rows[-1] + 1) if adjacent else np.array(rows),
+                          name, cfgs[rows[0]], np.stack([labels[j] for j in rows])))
+    calls += [(j, name, cfgs[j], labels[j])
+              for j, name in enumerate(names) if name not in _ROW_LOSSES]
+
+    cfg = models[0].cfg
+    steps, lr, batch = cfg.steps, cfg.learning_rate, cfg.batch_size
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7247]))
-    z = model.features(data.x)
-    n = z.shape[0]
+    z = models[0].features(data.x)
+    n, d = z.shape
+    k = len(cells)
     steps_per_epoch = max(1, math.ceil(n / batch))
 
-    grad_norms: list[float] = []
-    gdv_trace: list[float] = []
-    epoch_grads: list[np.ndarray] = []
-    epoch_norms: list[float] = []
+    weights = np.stack([m.weights for m in models])
+    bias = np.array([[m.bias] for m in models], dtype=float)
+    u = np.empty((k, min(batch, n)))
+    vals, dldp = np.empty_like(u), np.empty_like(u)
+    grads = np.empty((k, d + 1))  # weight gradient, then the bias gradient
+    grad_w, grad_b = grads[:, :d], grads[:, d:]
+    # per-cell row views: each cell's products stay matrix-vector products
+    cell_rows = list(zip(weights, u, grad_w))
+    grad_rows = list(grads)
+    epoch_norms = np.empty((k, steps_per_epoch))
+    stream = DirectionStream(k, d + 1) if track_gdv else None
+    grad_norms: list[np.ndarray] = []
+    gdv_trace: list[np.ndarray] = []
+    in_epoch = 0
     order = rng.permutation(n)
     cursor = 0
-    final_loss = float("nan")
+    final_loss = np.full(k, np.nan)
 
     for step in range(steps):
         if cursor + batch > n:
@@ -343,45 +446,57 @@ def train(
         idx = order[cursor : cursor + batch]
         cursor += batch
 
-        zb, yb = z[idx], data.labels[idx]
-        u = zb @ model.weights + model.bias
+        zb = z[idx]
+        for w, u_row, _ in cell_rows:
+            np.matmul(zb, w, out=u_row)
+        u += bias
         # clamp into the simplex interior so saturated sigmoids keep the
         # loss and the tied-coordinate gradients finite
         p1 = np.clip(_sigmoid(u), 1e-12, 1.0 - 1e-12)
         pb = np.stack([p1, 1.0 - p1], axis=-1)
-        beta = aux_beta(step, steps, loss_cfg) if loss_name == "aux" else 0.0
-        vals = loss_values(loss_name, yb, pb, loss_cfg, beta)
-        final_loss = float(vals.mean())
-        if not np.isfinite(final_loss):
-            raise TrainingDiverged(step, final_loss)
-        dldp = loss_grads(loss_name, yb, pb, loss_cfg, beta)
+        for rows, name, loss_cfg, y in calls:
+            beta = aux_beta(step, steps, loss_cfg) if name == "aux" else 0.0
+            vals[rows], dldp[rows] = loss_table(name, y[..., idx, :], pb[rows], loss_cfg, beta)
+        final_loss = vals.mean(axis=1)
+        if not np.isfinite(final_loss).all():
+            raise TrainingDiverged(step, float(final_loss[~np.isfinite(final_loss)][0]))
         dldu = dldp * p1 * (1.0 - p1)
-        grad_w = zb.T @ dldu / len(idx)
-        grad_b = float(dldu.mean())
-        model.weights = model.weights - lr * grad_w
-        model.bias = model.bias - lr * grad_b
+        zb_t = zb.T
+        for (_, _, g_row), dldu_row in zip(cell_rows, dldu):
+            np.matmul(zb_t, dldu_row, out=g_row)
+        grad_w /= len(idx)
+        grad_b[:] = dldu.mean(axis=1, keepdims=True)
+        weights -= lr * grad_w
+        bias -= lr * grad_b
 
-        g = np.concatenate([grad_w, [grad_b]])
-        epoch_grads.append(g)
-        epoch_norms.append(float(np.linalg.norm(g)))
-        if len(epoch_grads) == steps_per_epoch or step == steps - 1:
-            grad_norms.append(float(np.mean(epoch_norms)))
-            gdv_trace.append(_safe_gdv(epoch_grads))
-            epoch_grads, epoch_norms = [], []
+        norms = np.array([math.sqrt(g @ g) for g in grad_rows])
+        epoch_norms[:, in_epoch] = norms
+        in_epoch += 1
+        if stream is not None:
+            stream.add(grads, norms)
+        if in_epoch == steps_per_epoch or step == steps - 1:
+            grad_norms.append(epoch_norms[:, :in_epoch].mean(axis=1))
+            if stream is not None:
+                gdv_trace.append(stream.close())
+            in_epoch = 0
 
     test_truth = labels_to_soft(data.test_y)
-    test_rce = float(np.mean(rce(test_truth, model.predict_proba(data.test_x))))
-    return TrainReport(
-        accuracy=model.accuracy(data.test_x, data.test_y),
-        param_distance=model.distance_from_init(),
-        grad_norms=tuple(grad_norms),
-        gdv_trace=tuple(gdv_trace),
-        loss_name=loss_name,
-        alpha=alpha,
-        final_loss=final_loss,
-        mean_prediction=float(_sigmoid(z @ model.weights + model.bias).mean()),
-        test_rce_risk=test_rce,
-    )
+    reports = []
+    for j, (model, (loss_name, _, _, alpha)) in enumerate(zip(models, cells)):
+        model.weights = weights[j].copy()
+        model.bias = float(bias[j, 0])
+        reports.append(TrainReport(
+            accuracy=model.accuracy(data.test_x, data.test_y),
+            param_distance=model.distance_from_init(),
+            grad_norms=tuple(float(e[j]) for e in grad_norms),
+            gdv_trace=tuple(float(e[j]) for e in gdv_trace),
+            loss_name=loss_name,
+            alpha=alpha,
+            final_loss=float(final_loss[j]),
+            mean_prediction=float(_sigmoid(z @ model.weights + model.bias).mean()),
+            test_rce_risk=float(np.mean(rce(test_truth, model.predict_proba(data.test_x)))),
+        ))
+    return reports
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -401,15 +516,16 @@ def _repeat_stage(
     teacher_cfg: ProbeConfig | None,
     student_cfg: ProbeConfig | None,
     seed: int,
-) -> tuple[TrainReport, Callable[..., TrainReport]]:
+) -> tuple[TrainReport, Callable[..., list[TrainReport]]]:
     """The work of one task draw and seed that every (loss, alpha) cell shares.
 
     Draws the task, fits the teacher on ground truth, labels the pseudo
     split with the teacher's probabilities and projects the pseudo and test
     splits through an untrained student.  Returns the teacher's report and
-    ``cell(loss_name, alpha, loss_cfg)``, which smooths the labels and
-    trains a copy of that untrained student on them.  The state lives as
-    long as ``cell`` does.
+    ``fit_cells(cells, loss_cfg)``, which takes ``(loss_name, alpha)`` pairs,
+    smooths the labels of each and trains one copy of that untrained student
+    per pair in one ``train_many`` call, with GDV tracked.  The state lives
+    as long as ``fit_cells`` does.
     """
     teacher_cfg = teacher_cfg or DEFAULT_TEACHER
     student_cfg = student_cfg or default_student_config(task)
@@ -431,14 +547,15 @@ def _repeat_stage(
         student.features(data.test_x),
         data.test_y,
     )
+    head = student.head()
 
-    def cell(loss_name: str, alpha: float,
-             loss_cfg: CompositeLossConfig | None = None) -> TrainReport:
-        labels = smooth_labels_array(student_data.labels, alpha)
-        return train(student.head(), replace(student_data, labels=labels), loss_name,
-                     seed=s_seed, loss_cfg=loss_cfg, alpha=alpha)
+    def fit_cells(cells: list[tuple[str, float]],
+                  loss_cfg: CompositeLossConfig | None = None) -> list[TrainReport]:
+        specs = [(loss_name, smooth_labels_array(student_data.labels, alpha), loss_cfg, alpha)
+                 for loss_name, alpha in cells]
+        return train_many(head, student_data, specs, seed=s_seed, track_gdv=True)
 
-    return teacher_report, cell
+    return teacher_report, fit_cells
 
 
 def _check_alpha(alpha: float) -> None:
@@ -462,8 +579,8 @@ def w2s_pipeline(
     ``alpha``.
     """
     _check_alpha(alpha)
-    teacher_report, cell = _repeat_stage(task, teacher_cfg, student_cfg, seed)
-    return replace(teacher_report, alpha=alpha), cell(loss_name, alpha, loss_cfg)
+    teacher_report, fit_cells = _repeat_stage(task, teacher_cfg, student_cfg, seed)
+    return replace(teacher_report, alpha=alpha), fit_cells([(loss_name, alpha)], loss_cfg)[0]
 
 
 def summarize_sweep(rows: list[dict]) -> list[dict]:
@@ -523,9 +640,10 @@ def alpha_sweep(
     which also pairs the loss comparisons: the task draw, the teacher
     fit and its pseudo-label probabilities, the student's random projection
     and initial weights, and the student features of the pseudo and test
-    splits.  Each cell redoes only the label smoothing and the student's
-    training, from those initial weights; the adaptive loss's confidence
-    cut comes from that cell's smoothed labels.  ``check_sweep`` checks the
+    splits.  Each cell has its own label smoothing and student training,
+    from those initial weights; the cells of a repeat train in lockstep in
+    one ``train_many`` call, and the adaptive loss's confidence cut comes
+    from that cell's smoothed labels.  ``check_sweep`` checks the
     arguments before any training.
     """
     check_sweep(losses, alphas, repeats)
@@ -550,20 +668,17 @@ def _sweep_repeat(
     repeat_task = replace(task, seed=int(
         np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
     ))
-    teacher_report, cell = _repeat_stage(repeat_task, teacher_cfg, student_cfg, repeat)
-    rows = []
-    for loss_name in losses:
-        for alpha in alphas:
-            s_rep = cell(loss_name, alpha, loss_cfg)
-            rows.append(
-                {
-                    "loss": loss_name,
-                    "alpha": alpha,
-                    "repeat": repeat,
-                    "teacher_acc": teacher_report.accuracy,
-                    "student_acc": s_rep.accuracy,
-                    "param_distance": s_rep.param_distance,
-                    "mean_gdv": s_rep.mean_gdv,
-                }
-            )
-    return rows
+    teacher_report, fit_cells = _repeat_stage(repeat_task, teacher_cfg, student_cfg, repeat)
+    cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]
+    return [
+        {
+            "loss": loss_name,
+            "alpha": alpha,
+            "repeat": repeat,
+            "teacher_acc": teacher_report.accuracy,
+            "student_acc": s_rep.accuracy,
+            "param_distance": s_rep.param_distance,
+            "mean_gdv": s_rep.mean_gdv,
+        }
+        for (loss_name, alpha), s_rep in zip(cells, fit_cells(cells, loss_cfg))
+    ]

@@ -178,8 +178,45 @@ class TestGradientEngine:
             [L.aux(yy, pp, 0.4, p) for yy, pp in zip(y, p)],
         )
 
+    def test_aux_hardens_once_per_table_call(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        y, p = random_binary(rng, 8), random_binary(rng, 8)
+        cfg = CompositeLossConfig()
+        cuts = []
+        threshold = L.harden_threshold
+
+        def counted(batch):
+            cuts.append(batch)
+            return threshold(batch)
+
+        monkeypatch.setattr(L, "harden_threshold", counted)
+        values, grads = L.loss_table("aux", y, p, cfg, 0.3)
+        assert len(cuts) == 1
+        np.testing.assert_array_equal(values, L.aux(y, p, 0.3, p))
+        np.testing.assert_array_equal(grads, L.loss_grads("aux", y, p, cfg, 0.3))
+        with pytest.raises(ValueError, match="beta"):
+            L.loss_table("aux", y, p, cfg, 1.5)
+
+    @pytest.mark.parametrize("name", ["ce", "rce", "kl", "rkl"])
+    def test_row_losses_on_a_block_equal_each_batch(self, name):
+        # the trainer runs one table call over the (cells, batch, 2) block
+        # of a row-wise loss; each cell must get exactly its lone result
+        rng = np.random.default_rng(7)
+        y = np.stack([random_binary(rng, 5) for _ in range(3)])
+        p = np.stack([random_binary(rng, 5) for _ in range(3)])
+        cfg = CompositeLossConfig()
+        values, grads = L.loss_table(name, y, p, cfg)
+        for j in range(3):
+            lone_values, lone_grads = L.loss_table(name, y[j], p[j], cfg)
+            np.testing.assert_array_equal(values[j], lone_values)
+            np.testing.assert_array_equal(grads[j], lone_grads)
+            np.testing.assert_array_equal(lone_values, L.loss_values(name, y[j], p[j], cfg))
+            np.testing.assert_array_equal(lone_grads, L.loss_grads(name, y[j], p[j], cfg))
+
     def test_unknown_loss_rejected(self):
         y = p = np.full((2, 2), 0.5)
+        with pytest.raises(ValueError):
+            L.loss_table("mse", y, p, CompositeLossConfig())
         with pytest.raises(ValueError):
             L.loss_values("mse", y, p, CompositeLossConfig())
         with pytest.raises(ValueError):

@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
+from w2slab.losses import CompositeLossConfig, smooth_labels_array
 from w2slab.trainer import (
     LOSS_NAMES,
+    DirectionStream,
     LinearProbeModel,
     ProbeConfig,
     SyntheticTask,
@@ -18,6 +20,7 @@ from w2slab.trainer import (
     labels_to_soft,
     param_distance,
     train,
+    train_many,
     w2s_pipeline,
 )
 
@@ -102,6 +105,48 @@ class TestGdv:
             gdv([np.zeros(2), np.ones(2)])
 
 
+def pairwise_gdv(grads):
+    """Oracle: mean of 1 - cos over ordered pairs of nonzero gradients."""
+    kept = [np.asarray(g, dtype=float) for g in grads if np.linalg.norm(g) > 0.0]
+    m = len(kept)
+    if m < 2:
+        return float("nan")
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                cos = kept[i] @ kept[j] / (np.linalg.norm(kept[i]) * np.linalg.norm(kept[j]))
+                total += 1.0 - cos
+    return total / (m * (m - 1))
+
+
+class TestDirectionStream:
+    def test_matches_pairwise_oracle_per_fit(self):
+        rng = np.random.default_rng(11)
+        fits, dim, steps = 3, 6, 9
+        blocks = rng.normal(size=(steps, fits, dim))
+        blocks[2, 0] = 0.0  # a zero gradient drops out of fit 0 only
+        blocks[5, 0] = 0.0
+        blocks[:, 2] = 0.0  # fit 2 keeps one gradient: nan
+        blocks[4, 2] = rng.normal(size=dim)
+        blocks[:, 1] *= rng.uniform(0.1, 10.0, size=(steps, 1))
+        stream = DirectionStream(fits, dim)
+        for block in blocks:
+            stream.add(block, np.linalg.norm(block, axis=1))
+        values = stream.close()
+        expected = [pairwise_gdv(blocks[:, j]) for j in range(fits)]
+        # nan matches nan: fit 2 has too few gradients for a pair
+        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+        assert np.isnan(values[2])
+        assert stream.kept[0] == 0  # close starts over
+        assert np.isnan(stream.close()).all()
+
+    def test_gdv_is_the_streamed_value(self):
+        rng = np.random.default_rng(12)
+        grads = [rng.normal(size=5) for _ in range(7)]
+        assert gdv(grads) == pytest.approx(pairwise_gdv(grads), abs=1e-12)
+
+
 class TestParamDistance:
     def test_zero_for_same(self):
         t = np.arange(4.0)
@@ -154,9 +199,10 @@ class TestTrain:
             TrainData(data.train_x, uniform, data.test_x, data.test_y),
             "rce",
             seed=3,
+            track_gdv=True,
         )
         assert rep.param_distance == 0.0
-        assert all(np.isnan(g) for g in rep.gdv_trace)
+        assert rep.gdv_trace and all(np.isnan(g) for g in rep.gdv_trace)
 
     def test_determinism_bit_identical(self):
         task = small_task()
@@ -220,6 +266,117 @@ class TestTrain:
         rep = train(model, gt_train_data(task), name, seed=6)
         assert np.isfinite(rep.final_loss)
         assert rep.accuracy >= 0.0
+
+
+def every_loss_cells(labels):
+    cfg = CompositeLossConfig(sl_weights=(0.7, 0.3))
+    cells = [(name, smooth_labels_array(labels, 0.3), cfg, 0.3) for name in LOSS_NAMES]
+    cells.append(("ce", labels, None, 1.0))
+    # uniform labels give rce an exactly zero gradient at every step
+    cells.append(("rce", smooth_labels_array(labels, 0.0), None, 0.0))
+    return cells
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("rows,batch", [(64, 16), (40, 32), (12, 32)])
+    def test_lockstep_equals_lone_fits(self, rows, batch):
+        data = small_task().sample()
+        # soft labels of mixed confidence, so the adaptive loss uses both sides
+        p1 = np.random.default_rng(rows).uniform(0.05, 0.95, size=rows)
+        train_data = TrainData(data.pseudo_x[:rows], np.stack([p1, 1.0 - p1], axis=-1),
+                               data.test_x, data.test_y)
+        model = make_model(feature="projection", width=30, init_scale=0.1, seed=9,
+                           steps=25, batch_size=batch)
+        start = model.theta.copy()
+        cells = every_loss_cells(train_data.labels)
+        reports = train_many(model, train_data, cells, seed=9, track_gdv=True)
+        np.testing.assert_array_equal(model.theta, start)  # the start is shared, not moved
+        for (name, labels, cfg, alpha), rep in zip(cells, reports):
+            lone = make_model(feature="projection", width=30, init_scale=0.1, seed=9,
+                              steps=25, batch_size=batch)
+            expected = train(lone, dataclasses.replace(train_data, labels=labels), name,
+                             seed=9, loss_cfg=cfg, alpha=alpha, track_gdv=True)
+            np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
+            assert len(rep.gdv_trace) == len(rep.grad_norms) > 0
+        frozen = reports[-1]
+        assert frozen.param_distance == 0.0
+        assert all(np.isnan(g) for g in frozen.gdv_trace)
+        # an epoch of one step has no pair of gradients to compare
+        assert np.isnan(reports[0].mean_gdv) == (rows <= batch)
+
+    def test_gdv_trace_matches_pairwise_oracle(self, monkeypatch):
+        from w2slab import trainer
+
+        epochs, current = [], []
+
+        class Recording(DirectionStream):
+            def add(self, grads, norms):
+                current.append(grads.copy())
+                super().add(grads, norms)
+
+            def close(self):
+                epochs.append(np.array(current))
+                current.clear()
+                return super().close()
+
+        monkeypatch.setattr(trainer, "DirectionStream", Recording)
+        data = small_task().sample()
+        train_data = TrainData(data.train_x, labels_to_soft(data.train_y),
+                               data.test_x, data.test_y)
+        model = make_model(seed=10, steps=23, batch_size=20)
+        cells = every_loss_cells(train_data.labels)
+        reports = train_many(model, train_data, cells, seed=10, track_gdv=True)
+        # 64 rows in batches of 20: four steps per epoch, the last epoch cut short
+        assert [len(e) for e in epochs] == [4] * 5 + [3]
+        for j, rep in enumerate(reports):
+            expected = [pairwise_gdv(epoch[:, j]) for epoch in epochs]
+            np.testing.assert_allclose(rep.gdv_trace, expected, rtol=0, atol=1e-12)
+        assert all(np.isnan(reports[-1].gdv_trace))
+
+    def test_gdv_off_by_default(self):
+        rep = train(make_model(seed=1, steps=10), gt_train_data(small_task()), "ce", seed=1)
+        assert rep.gdv_trace == () and np.isnan(rep.mean_gdv)
+        assert len(rep.grad_norms) == 5  # 64 rows in batches of 32, 10 steps
+
+    def test_bad_cells_rejected(self):
+        data = gt_train_data(small_task())
+        with pytest.raises(ValueError, match="cell"):
+            train_many(make_model(), data, [])
+        with pytest.raises(ValueError, match="loss"):
+            train_many(make_model(), data, [("ce", data.labels, None, 1.0),
+                                            ("mse", data.labels, None, 1.0)])
+
+    def test_only_reported_fits_track_gdv(self, monkeypatch):
+        """Teacher fits and the bias-variance fits skip the GDV; the
+        classify students, whose mean_gdv is written out, keep it."""
+        from w2slab import cli, trainer
+
+        streams, gdv_calls = [], []
+
+        class Counting(DirectionStream):
+            def add(self, grads, norms):
+                streams.append(grads.shape[0])
+                super().add(grads, norms)
+
+        def counted_gdv(*args, **kwargs):
+            gdv_calls.append(args)
+            return gdv(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "DirectionStream", Counting)
+        monkeypatch.setattr(trainer, "gdv", counted_gdv)
+        cfg = {key: default for key, (_, default) in cli.SCHEMAS["bias-variance"].items()}
+        # split_train below the batch size: the teachers train on short batches
+        cfg.update(task_seeds=1, dim=5, n_test=20, split_train=16, split_pseudo=64)
+        rows, _ = cli.run_bias_variance(cfg)
+        assert len(rows) == 3 * 20
+        assert streams == [] and gdv_calls == []
+
+        student = ProbeConfig(feature="projection", width=40, steps=30)
+        _, s_rep = w2s_pipeline(small_task(), student_cfg=student,
+                                teacher_cfg=ProbeConfig(steps=30), loss_name="ce")
+        # one stream step per student step, none for the teacher
+        assert streams == [1] * 30 and gdv_calls == []
+        assert len(s_rep.gdv_trace) > 0
 
 
 class TestPipeline:
