@@ -4,11 +4,13 @@ Four subcommands: ``verify`` runs the identity and inequality suites,
 ``ridge`` sweeps the capacity/regularization grid against the closed-form
 bound, ``classify`` runs the label-smoothing loss comparison, and
 ``bias-variance`` runs the split-ensemble estimator.  Configuration is a
-flat key=value text file with ``--set`` overrides; every command writes a
-CSV of rows and a JSON report whose verdicts are recomputable from the
-rows.  Exit status: 0 all verdicts pass, 1 a verdict failed (artifacts
-written) or a program error (traceback), 2 bad config.  Each command checks
-its config with the library's own checks before any work.
+flat key=value text file with ``--set`` overrides.  Each command is a
+``run_<command>(cfg) -> (rows, verdicts)`` function; every verdict is a
+``measured op bound`` record from ``_verdict``.  ``main`` alone prints the
+verdicts, writes a CSV of the rows and a JSON report, and picks the exit
+status: 0 all verdicts pass, 1 a verdict failed (artifacts written) or a
+program error (traceback), 2 bad config.  Each command checks its config
+with the library's own checks before any work.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +150,8 @@ def load_config(command: str, path: str | None, overrides: list[str]) -> dict:
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
-    if isinstance(value, float) and value != value:  # keep NaN JSON-legal
-        return "nan"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "nan", "inf", "-inf" keep the JSON strict
     return value
 
 
@@ -165,11 +169,11 @@ def write_outputs(out_dir: str, command: str, config: dict, columns: list[str],
         "command": command,
         "config": {k: _jsonable(v) for k, v in config.items()},
         "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
-        "verdicts": verdicts,
+        "verdicts": [{k: _jsonable(v) for k, v in verdict.items()} for verdict in verdicts],
         "duration_seconds": duration,
     }
     with open(out / f"{stem}.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -179,14 +183,14 @@ def _csv_cell(value):
     return value
 
 
-def _verdict(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
+_OPS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
 
-def _print_verdicts(verdicts: list[dict]) -> None:
-    for v in verdicts:
-        status = "PASS" if v["passed"] else "FAIL"
-        print(f"[{status}] {v['name']}: {v['detail']}")
+def _verdict(name: str, what: str, measured, op: str, bound) -> dict:
+    """The check ``measured op bound``; a NaN measurement fails every op."""
+    return {"name": name, "measured": measured, "op": op, "bound": bound,
+            "passed": bool(_OPS[op](measured, bound)),
+            "detail": f"{what} = {measured:.4g} (need {op} {bound:g})"}
 
 
 # --- verify ---------------------------------------------------------------
@@ -196,16 +200,17 @@ def _verify_geometries(rng):
     return [SquaredNorm(int(rng.integers(1, 5))), NegativeEntropy(int(rng.integers(2, 9)))]
 
 
-def cmd_verify(cfg: dict, out_dir: str) -> int:
-    start = time.time()
+def run_verify(cfg: dict) -> tuple[list[dict], list[dict]]:
+    """Identity, inequality and equality suites; one row per risk-gap report."""
     for key in ("scenarios", "pairs", "triples"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
     if not 0.0 < cfg["grid_step"] < 1.0:
         raise ConfigError(f"grid_step must lie in (0, 1), got {cfg['grid_step']}")
     rng = np.random.default_rng(cfg["seed"])
-    verdicts: list[dict] = []
     rows: list[dict] = []
+    # every measurement of each verdict, reduced once when judged
+    found: dict[str, list] = defaultdict(list)
 
     def points(geometry, n):
         if geometry.kind == "negative-entropy":
@@ -213,51 +218,38 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         return rng.uniform(-2.0, 2.0, size=(n, geometry.dimension))
 
     # identity suite per geometry family
-    worst_triple = 0.0
-    worst_decomp = 0.0
-    worst_round = 0.0
-    nonneg_ok = True
     for kind in ("squared-norm", "negative-entropy"):
         geometry = (SquaredNorm(3) if kind == "squared-norm" else NegativeEntropy(3))
         x = points(geometry, cfg["pairs"])
         y = points(geometry, cfg["pairs"])
-        nonneg_ok &= bool(np.all(geometry.divergence(x, y) >= 0.0))
+        # the generator form, which unlike a closed form or a clamped one can go negative
+        found["divergence_nonnegative"].append(
+            geometry.potential(x) - geometry.potential(y)
+            - np.sum(geometry.grad(y) * (x - y), axis=-1))
         # one draw of the same stream as triples draws of 3 points each
         abc = points(geometry, 3 * cfg["triples"]).reshape(-1, 3, geometry.dimension)
-        residual = geometry.law_of_cosines_residual(abc[:, 0], abc[:, 1], abc[:, 2])
-        worst_triple = max(worst_triple, float(np.max(np.abs(residual), initial=0.0)))
+        found["law_of_cosines"].append(
+            np.abs(geometry.law_of_cosines_residual(abc[:, 0], abc[:, 1], abc[:, 2])))
         for _ in range(200):
             n = int(rng.integers(1, 6))
             sample = SampleSet(points(geometry, n), rng.dirichlet(np.ones(n)))
             target = points(geometry, 1)[0]
             variance, bias = geometry.forward_decomposition(sample, target)
             total = float(sample.weights @ geometry.divergence(sample.points, target))
-            worst_decomp = max(worst_decomp, abs(variance + bias - total))
             rbias, rvar = geometry.reverse_decomposition(target, sample)
             rtotal = float(sample.weights @ geometry.divergence(target, sample.points))
-            worst_decomp = max(worst_decomp, abs(rbias + rvar - rtotal))
+            found["decomposition_reconstruction"] += [
+                abs(variance + bias - total), abs(rbias + rvar - rtotal)]
         pts = points(geometry, 1000)
         back = geometry.from_dual(geometry.to_dual(pts))
-        worst_round = max(
-            worst_round, float(np.max(np.abs(back - pts) / np.maximum(np.abs(pts), 1e-30)))
-        )
-    verdicts.append(_verdict(
-        "law_of_cosines", worst_triple <= cfg["tol_identity"],
-        f"max |residual| = {worst_triple:.3e} (tol {cfg['tol_identity']:.1e})"))
-    verdicts.append(_verdict(
-        "decomposition_reconstruction", worst_decomp <= cfg["tol_decomposition"],
-        f"max |gap| = {worst_decomp:.3e} (tol {cfg['tol_decomposition']:.1e})"))
-    verdicts.append(_verdict(
-        "dual_round_trip", worst_round <= 1e-10,
-        f"max relative error = {worst_round:.3e} (tol 1e-10)"))
-    verdicts.append(_verdict("divergence_nonnegative", nonneg_ok, f"{cfg['pairs']} pairs per geometry"))
+        found["dual_round_trip"].append(
+            np.abs(back - pts) / np.maximum(np.abs(pts), 1e-30))
 
     # expectation-minimizer grid oracle on the binary simplex
     geometry = NegativeEntropy(2)
     step = cfg["grid_step"]
     grid1 = np.arange(step, 1.0, step)
     grid = np.stack([grid1, 1.0 - grid1], axis=-1)
-    worst_grid = 0.0
     for _ in range(5):
         n = int(rng.integers(2, 6))
         sample = SampleSet(
@@ -265,22 +257,12 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         )
         # (grid, n) divergence tables: E[D(X, g)] and E[D(g, X)] per grid point
         fwd = geometry.divergence(sample.points, grid[:, None]) @ sample.weights
-        worst_grid = max(worst_grid, abs(grid1[np.argmin(fwd)] - mean_minimizer(sample)[0]))
         rev = geometry.divergence(grid[:, None], sample.points) @ sample.weights
-        worst_grid = max(worst_grid, abs(grid1[np.argmin(rev)] - geometry.dual_mean(sample)[0]))
-    verdicts.append(_verdict(
-        "expectation_minimizer_grid", worst_grid <= step,
-        f"max |argmin offset| = {worst_grid:.2e} (grid step {step:.0e})"))
+        found["expectation_minimizer_grid"] += [
+            abs(grid1[np.argmin(fwd)] - mean_minimizer(sample)[0]),
+            abs(grid1[np.argmin(rev)] - geometry.dual_mean(sample)[0])]
 
     # inequality and equality suites on random scenarios
-    min_slack = float("inf")
-    min_domination = float("inf")
-    worst_equality = 0.0
-    worst_gains = 0.0
-    min_entropy_gap = float("inf")
-    worst_split = 0.0
-    worst_algo1 = 0.0
-    worst_c3 = 0.0
     for index in range(cfg["scenarios"]):
         for geometry in _verify_geometries(rng):
             scenario = harness.random_scenario(geometry, rng, seed=index)
@@ -288,8 +270,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
                 for verifier, label in ((harness.verify_risk_gap, "conditional"),
                                         (harness.verify_risk_gap_product, "product")):
                     rep = verifier(scenario, geometry, direction)
-                    min_slack = min(min_slack, rep.slack)
-                    min_domination = min(min_domination, rep.epsilon - abs(rep.exact_inner))
+                    found["residual_dominates_inner_product"].append(
+                        rep.epsilon - abs(rep.exact_inner))
                     rows.append({
                         "scenario": index, "geometry": geometry.kind,
                         "variant": label, "direction": direction,
@@ -299,65 +281,64 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
                 dual = direction == "forward"
                 ideal = harness.with_posterior_mean_students(scenario, geometry, dual)
                 rep = harness.verify_posterior_mean_equality(ideal, geometry, direction)
-                worst_equality = max(
-                    worst_equality, abs(rep.lhs - (rep.teacher_risk - rep.misfit)))
+                found["posterior_mean_equality"].append(
+                    abs(rep.lhs - (rep.teacher_risk - rep.misfit)))
             if geometry.kind == "squared-norm":
                 *_, split_gap = harness.misfit_variance_split(scenario)
-                worst_split = max(worst_split, split_gap)
+                found["misfit_variance_split"].append(split_gap)
             else:
                 gains = harness.verify_ideal_student_gains(scenario)
-                worst_gains = max(
-                    worst_gains, abs(gains.ce_gain - gains.ce_misfit),
-                    abs(gains.rce_misfit - gains.rce_gain - gains.entropy_gap))
-                min_entropy_gap = min(min_entropy_gap, gains.entropy_gap)
+                found["ideal_student_gains"] += [
+                    abs(gains.ce_gain - gains.ce_misfit),
+                    abs(gains.rce_misfit - gains.rce_gain - gains.entropy_gap)]
+                found["entropy_gap_nonnegative"].append(gains.entropy_gap)
                 for direction in ("forward", "reverse"):
                     ce_form = harness.cross_entropy_form_report(scenario, direction)
                     kl_form = harness.verify_risk_gap(scenario, geometry, direction)
-                    worst_c3 = max(worst_c3, abs(ce_form.slack - kl_form.slack))
+                    found["cross_entropy_form_slack"].append(
+                        abs(ce_form.slack - kl_form.slack))
                 k = geometry.dimension
                 runs = [losses.ProbVector(clamp_simplex(rng.dirichlet(np.ones(k))))
                         for _ in range(int(rng.integers(2, 6)))]
                 truth = losses.ProbVector.one_hot(int(rng.integers(k)), k)
                 bias, variance = harness.bias_variance_estimate(runs, truth)
                 mean_ce = float(np.mean([losses.ce(truth, r) for r in runs]))
-                worst_algo1 = max(worst_algo1, abs(bias + variance - mean_ce))
+                found["bias_variance_identity"].append(abs(bias + variance - mean_ce))
+    found["risk_gap_inequality"] = [row["slack"] for row in rows]
 
-    verdicts.append(_verdict(
-        "risk_gap_inequality", min_slack >= -cfg["tol_slack"],
-        f"min slack = {min_slack:.3e} (tol -{cfg['tol_slack']:.1e})"))
-    verdicts.append(_verdict(
-        "residual_dominates_inner_product", min_domination >= -1e-12,
-        f"min (epsilon - |inner|) = {min_domination:.3e}"))
-    verdicts.append(_verdict(
-        "posterior_mean_equality", worst_equality <= cfg["tol_equality"],
-        f"max |gap| = {worst_equality:.3e} (tol {cfg['tol_equality']:.1e})"))
-    verdicts.append(_verdict(
-        "ideal_student_gains",
-        worst_gains <= cfg["tol_equality"] and min_entropy_gap >= -1e-12,
-        f"max |gain identity gap| = {worst_gains:.3e} (tol {cfg['tol_equality']:.1e}), "
-        f"min entropy gap = {min_entropy_gap:.3e} (tol -1e-12)"))
-    verdicts.append(_verdict(
-        "misfit_variance_split", worst_split <= 1e-10,
-        f"max per-input |gap| = {worst_split:.3e} (tol 1e-10)"))
-    verdicts.append(_verdict(
-        "cross_entropy_form_slack", worst_c3 <= cfg["tol_equality"],
-        f"max |slack difference| = {worst_c3:.3e}"))
-    verdicts.append(_verdict(
-        "bias_variance_identity", worst_algo1 <= cfg["tol_equality"],
-        f"max |bias + variance - mean CE| = {worst_algo1:.3e}"))
-
-    _print_verdicts(verdicts)
-    columns = ["scenario", "geometry", "variant", "direction",
-               "lhs", "rhs", "misfit", "epsilon", "slack"]
-    write_outputs(out_dir, "verify", cfg, columns, rows, verdicts, time.time() - start)
-    return 0 if all(v["passed"] for v in verdicts) else 1
+    tol_eq = cfg["tol_equality"]
+    # (name, what is measured, op, bound): "<=" judges the largest
+    # measurement, ">=" the smallest
+    checks = [
+        ("law_of_cosines", "max |residual|", "<=", cfg["tol_identity"]),
+        ("decomposition_reconstruction", "max |gap|", "<=", cfg["tol_decomposition"]),
+        ("dual_round_trip", "max relative error", "<=", 1e-10),
+        ("divergence_nonnegative",
+         f"min generator-form divergence over {cfg['pairs']} pairs per geometry",
+         ">=", -cfg["tol_identity"]),
+        ("expectation_minimizer_grid", "max |argmin offset|", "<=", step),
+        ("risk_gap_inequality", "min slack", ">=", -cfg["tol_slack"]),
+        ("residual_dominates_inner_product", "min (epsilon - |inner|)", ">=", -1e-12),
+        ("posterior_mean_equality", "max |gap|", "<=", tol_eq),
+        ("ideal_student_gains", "max |gain identity gap|", "<=", tol_eq),
+        ("entropy_gap_nonnegative", "min Jensen entropy gap", ">=", -1e-12),
+        ("misfit_variance_split", "max per-input |gap|", "<=", 1e-10),
+        ("cross_entropy_form_slack", "max |slack difference|", "<=", tol_eq),
+        ("bias_variance_identity", "max |bias + variance - mean CE|", "<=", tol_eq),
+    ]
+    verdicts = [
+        _verdict(name, what, (np.max if op == "<=" else np.min)(np.hstack(found[name])),
+                 op, bound)
+        for name, what, op, bound in checks
+    ]
+    return rows, verdicts
 
 
 # --- ridge ------------------------------------------------------------------
 
 
-def cmd_ridge(cfg: dict, out_dir: str) -> int:
-    start = time.time()
+def run_ridge(cfg: dict) -> tuple[list[dict], list[dict]]:
+    """Capacity/regularization grid against the closed-form bound."""
     try:
         base = ridge.RidgeConfig(d_w=cfg["d_w"], n_ratio=cfg["n_ratio"], B=cfg["B"],
                                  seed=cfg["seed"])
@@ -366,52 +347,44 @@ def cmd_ridge(cfg: dict, out_dir: str) -> int:
         raise ConfigError(str(err)) from err
     estimates = ridge.sweep_misfit(base, cfg["gammas"], cfg["eta0s"], cfg["trials"])
     rows: list[dict] = []
-    verdicts: list[dict] = []
-    worst_ratio = 0.0
-    worst_mp_gap = 0.0
+    ratios, mp_gaps = [], []
     for (eta0, gamma), estimate in estimates.items():
         h = ridge.h_closed_form(eta0, gamma)
         mp = ridge.mp_integral(eta0, gamma)
-        worst_mp_gap = max(worst_mp_gap, abs(mp - h))
-        worst_ratio = max(worst_ratio, estimate.empirical_misfit / (cfg["B"] * h))
+        mp_gaps.append(abs(mp - h))
+        ratios.append(estimate.empirical_misfit / (cfg["B"] * h))
         for t, value in enumerate(estimate.per_trial):
             rows.append({
                 "d_w": cfg["d_w"], "gamma": gamma, "n_ratio": cfg["n_ratio"],
                 "eta0": eta0, "trial": t, "misfit": float(value),
                 "bound": estimate.bound, "h": h, "mp_integral": mp,
             })
-    verdicts.append(_verdict(
-        "misfit_within_bound", worst_ratio <= cfg["bound_slack"],
-        f"max misfit / (B h) = {worst_ratio:.4f} (allowed {cfg['bound_slack']})"))
-    verdicts.append(_verdict(
-        "quadrature_matches_closed_form", worst_mp_gap <= cfg["mp_tolerance"],
-        f"max |integral - closed form| = {worst_mp_gap:.3e}"))
 
     gammas = sorted(cfg["gammas"])
-    inversion_ok = True
+    inversions = []
     for eta0 in cfg["eta0s"]:
         means = [estimates[(eta0, g)].empirical_misfit for g in gammas]
-        inversions = sum(b > a for a, b in zip(means, means[1:]))
-        inversion_ok &= inversions <= 1
-    verdicts.append(_verdict(
-        "misfit_decreases_with_capacity", inversion_ok,
-        "at most one inversion per eta0 sweep"))
-    mono = ridge.verify_monotonicity(cfg["eta0s"], cfg["gammas"])
-    verdicts.append(_verdict(
-        "bound_monotone_and_in_range", mono.ok, "; ".join(mono.violations) or "clean"))
-
-    _print_verdicts(verdicts)
-    columns = ["d_w", "gamma", "n_ratio", "eta0", "trial",
-               "misfit", "bound", "h", "mp_integral"]
-    write_outputs(out_dir, "ridge", cfg, columns, rows, verdicts, time.time() - start)
-    return 0 if all(v["passed"] for v in verdicts) else 1
+        inversions.append(sum(b > a for a, b in zip(means, means[1:])))
+    violations = ridge.verify_monotonicity(cfg["eta0s"], cfg["gammas"]).violations
+    monotone = _verdict("bound_monotone_and_in_range", "violations of h",
+                        len(violations), "<=", 0)
+    monotone["detail"] += "".join(f"; {v}" for v in violations)
+    return rows, [
+        _verdict("misfit_within_bound", "max misfit / (B h)", np.max(ratios),
+                 "<=", cfg["bound_slack"]),
+        _verdict("quadrature_matches_closed_form", "max |integral - closed form|",
+                 np.max(mp_gaps), "<=", cfg["mp_tolerance"]),
+        _verdict("misfit_decreases_with_capacity", "max inversions per eta0 sweep",
+                 np.max(inversions), "<=", 1),
+        monotone,
+    ]
 
 
 # --- classify ------------------------------------------------------------------
 
 
-def cmd_classify(cfg: dict, out_dir: str) -> int:
-    start = time.time()
+def run_classify(cfg: dict) -> tuple[list[dict], list[dict]]:
+    """Label-smoothing sweep over losses and alphas; prints the per-cell summary."""
     try:
         trainer.check_sweep(cfg["losses"], cfg["alphas"], cfg["repeats"])
         task = trainer.SyntheticTask(
@@ -427,51 +400,41 @@ def cmd_classify(cfg: dict, out_dir: str) -> int:
         raise ConfigError(str(err)) from err
     rows = trainer.alpha_sweep(
         task, cfg["losses"], cfg["alphas"], cfg["repeats"], student_cfg=student_cfg)
-
-    verdicts: list[dict] = []
-    band = cfg["accuracy_band"]
-
-    def cell_mean(loss, alpha):
-        accs = [r["student_acc"] for r in rows if r["loss"] == loss and r["alpha"] == alpha]
-        return float(np.mean(accs)) if accs else float("nan")
-
-    stable_alphas = [a for a in cfg["alphas"] if a >= 0.001]
-    if "rce" in cfg["losses"] and len(stable_alphas) >= 2:
-        means = [cell_mean("rce", a) for a in stable_alphas]
-        spread = max(means) - min(means)
-        verdicts.append(_verdict(
-            "rce_accuracy_stable", spread <= band,
-            f"spread {spread:.3f} over alphas >= 0.001 (band {band})"))
-    if "ce" in cfg["losses"] and {0.01, 1.0} <= set(cfg["alphas"]):
-        gap = cell_mean("ce", 1.0) - cell_mean("ce", 0.01)
-        verdicts.append(_verdict(
-            "ce_degrades_at_low_alpha", gap >= band,
-            f"accuracy drop {gap:.3f} from alpha 1.0 to 0.01 (need {band})"))
-    if {"ce", "rce"} <= set(cfg["losses"]) and 1.0 in cfg["alphas"]:
-        votes = 0
-        total = 0
-        for rep in range(cfg["repeats"]):
-            pair = {r["loss"]: r["param_distance"] for r in rows
-                    if r["alpha"] == 1.0 and r["repeat"] == rep
-                    and r["loss"] in ("ce", "rce")}
-            if len(pair) == 2:
-                total += 1
-                votes += pair["rce"] >= pair["ce"]
-        verdicts.append(_verdict(
-            "rce_moves_farther", votes * 2 > total,
-            f"rce distance >= ce distance in {votes}/{total} repeats at alpha 1"))
-
     for cell in trainer.summarize_sweep(rows):
         print(
             f"{cell['loss']:>5} alpha={cell['alpha']:<6g} "
             f"acc={cell['student_acc_mean']:.3f}+-{cell['student_acc_std']:.3f} "
             f"dist={cell['param_distance_mean']:.2f}+-{cell['param_distance_std']:.2f}"
         )
-    _print_verdicts(verdicts)
-    columns = ["loss", "alpha", "repeat", "teacher_acc", "student_acc",
-               "param_distance", "mean_gdv"]
-    write_outputs(out_dir, "classify", cfg, columns, rows, verdicts, time.time() - start)
-    return 0 if all(v["passed"] for v in verdicts) else 1
+
+    verdicts: list[dict] = []
+    band = cfg["accuracy_band"]
+
+    def cell_mean(loss, alpha):
+        return float(np.mean([r["student_acc"] for r in rows
+                              if r["loss"] == loss and r["alpha"] == alpha]))
+
+    stable_alphas = [a for a in cfg["alphas"] if a >= 0.001]
+    if "rce" in cfg["losses"] and len(stable_alphas) >= 2:
+        means = [cell_mean("rce", a) for a in stable_alphas]
+        verdicts.append(_verdict(
+            "rce_accuracy_stable", "rce accuracy spread over alphas >= 0.001",
+            np.max(means) - np.min(means), "<=", band))
+    if "ce" in cfg["losses"] and {0.01, 1.0} <= set(cfg["alphas"]):
+        verdicts.append(_verdict(
+            "ce_degrades_at_low_alpha", "ce accuracy drop from alpha 1.0 to 0.01",
+            cell_mean("ce", 1.0) - cell_mean("ce", 0.01), ">=", band))
+    if {"ce", "rce"} <= set(cfg["losses"]) and 1.0 in cfg["alphas"]:
+        distance = {(r["loss"], r["repeat"]): r["param_distance"]
+                    for r in rows if r["alpha"] == 1.0}
+        farther = [distance["rce", rep] >= distance["ce", rep]
+                   for rep in range(cfg["repeats"])]
+        verdicts.append(_verdict(
+            "rce_moves_farther",
+            f"rce distance >= ce distance at alpha 1 in {sum(farther)}/{len(farther)} "
+            f"repeats, share",
+            np.mean(farther), ">", 0.5))
+    return rows, verdicts
 
 
 # --- bias-variance ----------------------------------------------------------------
@@ -483,11 +446,6 @@ def _fit_probe(feature_dim, probe_cfg, x, labels, seed):
     data = trainer.TrainData(x, labels, x[:2], np.array([1.0, -1.0]))
     trainer.train(model, data, "ce", seed=seed)
     return model
-
-
-def _dual_mean_rows(predictions: list[np.ndarray]) -> np.ndarray:
-    """Row-wise dual mean (normalized geometric mean) of (n, 2) predictions."""
-    return NegativeEntropy(2).from_dual(np.mean([np.log(p) for p in predictions], axis=0))
 
 
 def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
@@ -513,9 +471,6 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     rows: list[dict] = []
-    identity_gap = 0.0
-    ens_wins = 0
-    points_total = 0
 
     probe_teacher = trainer.DEFAULT_TEACHER
     probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
@@ -547,7 +502,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
                     task.dim, probe_student, chunk_x,
                     teachers[j].predict_proba(chunk_x), seed_ij + 1)
                 student_runs.append(student.predict_proba(data.test_x))
-                ensemble_labels = _dual_mean_rows(
+                ensemble_labels = harness.ensemble_dual_mean(
                     [t.predict_proba(chunk_x) for t in teachers])
                 ens_student = _fit_probe(
                     task.dim, probe_student, chunk_x, ensemble_labels, seed_ij + 2)
@@ -555,49 +510,44 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
 
         for point in range(task.n_test):
             truth_vec = losses.ProbVector(truth[point])
-            point_rows = {}
             for label, runs in (("teacher", teacher_runs),
                                 ("student", student_runs),
                                 ("ens_student", ens_runs)):
                 preds = [losses.ProbVector(r[point]) for r in runs]
                 bias, variance = harness.bias_variance_estimate(preds, truth_vec)
                 mean_ce = float(np.mean([losses.ce(truth_vec, p) for p in preds]))
-                identity_gap = max(identity_gap, abs(bias + variance - mean_ce))
-                point_rows[label] = (bias, variance, mean_ce)
                 rows.append({
                     "task_seed": outer_seed, "point": point, "model": label,
                     "bias": bias, "variance": variance, "mean_ce": mean_ce,
                 })
-            points_total += 1
-            ens_wins += point_rows["ens_student"][1] < point_rows["student"][1]
 
-    verdicts = [
-        _verdict("bias_variance_identity", identity_gap <= cfg["identity_tol"],
-                 f"max |bias + variance - mean CE| = {identity_gap:.3e}"),
-        _verdict("ensemble_reduces_variance", ens_wins * 2 > points_total,
-                 f"ensemble-supervised variance lower on {ens_wins}/{points_total} points"),
+    gaps = [abs(r["bias"] + r["variance"] - r["mean_ce"]) for r in rows]
+    # rows come in (teacher, student, ens_student) triples, one per point
+    variance = np.array([r["variance"] for r in rows]).reshape(-1, 3)
+    lower = variance[:, 2] < variance[:, 1]
+    return rows, [
+        _verdict("bias_variance_identity", "max |bias + variance - mean CE|",
+                 np.max(gaps), "<=", cfg["identity_tol"]),
+        _verdict("ensemble_reduces_variance",
+                 f"ensemble-supervised variance lower on {lower.sum()}/{lower.size} "
+                 f"points, share",
+                 np.mean(lower), ">", 0.5),
     ]
-    return rows, verdicts
-
-
-def cmd_bias_variance(cfg: dict, out_dir: str) -> int:
-    start = time.time()
-    rows, verdicts = run_bias_variance(cfg)
-    _print_verdicts(verdicts)
-    columns = ["task_seed", "point", "model", "bias", "variance", "mean_ce"]
-    write_outputs(out_dir, "bias-variance", cfg, columns, rows, verdicts,
-                  time.time() - start)
-    return 0 if all(v["passed"] for v in verdicts) else 1
 
 
 # --- entry point ---------------------------------------------------------------
 
 
+# each command's run function, returning (rows, verdicts), and its CSV columns
 COMMANDS = {
-    "verify": cmd_verify,
-    "ridge": cmd_ridge,
-    "classify": cmd_classify,
-    "bias-variance": cmd_bias_variance,
+    "verify": (run_verify, ["scenario", "geometry", "variant", "direction",
+                            "lhs", "rhs", "misfit", "epsilon", "slack"]),
+    "ridge": (run_ridge, ["d_w", "gamma", "n_ratio", "eta0", "trial",
+                          "misfit", "bound", "h", "mp_integral"]),
+    "classify": (run_classify, ["loss", "alpha", "repeat", "teacher_acc", "student_acc",
+                                "param_distance", "mean_gdv"]),
+    "bias-variance": (run_bias_variance, ["task_seed", "point", "model",
+                                          "bias", "variance", "mean_ce"]),
 }
 
 
@@ -621,12 +571,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run, columns = COMMANDS[args.command]
     try:
         cfg = load_config(args.command, args.config, args.overrides)
-        return COMMANDS[args.command](cfg, args.out)
+        start = time.time()
+        rows, verdicts = run(cfg)
+        for v in verdicts:
+            print(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}: {v['detail']}")
+        write_outputs(args.out, args.command, cfg, columns, rows, verdicts,
+                      time.time() - start)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0 if all(v["passed"] for v in verdicts) else 1
 
 
 if __name__ == "__main__":

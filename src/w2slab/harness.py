@@ -41,6 +41,7 @@ __all__ = [
     "cross_entropy_form_report",
     "misfit_variance_split",
     "verify_ideal_student_gains",
+    "ensemble_dual_mean",
     "ensemble_dual_mean_prediction",
     "bias_variance_estimate",
 ]
@@ -367,14 +368,20 @@ def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
     return IdealGainsReport(ce_gain, ce_misfit, rce_gain, rce_misfit, entropy_gap)
 
 
+def ensemble_dual_mean(predictions) -> np.ndarray:
+    """Dual mean of equally weighted stacked predictions: the normalized
+    geometric mean over the first axis, row by row."""
+    log_mean = np.log(np.stack(predictions)).mean(axis=0)
+    return NegativeEntropy(log_mean.shape[-1]).from_dual(log_mean)
+
+
 def ensemble_dual_mean_prediction(teacher_predictions) -> ProbVector:
     """Combine predictions by the normalized mean of log-probabilities."""
     preds = [p.probs if isinstance(p, ProbVector) else np.asarray(p, float)
              for p in teacher_predictions]
     if not preds:
         raise ValueError("need at least one prediction")
-    log_mean = np.log(np.stack(preds)).mean(axis=0)
-    return ProbVector(NegativeEntropy(log_mean.shape[-1]).from_dual(log_mean))
+    return ProbVector(ensemble_dual_mean(preds))
 
 
 def bias_variance_estimate(runs, truth) -> tuple[float, float]:

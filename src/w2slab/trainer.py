@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -516,16 +515,17 @@ def _repeat_stage(
     teacher_cfg: ProbeConfig | None,
     student_cfg: ProbeConfig | None,
     seed: int,
-) -> tuple[TrainReport, Callable[..., list[TrainReport]]]:
-    """The work of one task draw and seed that every (loss, alpha) cell shares.
+    cells: list[tuple[str, float]],
+    loss_cfg: CompositeLossConfig | None = None,
+) -> tuple[TrainReport, list[TrainReport]]:
+    """One task draw and seed, shared by every ``(loss_name, alpha)`` cell.
 
     Draws the task, fits the teacher on ground truth, labels the pseudo
     split with the teacher's probabilities and projects the pseudo and test
-    splits through an untrained student.  Returns the teacher's report and
-    ``fit_cells(cells, loss_cfg)``, which takes ``(loss_name, alpha)`` pairs,
-    smooths the labels of each and trains one copy of that untrained student
-    per pair in one ``train_many`` call, with GDV tracked.  The state lives
-    as long as ``fit_cells`` does.
+    splits through an untrained student.  Each cell then smooths the labels
+    and trains one copy of that untrained student, all in one
+    ``train_many`` call with GDV tracked.  Returns the teacher's report and
+    one student report per cell; the feature matrices are freed on return.
     """
     teacher_cfg = teacher_cfg or DEFAULT_TEACHER
     student_cfg = student_cfg or default_student_config(task)
@@ -547,15 +547,10 @@ def _repeat_stage(
         student.features(data.test_x),
         data.test_y,
     )
-    head = student.head()
-
-    def fit_cells(cells: list[tuple[str, float]],
-                  loss_cfg: CompositeLossConfig | None = None) -> list[TrainReport]:
-        specs = [(loss_name, smooth_labels_array(student_data.labels, alpha), loss_cfg, alpha)
-                 for loss_name, alpha in cells]
-        return train_many(head, student_data, specs, seed=s_seed, track_gdv=True)
-
-    return teacher_report, fit_cells
+    specs = [(loss_name, smooth_labels_array(student_data.labels, alpha), loss_cfg, alpha)
+             for loss_name, alpha in cells]
+    return teacher_report, train_many(student.head(), student_data, specs,
+                                      seed=s_seed, track_gdv=True)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -579,8 +574,9 @@ def w2s_pipeline(
     ``alpha``.
     """
     _check_alpha(alpha)
-    teacher_report, fit_cells = _repeat_stage(task, teacher_cfg, student_cfg, seed)
-    return replace(teacher_report, alpha=alpha), fit_cells([(loss_name, alpha)], loss_cfg)[0]
+    teacher_report, (student_report,) = _repeat_stage(
+        task, teacher_cfg, student_cfg, seed, [(loss_name, alpha)], loss_cfg)
+    return replace(teacher_report, alpha=alpha), student_report
 
 
 def summarize_sweep(rows: list[dict]) -> list[dict]:
@@ -647,38 +643,24 @@ def alpha_sweep(
     arguments before any training.
     """
     check_sweep(losses, alphas, repeats)
+    cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]
     rows: list[dict] = []
     for repeat in range(repeats):
-        rows += _sweep_repeat(task, repeat, losses, alphas,
-                              teacher_cfg, student_cfg, loss_cfg)
+        repeat_task = replace(task, seed=int(
+            np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
+        ))
+        teacher_report, reports = _repeat_stage(
+            repeat_task, teacher_cfg, student_cfg, repeat, cells, loss_cfg)
+        rows += [
+            {
+                "loss": loss_name,
+                "alpha": alpha,
+                "repeat": repeat,
+                "teacher_acc": teacher_report.accuracy,
+                "student_acc": s_rep.accuracy,
+                "param_distance": s_rep.param_distance,
+                "mean_gdv": s_rep.mean_gdv,
+            }
+            for (loss_name, alpha), s_rep in zip(cells, reports)
+        ]
     return rows
-
-
-def _sweep_repeat(
-    task: SyntheticTask,
-    repeat: int,
-    losses: list[str],
-    alphas: list[float],
-    teacher_cfg: ProbeConfig | None,
-    student_cfg: ProbeConfig | None,
-    loss_cfg: CompositeLossConfig | None,
-) -> list[dict]:
-    # the repeat's feature matrices are freed when this returns, before the
-    # next repeat builds its own
-    repeat_task = replace(task, seed=int(
-        np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
-    ))
-    teacher_report, fit_cells = _repeat_stage(repeat_task, teacher_cfg, student_cfg, repeat)
-    cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]
-    return [
-        {
-            "loss": loss_name,
-            "alpha": alpha,
-            "repeat": repeat,
-            "teacher_acc": teacher_report.accuracy,
-            "student_acc": s_rep.accuracy,
-            "param_distance": s_rep.param_distance,
-            "mean_gdv": s_rep.mean_gdv,
-        }
-        for (loss_name, alpha), s_rep in zip(cells, fit_cells(cells, loss_cfg))
-    ]

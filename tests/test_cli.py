@@ -2,6 +2,7 @@
 and byte-level determinism of the CSVs."""
 
 import json
+import operator
 import os
 
 import numpy as np
@@ -9,9 +10,35 @@ import pytest
 
 from w2slab.cli import ConfigError, load_config, main
 
+# a config per command small enough for a unit test
+TINY = {
+    "verify": ["scenarios=3", "pairs=100", "triples=20"],
+    "ridge": ["gammas=1.5,2", "eta0s=1", "trials=2", "d_w=40", "n_ratio=5"],
+    "classify": ["losses=ce,rce", "alphas=0.01,1", "repeats=2", "dim=20",
+                 "n_pseudo=256", "n_test=100"],
+    "bias-variance": ["task_seeds=1", "k=1", "n_splits=2", "n_test=20",
+                      "split_pseudo=128", "dim=20"],
+}
+OPS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
 
 def run(args):
     return main(args)
+
+
+def run_tiny(command, out):
+    args = [command, "--out", str(out)]
+    for item in TINY[command]:
+        args += ["--set", item]
+    return run(args)
+
+
+def strict_json(path):
+    """Parse a report, rejecting the NaN and Infinity extensions of JSON."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -108,11 +135,11 @@ class TestExitCodes:
         assert not (tmp_path / "ridge.csv").exists()
 
     def test_bad_ridge_grid_raises_config_error(self):
-        from w2slab.cli import cmd_ridge
+        from w2slab.cli import run_ridge
 
         cfg = load_config("ridge", None, ["gammas=2,2"])
         with pytest.raises(ConfigError, match="gammas"):
-            cmd_ridge(cfg, "unused")
+            run_ridge(cfg)
 
     @pytest.mark.parametrize("override", [
         "scenarios=0", "scenarios=-1", "pairs=0", "triples=0",
@@ -195,6 +222,57 @@ class TestExitCodes:
         assert code == 1
         out = capsys.readouterr().out
         assert "[FAIL] law_of_cosines" in out
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("command", sorted(TINY))
+    def test_every_verdict_is_measured_op_bound(self, tmp_path, command):
+        code = run_tiny(command, tmp_path)
+        report = strict_json(tmp_path / f"{command.replace('-', '_')}.json")
+        assert report["verdicts"]
+        for v in report["verdicts"]:
+            assert set(v) == {"name", "measured", "op", "bound", "passed", "detail"}
+            assert v["passed"] == OPS[v["op"]](v["measured"], v["bound"])
+        assert code == (0 if all(v["passed"] for v in report["verdicts"]) else 1)
+
+    def test_verify_emits_thirteen_verdicts(self, tmp_path):
+        assert run_tiny("verify", tmp_path) == 0
+        names = [v["name"] for v in strict_json(tmp_path / "verify.json")["verdicts"]]
+        assert len(names) == len(set(names)) == 13
+        assert {"ideal_student_gains", "entropy_gap_nonnegative"} <= set(names)
+
+    def test_nan_measurement_fails_its_verdict(self, tmp_path, capsys, monkeypatch):
+        from w2slab import harness
+
+        split = harness.misfit_variance_split
+        calls = []
+
+        def nan_on_second_call(scenario):
+            calls.append(scenario)
+            *sides, gap = split(scenario)
+            return (*sides, float("nan") if len(calls) == 2 else gap)
+
+        monkeypatch.setattr(harness, "misfit_variance_split", nan_on_second_call)
+        code = run_tiny("verify", tmp_path)
+        assert len(calls) == 3 and code == 1
+        assert "[FAIL] misfit_variance_split" in capsys.readouterr().out
+        assert (tmp_path / "verify.csv").exists()
+        report = strict_json(tmp_path / "verify.json")
+        failed = [v for v in report["verdicts"] if not v["passed"]]
+        assert [v["name"] for v in failed] == ["misfit_variance_split"]
+        assert failed[0]["measured"] == "nan"
+
+    def test_divergence_nonnegative_can_fail(self, tmp_path, capsys, monkeypatch):
+        from w2slab.bregman import SquaredNorm
+
+        # the gradient of -||x||^2, not of the generator ||x||^2
+        monkeypatch.setattr(SquaredNorm, "grad",
+                            lambda self, x: -2.0 * np.asarray(x, dtype=float))
+        assert run_tiny("verify", tmp_path) == 1
+        assert "[FAIL] divergence_nonnegative" in capsys.readouterr().out
+        report = strict_json(tmp_path / "verify.json")
+        verdict = [v for v in report["verdicts"] if v["name"] == "divergence_nonnegative"]
+        assert verdict[0]["measured"] < -1.0
 
 
 class TestVerifyCommand:

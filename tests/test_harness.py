@@ -22,6 +22,7 @@ from w2slab.harness import (
     PreconditionError,
     bias_variance_estimate,
     cross_entropy_form_report,
+    ensemble_dual_mean,
     ensemble_dual_mean_prediction,
     misfit_variance_split,
     random_scenario,
@@ -414,6 +415,15 @@ class TestEnsembleAndBiasVariance:
         got = ensemble_dual_mean_prediction(preds).probs
         want = g.dual_mean(SampleSet(np.stack(preds)))
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_row_wise_dual_mean_matches_per_row_prediction(self):
+        rng = np.random.default_rng(3)
+        stack = [clamp_simplex(rng.dirichlet(np.ones(2), size=50)) for _ in range(4)]
+        got = ensemble_dual_mean(stack)
+        assert got.shape == (50, 2)
+        for i in range(50):
+            want = ensemble_dual_mean_prediction([run[i] for run in stack]).probs
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-15)
 
     def test_bias_variance_identity(self):
         runs = [ProbVector([0.8, 0.2]), ProbVector([0.6, 0.4])]

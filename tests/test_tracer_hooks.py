@@ -1,0 +1,59 @@
+"""The benchmark's layer tracer (``perfbench/tracer.py``) finds every name it
+wraps in the package and puts each one back on ``restore``.
+
+A function or method renamed in the package fails here, rather than only
+under the benchmark's ``--trace 1``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import w2slab
+from w2slab import bregman, cli, harness, losses, ridge, trainer
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# every span key ``install`` opens; a wrapped method that no longer exists
+# would be skipped silently and its key left out
+KEYS = {
+    "bregman.check_point", "bregman.divergence", "bregman.law_of_cosines",
+    "bregman.decomposition", "bregman.dual_map",
+    "losses.probvector", "losses.entropy_family",
+    "ridge.trial", "ridge.simulate", "ridge.quadrature",
+    "harness.scenario", "harness.risk_gap", "harness.equality", "harness.bias_variance",
+    "trainer.train", "trainer.gdv", "trainer.loss_table", "trainer.sample",
+    "trainer.model_init", "trainer.features", "trainer.predict",
+    "cli.main", "cli.write_outputs",
+}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("w2slab_layer_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def namespaces():
+    """The package's modules and every class defined in them."""
+    modules = [w2slab, bregman, losses, ridge, harness, trainer, cli]
+    classes = {v for m in modules for v in vars(m).values()
+               if isinstance(v, type) and v.__module__.startswith("w2slab.")}
+    return [*modules, *classes]
+
+
+def test_install_wraps_every_layer_and_restore_puts_it_back():
+    tracing = load_tracer()
+    before = [(ns, dict(vars(ns))) for ns in namespaces()]
+    main = cli.main
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, w2slab)
+        assert cli.main is not main and cli.main.__wrapped__ is main
+        assert KEYS <= set(tracer.stats)
+    finally:
+        tracer.restore()
+    for ns, attrs in before:
+        now = dict(vars(ns))
+        assert now.keys() == attrs.keys(), ns
+        assert [k for k in attrs if now[k] is not attrs[k]] == [], ns
