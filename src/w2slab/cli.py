@@ -440,21 +440,15 @@ def run_classify(cfg: dict) -> tuple[list[dict], list[dict]]:
 # --- bias-variance ----------------------------------------------------------------
 
 
-def _fit_probe(feature_dim, probe_cfg, x, labels, seed):
-    # the returned report is unused; predictions are read off the model
-    model = trainer.LinearProbeModel(feature_dim, probe_cfg, np.random.default_rng(seed))
-    data = trainer.TrainData(x, labels, x[:2], np.array([1.0, -1.0]))
-    trainer.train(model, data, "ce", seed=seed)
-    return model
-
-
 def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
     """Split-ensemble bias/variance estimation over disjoint teacher splits.
 
     Each outer round re-partitions the pools into ``n_splits`` disjoint
     (teacher, pseudo) pairs; every pair trains one teacher-student chain
     plus an ensemble-supervised student whose pseudo-labels are the dual
-    mean of all the round's teachers.
+    mean of all the round's teachers.  Every fit is an independent ce fit
+    from its own seed: a task seed's teachers train in one
+    ``trainer.train_fits`` call, then each student in a call of its own.
     """
     for key in ("k", "n_splits", "task_seeds"):
         if cfg[key] < 1:
@@ -474,39 +468,53 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
 
     probe_teacher = trainer.DEFAULT_TEACHER
     probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
+    n_splits = cfg["n_splits"]
+
+    def fit_probes(probe_cfg, inputs_and_labels, seeds):
+        # the reports are unused; predictions are read off the models
+        models = [trainer.LinearProbeModel(cfg["dim"], probe_cfg, np.random.default_rng(s))
+                  for s in seeds]
+        trainer.train_fits(models, [trainer.TrainData(x, y, x[:2], np.array([1.0, -1.0]))
+                                    for x, y in inputs_and_labels], seeds)
+        return models
+
     for outer_seed in range(cfg["task_seeds"]):
         task = dataclasses.replace(base_task, seed=int(
             np.random.SeedSequence([cfg["seed"], outer_seed]).generate_state(1)[0]))
         data = task.sample()
         truth = trainer.labels_to_soft(data.test_y)
-        teacher_runs, student_runs, ens_runs = [], [], []
         rng = np.random.default_rng(np.random.SeedSequence([task.seed, 0xB1A5]))
+        # (round, split) pairs in order: teacher rows, pseudo rows and seed
+        pairs = []
         for i in range(cfg["k"]):
             train_order = rng.permutation(task.n_train)
             pseudo_order = rng.permutation(task.n_pseudo)
-            teachers, chunks = [], []
-            for j in range(cfg["n_splits"]):
-                idx = train_order[j * cfg["split_train"]: (j + 1) * cfg["split_train"]]
-                pidx = pseudo_order[j * cfg["split_pseudo"]: (j + 1) * cfg["split_pseudo"]]
-                seed_ij = int(np.random.SeedSequence(
-                    [task.seed, i, j]).generate_state(1)[0])
-                teacher = _fit_probe(
-                    task.dim, probe_teacher, data.train_x[idx],
-                    trainer.labels_to_soft(data.train_y[idx]), seed_ij)
-                teacher_runs.append(teacher.predict_proba(data.test_x))
-                teachers.append(teacher)
-                chunks.append((pidx, seed_ij))
-            for j, (pidx, seed_ij) in enumerate(chunks):
-                chunk_x = data.pseudo_x[pidx]
-                student = _fit_probe(
-                    task.dim, probe_student, chunk_x,
-                    teachers[j].predict_proba(chunk_x), seed_ij + 1)
-                student_runs.append(student.predict_proba(data.test_x))
-                ensemble_labels = harness.ensemble_dual_mean(
-                    [t.predict_proba(chunk_x) for t in teachers])
-                ens_student = _fit_probe(
-                    task.dim, probe_student, chunk_x, ensemble_labels, seed_ij + 2)
-                ens_runs.append(ens_student.predict_proba(data.test_x))
+            for j in range(n_splits):
+                pairs.append((
+                    train_order[j * cfg["split_train"]: (j + 1) * cfg["split_train"]],
+                    pseudo_order[j * cfg["split_pseudo"]: (j + 1) * cfg["split_pseudo"]],
+                    int(np.random.SeedSequence([task.seed, i, j]).generate_state(1)[0]),
+                ))
+        teachers = fit_probes(
+            probe_teacher,
+            [(data.train_x[idx], trainer.labels_to_soft(data.train_y[idx]))
+             for idx, _, _ in pairs],
+            [seed_ij for _, _, seed_ij in pairs])
+        teacher_runs = [t.predict_proba(data.test_x) for t in teachers]
+        student_runs, ens_runs = [], []
+        for p, (_, pidx, seed_ij) in enumerate(pairs):
+            first = p - p % n_splits  # the round's first pair
+            chunk_x = data.pseudo_x[pidx]
+            labels = [t.predict_proba(chunk_x) for t in teachers[first: first + n_splits]]
+            # one student per call: each holds its own chunk-by-width features
+            # for its whole fit, so two in one call would raise peak memory
+            student, = fit_probes(probe_student, [(chunk_x, labels[p - first])],
+                                  [seed_ij + 1])
+            student_runs.append(student.predict_proba(data.test_x))
+            ens_student, = fit_probes(probe_student,
+                                      [(chunk_x, harness.ensemble_dual_mean(labels))],
+                                      [seed_ij + 2])
+            ens_runs.append(ens_student.predict_proba(data.test_x))
 
         for point in range(task.n_test):
             truth_vec = losses.ProbVector(truth[point])

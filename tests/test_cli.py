@@ -174,7 +174,8 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was trained before the config was checked")
 
-        monkeypatch.setattr(trainer, "train", no_fit)
+        for entry in ("train", "train_many", "train_fits"):
+            monkeypatch.setattr(trainer, entry, no_fit)
         args = [command, "--out", str(tmp_path)]
         for item in overrides.split():
             args += ["--set", item]
@@ -373,3 +374,71 @@ class TestBiasVarianceCommand:
         assert worst <= 1e-9
         assert {r["model"] for r in report["rows"]} == {
             "teacher", "student", "ens_student"}
+
+    def test_rows_equal_lone_fits(self):
+        """The lockstep fits give the rows of a reference that trains every
+        teacher and student alone with ``train``."""
+        import dataclasses
+
+        from w2slab import harness, losses, trainer
+        from w2slab.cli import SCHEMAS, run_bias_variance
+
+        cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
+        # 16 teacher rows, under one batch; 64 student rows, two batches
+        cfg.update(task_seeds=1, dim=5, n_test=20, split_train=16, split_pseudo=64)
+
+        def fit_probe(feature_dim, probe_cfg, x, labels, seed):
+            model = trainer.LinearProbeModel(feature_dim, probe_cfg,
+                                             np.random.default_rng(seed))
+            data = trainer.TrainData(x, labels, x[:2], np.array([1.0, -1.0]))
+            trainer.train(model, data, "ce", seed=seed)
+            return model
+
+        task = trainer.SyntheticTask(
+            dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
+            n_train=cfg["n_splits"] * cfg["split_train"],
+            n_pseudo=cfg["n_splits"] * cfg["split_pseudo"], n_test=cfg["n_test"],
+            seed=int(np.random.SeedSequence([cfg["seed"], 0]).generate_state(1)[0]))
+        probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
+        data = task.sample()
+        teacher_runs, student_runs, ens_runs = [], [], []
+        rng = np.random.default_rng(np.random.SeedSequence([task.seed, 0xB1A5]))
+        for i in range(cfg["k"]):
+            train_order = rng.permutation(task.n_train)
+            pseudo_order = rng.permutation(task.n_pseudo)
+            teachers, chunks = [], []
+            for j in range(cfg["n_splits"]):
+                idx = train_order[j * cfg["split_train"]: (j + 1) * cfg["split_train"]]
+                pidx = pseudo_order[j * cfg["split_pseudo"]: (j + 1) * cfg["split_pseudo"]]
+                seed_ij = int(np.random.SeedSequence([task.seed, i, j]).generate_state(1)[0])
+                teacher = fit_probe(task.dim, trainer.DEFAULT_TEACHER, data.train_x[idx],
+                                    trainer.labels_to_soft(data.train_y[idx]), seed_ij)
+                teacher_runs.append(teacher.predict_proba(data.test_x))
+                teachers.append(teacher)
+                chunks.append((pidx, seed_ij))
+            for j, (pidx, seed_ij) in enumerate(chunks):
+                chunk_x = data.pseudo_x[pidx]
+                student = fit_probe(task.dim, probe_student, chunk_x,
+                                    teachers[j].predict_proba(chunk_x), seed_ij + 1)
+                student_runs.append(student.predict_proba(data.test_x))
+                ensemble_labels = harness.ensemble_dual_mean(
+                    [t.predict_proba(chunk_x) for t in teachers])
+                ens_student = fit_probe(task.dim, probe_student, chunk_x,
+                                        ensemble_labels, seed_ij + 2)
+                ens_runs.append(ens_student.predict_proba(data.test_x))
+        expected = []
+        truth = trainer.labels_to_soft(data.test_y)
+        for point in range(task.n_test):
+            truth_vec = losses.ProbVector(truth[point])
+            for label, runs in (("teacher", teacher_runs), ("student", student_runs),
+                                ("ens_student", ens_runs)):
+                preds = [losses.ProbVector(r[point]) for r in runs]
+                bias, variance = harness.bias_variance_estimate(preds, truth_vec)
+                expected.append({
+                    "task_seed": 0, "point": point, "model": label, "bias": bias,
+                    "variance": variance,
+                    "mean_ce": float(np.mean([losses.ce(truth_vec, p) for p in preds])),
+                })
+
+        rows, _ = run_bias_variance(cfg)
+        assert rows == expected

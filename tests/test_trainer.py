@@ -2,13 +2,14 @@
 bookkeeping, and the weak-to-strong pipeline behaviors.  The loss table the
 trainer uses is tested in test_losses.py."""
 
+import copy
 import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from w2slab.losses import CompositeLossConfig, smooth_labels_array
+from w2slab.losses import CompositeLossConfig, loss_table, smooth_labels_array
 from w2slab.trainer import (
     LOSS_NAMES,
     DirectionStream,
@@ -20,6 +21,7 @@ from w2slab.trainer import (
     labels_to_soft,
     param_distance,
     train,
+    train_fits,
     train_many,
     w2s_pipeline,
 )
@@ -302,7 +304,7 @@ class TestTrainMany:
         assert frozen.param_distance == 0.0
         assert all(np.isnan(g) for g in frozen.gdv_trace)
         # an epoch of one step has no pair of gradients to compare
-        assert np.isnan(reports[0].mean_gdv) == (rows <= batch)
+        assert np.isnan(reports[0].mean_gdv) == (rows // batch < 2)
 
     def test_gdv_trace_matches_pairwise_oracle(self, monkeypatch):
         from w2slab import trainer
@@ -326,12 +328,43 @@ class TestTrainMany:
         model = make_model(seed=10, steps=23, batch_size=20)
         cells = every_loss_cells(train_data.labels)
         reports = train_many(model, train_data, cells, seed=10, track_gdv=True)
-        # 64 rows in batches of 20: four steps per epoch, the last epoch cut short
-        assert [len(e) for e in epochs] == [4] * 5 + [3]
+        # 64 rows in batches of 20: three full batches per epoch, the last
+        # epoch cut short
+        assert [len(e) for e in epochs] == [3] * 7 + [2]
         for j, rep in enumerate(reports):
             expected = [pairwise_gdv(epoch[:, j]) for epoch in epochs]
             np.testing.assert_allclose(rep.gdv_trace, expected, rtol=0, atol=1e-12)
         assert all(np.isnan(reports[-1].gdv_trace))
+
+    def test_epoch_is_one_pass_of_full_batches(self):
+        """100 rows in batches of 32: each pass takes three batches and drops
+        the last four rows, so 12 steps are four epochs, and each epoch's
+        GDV is that of its pass's three gradients, replayed here."""
+        data = small_task(n_pseudo=100).sample()
+        train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
+                               data.test_x, data.test_y)
+        model = make_model(seed=11, steps=12, init_scale=0.1)
+        w, b = model.weights.copy(), model.bias
+        rep = train(model, train_data, "ce", seed=11, track_gdv=True)
+        rng = np.random.default_rng(np.random.SeedSequence([11, 0x7247]))
+        expected = []
+        for _ in range(4):
+            order, grads = rng.permutation(100), []
+            for s in range(3):
+                idx = order[32 * s: 32 * (s + 1)]
+                p1 = np.clip(1.0 / (1.0 + np.exp(-(train_data.x[idx] @ w + b))),
+                             1e-12, 1.0 - 1e-12)
+                _, dldp = loss_table("ce", train_data.labels[idx],
+                                     np.stack([p1, 1.0 - p1], axis=-1),
+                                     CompositeLossConfig())
+                dldu = dldp * p1 * (1.0 - p1)
+                grad = np.append(train_data.x[idx].T @ dldu / 32, dldu.mean())
+                w, b = w - 0.1 * grad[:-1], b - 0.1 * grad[-1]
+                grads.append(grad)
+            expected.append(pairwise_gdv(grads))
+        assert len(rep.grad_norms) == 4
+        np.testing.assert_allclose(rep.gdv_trace, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-12)
 
     def test_gdv_off_by_default(self):
         rep = train(make_model(seed=1, steps=10), gt_train_data(small_task()), "ce", seed=1)
@@ -377,6 +410,90 @@ class TestTrainMany:
         # one stream step per student step, none for the teacher
         assert streams == [1] * 30 and gdv_calls == []
         assert len(s_rep.gdv_trace) > 0
+
+
+class TestTrainFits:
+    @staticmethod
+    def independent_fits(rows, batch, feature="projection", width=30):
+        """Three fits with their own inputs, labels, start weights and seeds."""
+        data = small_task(n_pseudo=256).sample()
+        fits = []
+        for j in range(3):
+            x = data.pseudo_x[j * 64: j * 64 + rows]
+            p1 = np.random.default_rng([rows, j]).uniform(0.05, 0.95, size=rows)
+            model = make_model(feature=feature, width=width, init_scale=0.1,
+                               seed=20 + j, steps=25, batch_size=batch)
+            fits.append((model, TrainData(x, np.stack([p1, 1.0 - p1], axis=-1),
+                                          data.test_x, data.test_y), 30 + j))
+        return fits
+
+    @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 30)])
+    @pytest.mark.parametrize("rows,batch", [(64, 16), (40, 32), (12, 32)])
+    def test_lockstep_equals_lone_fits(self, rows, batch, feature, width):
+        fits = self.independent_fits(rows, batch, feature, width)
+        lone = self.independent_fits(rows, batch, feature, width)
+        models, datas, seeds = zip(*fits)
+        reports = train_fits(models, datas, seeds)
+        for (model, data, seed), rep, (l_model, l_data, l_seed) in zip(fits, reports, lone):
+            expected = train(l_model, l_data, "ce", seed=l_seed)
+            np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
+            np.testing.assert_array_equal(model.weights, l_model.weights)
+            assert model.bias == l_model.bias
+        # the fits differ, so none trained another's weights
+        assert len({rep.param_distance for rep in reports}) == 3
+
+    def test_shared_inputs_and_seed_share_one_gather(self, monkeypatch):
+        from w2slab import trainer
+
+        gathers = []
+        features = trainer.LinearProbeModel.features
+
+        class Counted(np.ndarray):
+            def __getitem__(self, item):
+                if isinstance(item, np.ndarray) and item.dtype.kind == "i":
+                    gathers.append(item)  # a batch gather, not a view
+                return np.asarray(self)[item]
+
+        def counted_features(self, x):
+            return features(self, x).view(Counted)
+
+        monkeypatch.setattr(trainer.LinearProbeModel, "features", counted_features)
+        (model, data, _), (other, other_data, _), _ = self.independent_fits(64, 16)
+        # two fits on one input array, one feature map and one seed, and one
+        # fit on other inputs: two gathers per step
+        twin = copy.copy(model)
+        reports = train_fits([model, twin, other], [data, data, other_data], [5, 5, 6])
+        assert len(gathers) == 2 * 25
+        assert reports[0] == reports[1]
+        gathers.clear()
+        train_many(model, data, [("ce", data.labels, None, 1.0)] * 3, seed=5)
+        assert len(gathers) == 25
+
+    def test_mismatched_fits_rejected_before_any_step(self, monkeypatch):
+        from w2slab import trainer
+
+        def no_features(self, x):
+            raise AssertionError("features computed before the fits were checked")
+
+        monkeypatch.setattr(trainer.LinearProbeModel, "features", no_features)
+        (model, data, seed), (other, other_data, other_seed), _ = self.independent_fits(64, 16)
+        longer = make_model(feature="projection", width=30, seed=2, steps=26, batch_size=16)
+        short = dataclasses.replace(other_data, x=other_data.x[:60],
+                                    labels=other_data.labels[:60])
+        # one config, but identity probes over 20 and 19 inputs
+        wide, narrow = (make_model(dim=dim, seed=2, steps=25, batch_size=16)
+                        for dim in (20, 19))
+        for models, datas in (([model, longer], [data, other_data]),
+                              ([model, other], [data, short]),
+                              ([wide, narrow], [data, other_data])):
+            with pytest.raises(ValueError, match="ProbeConfig"):
+                train_fits(models, datas, [seed, other_seed])
+        with pytest.raises(ValueError, match="ProbeConfig"):
+            train_many(model, data, [("ce", data.labels[:60], None, 1.0)])
+        # one data set and one seed per model
+        for datas, seeds in (([data], [seed, other_seed]), ([data, other_data], [seed])):
+            with pytest.raises(ValueError, match="one seed per model"):
+                train_fits([model, other], datas, seeds)
 
 
 class TestPipeline:
