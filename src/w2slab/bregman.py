@@ -78,7 +78,7 @@ class SampleSet:
             raise ValueError("weights must be one per point")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bregman import BregmanGeometry, NegativeEntropy, SquaredNorm, clamp_simplex
-from .losses import ProbVector, ce, entropy, kl, rce
+from .losses import _p, _rows, ce, entropy, kl, rce
 
 __all__ = [
     "FiniteScenario",
@@ -42,7 +42,6 @@ __all__ = [
     "misfit_variance_split",
     "verify_ideal_student_gains",
     "ensemble_dual_mean",
-    "ensemble_dual_mean_prediction",
     "bias_variance_estimate",
 ]
 
@@ -85,7 +84,7 @@ class FiniteScenario:
         for name, table in (("input_probs", mu), ("joint", J)):
             if np.any(table < 0):
                 raise ValueError(f"{name} has negative entries")
-            if abs(table.sum() - 1.0) > 1e-12:
+            if not abs(table.sum() - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"{name} sums to {table.sum()!r}, expected 1")
         for name, arr in (("input_probs", mu), ("truth", g), ("teacher_preds", T),
                           ("student_preds", S), ("joint", J)):
@@ -375,29 +374,25 @@ def ensemble_dual_mean(predictions) -> np.ndarray:
     return NegativeEntropy(log_mean.shape[-1]).from_dual(log_mean)
 
 
-def ensemble_dual_mean_prediction(teacher_predictions) -> ProbVector:
-    """Combine predictions by the normalized mean of log-probabilities."""
-    preds = [p.probs if isinstance(p, ProbVector) else np.asarray(p, float)
-             for p in teacher_predictions]
-    if not preds:
-        raise ValueError("need at least one prediction")
-    return ProbVector(ensemble_dual_mean(preds))
-
-
 def bias_variance_estimate(runs, truth) -> tuple[float, float]:
     """Split the mean one-hot CE risk of repeated runs into bias and variance.
 
-    bias = KL(truth, pi_hat) against the dual-mean ensemble prediction
-    pi_hat; variance = mean KL(pi_hat, run).  For one-hot (clamped) truth
-    their sum reconstructs the mean cross-entropy of the runs.
+    ``runs`` is an ``(r, K)`` array of run predictions (or a sequence of
+    rows) and ``truth`` a ``K`` row; both are checked once and must lie in
+    the simplex interior, so a one-hot truth must be clamped first.
+    bias = KL(truth, pi_hat) against the clamped dual-mean ensemble
+    prediction pi_hat; variance = mean KL(pi_hat, run).  For one-hot
+    (clamped) truth their sum reconstructs the mean cross-entropy of the
+    runs.
     """
-    runs = list(runs)
+    runs = _rows(runs)
     if len(runs) < 2:
         raise ValueError("need at least two runs")
-    pi_hat = ensemble_dual_mean_prediction(runs)
-    bias = float(kl(truth, pi_hat))
-    variance = float(np.mean([kl(pi_hat, r) for r in runs]))
-    return bias, variance
+    geometry = NegativeEntropy(runs.shape[-1])
+    geometry.check_point(runs, interior=True)
+    truth = geometry.check_point(_p(truth), interior=True)
+    pi_hat = clamp_simplex(ensemble_dual_mean(runs))
+    return float(kl(truth, pi_hat)), float(np.mean(kl(pi_hat, runs)))
 
 
 def random_scenario(

@@ -10,9 +10,12 @@ the batch loss table the trainer uses, giving values and gradients over
 ``(n, 2)`` rows in one call; ``loss_values`` and ``loss_grads`` are its two
 halves and ``numeric_loss_grads`` is its central-difference oracle.
 
-All loss functions accept :class:`ProbVector` instances or plain arrays
-whose trailing axis indexes classes; arrays are assumed to already lie in
-the clamped simplex.  Loss values broadcast over leading axes.
+Probability rows are plain arrays whose trailing axis indexes classes;
+:class:`ProbVector` is a checked, clamped single point that every function
+here also accepts.  Arrays are assumed to already lie in the clamped
+simplex, and loss values broadcast over leading axes.  ``smooth_labels``
+is the one smoothing function: it maps ``(..., 2)`` rows to clamped
+``(..., 2)`` rows.
 """
 
 from __future__ import annotations
@@ -188,25 +191,18 @@ def grad_rkl(y, yhat):
 # --- label smoothing ---------------------------------------------------------
 
 
-def smooth_labels(y, alpha: float) -> ProbVector:
-    """Shrink a binary label toward uniform: y_j -> 1/2 + alpha (y_j - 1/2).
+def smooth_labels(y, alpha: float) -> np.ndarray:
+    """Shrink binary label rows toward uniform: y_j -> 1/2 + alpha (y_j - 1/2).
 
-    Preserves the argmax for every alpha > 0; alpha = 0 yields the uniform
-    vector and alpha = 1 the identity.
+    Takes a ``ProbVector`` or a ``(..., 2)`` array and returns the clamped
+    rows.  Preserves the argmax for every alpha > 0; alpha = 0 yields the
+    uniform rows and alpha = 1 the (clamped) identity.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     y = _p(y)
     if y.shape[-1] != 2:
         raise BinaryOnlyError("label smoothing is defined for K = 2 only")
-    return ProbVector(0.5 + alpha * (y - 0.5))
-
-
-def smooth_labels_array(y: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized smoothing for (n, 2) label arrays."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    y = np.asarray(y, dtype=float)
     return clamp_simplex(0.5 + alpha * (y - 0.5))
 
 
@@ -233,16 +229,16 @@ class CompositeLossConfig:
 
     def __post_init__(self) -> None:
         l1, l2 = self.sl_weights
-        if l1 < 0 or l2 < 0 or l1 + l2 <= 0:
-            raise ValueError("sl_weights must be nonnegative with a positive sum")
+        if not (0 <= l1 < np.inf and 0 <= l2 < np.inf and l1 + l2 > 0):
+            raise ValueError("sl_weights must be finite and nonnegative with a positive sum")
         if not 0.0 <= self.aux_beta_max <= 1.0:
             raise ValueError("aux_beta_max must lie in [0, 1]")
         if not 0.0 < self.aux_warmup_fraction <= 1.0:
             raise ValueError("aux_warmup_fraction must lie in (0, 1]")
         if self.cace_quantile_pct not in (5, 10, 20, 30):
             raise ValueError("cace_quantile_pct must be one of {5, 10, 20, 30}")
-        if self.cace_threshold < 0:
-            raise ValueError("cace_threshold must be nonnegative")
+        if not 0 <= self.cace_threshold < np.inf:
+            raise ValueError("cace_threshold must be finite and nonnegative")
 
     def with_threshold_from(self, pseudo_labels) -> "CompositeLossConfig":
         """Return a copy with c set from the pseudo-label confidence quantile."""

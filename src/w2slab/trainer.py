@@ -35,7 +35,7 @@ from .losses import (
     loss_table,
     loss_values,
     rce,
-    smooth_labels_array,
+    smooth_labels,
 )
 
 __all__ = [
@@ -163,7 +163,8 @@ class ProbeConfig:
             raise ValueError("feature must be 'identity' or 'projection'")
         if self.feature == "projection" and self.width < 1:
             raise ValueError("projection probes need a positive width")
-        if self.learning_rate <= 0 or self.steps < 0 or self.batch_size < 1:
+        if (not 0 < self.learning_rate < np.inf or not np.isfinite(self.init_scale)
+                or self.steps < 0 or self.batch_size < 1):
             raise ValueError("bad optimizer settings")
 
 
@@ -607,7 +608,7 @@ def _repeat_stage(
         student.features(data.test_x),
         data.test_y,
     )
-    specs = [(loss_name, smooth_labels_array(student_data.labels, alpha), loss_cfg, alpha)
+    specs = [(loss_name, smooth_labels(student_data.labels, alpha), loss_cfg, alpha)
              for loss_name, alpha in cells]
     return teacher_report, train_many(student.head(), student_data, specs,
                                       seed=s_seed, track_gdv=True)

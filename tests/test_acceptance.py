@@ -211,7 +211,7 @@ def test_criterion_5_loss_gradient_suite():
         y1 = rng.uniform(0.01, 0.99, size=n_inputs)
         labels = np.stack([y1, 1 - y1], axis=-1)
         alpha = float(rng.uniform(0.05, 1.0))
-        smoothed = losses.smooth_labels_array(labels, alpha)
+        smoothed = losses.smooth_labels(labels, alpha)
         fstar = np.stack([grid[np.argmin(losses.rce(smoothed[i], grid))]
                           for i in range(n_inputs)])
 

@@ -184,6 +184,11 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet(np.zeros((2, 2)), np.array([0.6, 0.5]))
 
+    def test_nan_weights_rejected(self):
+        # abs(nan - 1) > tol is False, so the sum check must be written to fail on NaN
+        with pytest.raises(ValueError, match="sum"):
+            SampleSet(np.zeros((2, 2)), np.array([np.nan, 0.5]))
+
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             SampleSet(np.zeros((2, 2)), np.array([1.5, -0.5]))

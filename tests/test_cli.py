@@ -375,6 +375,27 @@ class TestBiasVarianceCommand:
         assert {r["model"] for r in report["rows"]} == {
             "teacher", "student", "ens_student"}
 
+    def test_one_estimator_call_per_point_and_model(self, tmp_path, monkeypatch):
+        from w2slab import harness
+
+        estimate = harness.bias_variance_estimate
+        calls = []
+
+        def counted(runs, truth):
+            calls.append(np.shape(runs))
+            return estimate(runs, truth)
+
+        monkeypatch.setattr(harness, "bias_variance_estimate", counted)
+        n_test, task_seeds = 20, 2
+        assert run(["bias-variance", "--set", f"task_seeds={task_seeds}",
+                    "--set", f"n_test={n_test}", "--set", "dim=5",
+                    "--set", "split_train=16", "--set", "split_pseudo=64",
+                    "--out", str(tmp_path)]) == 0
+        # 3 models (teacher, student, ens_student); each call gets the
+        # k * n_splits = 6 runs of one point as one (runs, 2) array
+        assert len(calls) == 3 * n_test * task_seeds
+        assert set(calls) == {(6, 2)}
+
     def test_rows_equal_lone_fits(self):
         """The lockstep fits give the rows of a reference that trains every
         teacher and student alone with ``train``."""

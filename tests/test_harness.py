@@ -14,6 +14,7 @@ from w2slab.bregman import (
     BregmanGeometry,
     DomainError,
     NegativeEntropy,
+    SampleSet,
     SquaredNorm,
     clamp_simplex,
 )
@@ -23,7 +24,6 @@ from w2slab.harness import (
     bias_variance_estimate,
     cross_entropy_form_report,
     ensemble_dual_mean,
-    ensemble_dual_mean_prediction,
     misfit_variance_split,
     random_scenario,
     verify_posterior_mean_equality,
@@ -58,6 +58,27 @@ class TestScenarioTables:
                 teacher_preds=np.zeros((2, 1, 2)),
                 student_preds=np.zeros((1, 1, 2)),
                 joint=np.array([[0.7], [0.7]]),
+            )
+
+    def test_nan_input_probs_rejected(self):
+        # abs(nan - 1) > tol is False, so the sum check must be written to fail on NaN
+        with pytest.raises(ValueError, match="input_probs"):
+            FiniteScenario(
+                input_probs=np.array([np.nan, 0.5]),
+                truth=np.zeros((2, 2)),
+                teacher_preds=np.zeros((1, 2, 2)),
+                student_preds=np.zeros((1, 2, 2)),
+                joint=np.array([[1.0]]),
+            )
+
+    def test_nan_joint_rejected(self):
+        with pytest.raises(ValueError, match="joint"):
+            FiniteScenario(
+                input_probs=np.array([1.0]),
+                truth=np.zeros((1, 2)),
+                teacher_preds=np.zeros((2, 1, 2)),
+                student_preds=np.zeros((1, 1, 2)),
+                joint=np.array([[np.nan], [0.5]]),
             )
 
     def test_marginals_and_posterior(self):
@@ -394,25 +415,21 @@ class TestIdealStudentGains:
 
 class TestEnsembleAndBiasVariance:
     def test_identical_predictions_fixed_point(self):
-        p = ProbVector([0.3, 0.7])
-        np.testing.assert_allclose(
-            ensemble_dual_mean_prediction([p, p, p]).probs, p.probs, atol=1e-12
-        )
+        p = np.array([0.3, 0.7])
+        np.testing.assert_allclose(ensemble_dual_mean([p, p, p]), p, atol=1e-12)
 
     def test_mirrored_pair_gives_uniform(self):
-        got = ensemble_dual_mean_prediction([[0.8, 0.2], [0.2, 0.8]])
-        np.testing.assert_allclose(got.probs, [0.5, 0.5], atol=1e-12)
+        got = ensemble_dual_mean(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-12)
 
     def test_matches_geometry_dual_mean(self):
-        from w2slab.bregman import SampleSet
-
         g = NegativeEntropy(3)
         preds = [
-            ProbVector.one_hot(0, 3).probs,
+            clamp_simplex([1.0, 0.0, 0.0]),
             np.array([1 / 3, 1 / 3, 1 / 3]),
             clamp_simplex([0.2, 0.5, 0.3]),
         ]
-        got = ensemble_dual_mean_prediction(preds).probs
+        got = ensemble_dual_mean(preds)
         want = g.dual_mean(SampleSet(np.stack(preds)))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -421,37 +438,50 @@ class TestEnsembleAndBiasVariance:
         stack = [clamp_simplex(rng.dirichlet(np.ones(2), size=50)) for _ in range(4)]
         got = ensemble_dual_mean(stack)
         assert got.shape == (50, 2)
+        g = NegativeEntropy(2)
         for i in range(50):
-            want = ensemble_dual_mean_prediction([run[i] for run in stack]).probs
+            want = g.dual_mean(SampleSet(np.stack([run[i] for run in stack])))
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-15)
 
     def test_bias_variance_identity(self):
-        runs = [ProbVector([0.8, 0.2]), ProbVector([0.6, 0.4])]
-        truth = ProbVector.one_hot(0, 2)
-        bias, variance = bias_variance_estimate(runs, truth)
+        runs = np.array([[0.8, 0.2], [0.6, 0.4]])
+        bias, variance = bias_variance_estimate(runs, clamp_simplex([1.0, 0.0]))
         mean_ce = (-np.log(0.8) - np.log(0.6)) / 2
         assert bias + variance == pytest.approx(mean_ce, abs=1e-9)
+
+    def test_probvector_rows_give_the_array_result(self):
+        rows = np.array([[0.8, 0.2], [0.6, 0.4], [0.3, 0.7]])
+        truth = ProbVector.one_hot(0, 2)
+        got = bias_variance_estimate([ProbVector(r) for r in rows], truth)
+        assert got == bias_variance_estimate(rows, truth.probs)
 
     def test_identity_on_random_runs(self):
         from w2slab.losses import ce as ce_loss
 
         rng = np.random.default_rng(11)
         for k in (2, 4, 8):
-            truth = ProbVector.one_hot(int(rng.integers(k)), k)
-            runs = [
-                ProbVector(clamp_simplex(rng.dirichlet(np.ones(k))))
-                for _ in range(int(rng.integers(2, 7)))
-            ]
+            truth = clamp_simplex(np.eye(k)[int(rng.integers(k))])
+            runs = clamp_simplex(rng.dirichlet(np.ones(k), size=int(rng.integers(2, 7))))
             bias, variance = bias_variance_estimate(runs, truth)
-            mean_ce = float(np.mean([ce_loss(truth, r) for r in runs]))
+            mean_ce = float(np.mean(ce_loss(truth, runs)))
             assert bias + variance == pytest.approx(mean_ce, abs=1e-9)
 
     def test_degenerate_runs(self):
-        p = ProbVector([0.7, 0.3])
+        p = np.array([0.7, 0.3])
         bias, variance = bias_variance_estimate([p, p], p)
         assert variance == pytest.approx(0.0, abs=1e-12)
         assert bias == pytest.approx(0.0, abs=1e-12)
 
     def test_one_run_rejected(self):
         with pytest.raises(ValueError):
-            bias_variance_estimate([ProbVector([0.6, 0.4])], ProbVector([1.0, 0.0]))
+            bias_variance_estimate(np.array([[0.6, 0.4]]), clamp_simplex([1.0, 0.0]))
+
+    def test_nan_run_rejected(self):
+        runs = np.array([[0.6, 0.4], [np.nan, 0.5]])
+        with pytest.raises(DomainError):
+            bias_variance_estimate(runs, clamp_simplex([1.0, 0.0]))
+
+    def test_unclamped_truth_rejected(self):
+        # a raw one-hot row has a zero coordinate, outside the simplex interior
+        with pytest.raises(DomainError):
+            bias_variance_estimate(np.array([[0.6, 0.4], [0.3, 0.7]]), np.array([1.0, 0.0]))

@@ -225,29 +225,41 @@ class TestGradientEngine:
 
 class TestSmoothing:
     def test_identity_at_alpha_one(self):
-        y = ProbVector([0.9, 0.1])
-        np.testing.assert_allclose(L.smooth_labels(y, 1.0).probs, y.probs)
+        y = np.array([[0.9, 0.1], [0.2, 0.8]])
+        np.testing.assert_allclose(L.smooth_labels(y, 1.0), y)
 
     def test_uniform_at_alpha_zero(self):
-        y = ProbVector([0.9, 0.1])
-        np.testing.assert_allclose(L.smooth_labels(y, 0.0).probs, [0.5, 0.5])
+        y = np.array([[0.9, 0.1], [0.2, 0.8]])
+        np.testing.assert_allclose(L.smooth_labels(y, 0.0), np.full((2, 2), 0.5))
 
     def test_halfway(self):
-        got = L.smooth_labels(ProbVector([0.9, 0.1]), 0.5).probs
+        got = L.smooth_labels(np.array([0.9, 0.1]), 0.5)
         np.testing.assert_allclose(got, [0.7, 0.3], atol=1e-12)
 
+    def test_probvector_input_gives_the_array_result(self):
+        got = L.smooth_labels(ProbVector([0.9, 0.1]), 0.5)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, L.smooth_labels(np.array([0.9, 0.1]), 0.5))
+
+    def test_rows_are_clamped(self):
+        got = L.smooth_labels(np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0)
+        np.testing.assert_array_equal(got, clamp_simplex(np.eye(2)))
+
     def test_alpha_out_of_range(self):
-        y = ProbVector([0.9, 0.1])
-        with pytest.raises(ValueError):
-            L.smooth_labels(y, -0.1)
-        with pytest.raises(ValueError):
-            L.smooth_labels(y, 1.5)
+        y = np.array([0.9, 0.1])
+        for alpha in (-0.1, 1.5, np.nan):
+            with pytest.raises(ValueError):
+                L.smooth_labels(y, alpha)
+
+    def test_non_binary_rows_rejected(self):
+        with pytest.raises(L.BinaryOnlyError):
+            L.smooth_labels(np.full((4, 3), 1 / 3), 0.5)
 
     def test_argmax_preserved_exhaustively(self):
         grid = np.arange(1e-3, 1.0, 1e-3)
         labels = np.stack([grid, 1.0 - grid], axis=-1)
         for alpha in (1e-3, 0.1, 0.5, 1.0):
-            smoothed = L.smooth_labels_array(labels, alpha)
+            smoothed = L.smooth_labels(labels, alpha)
             off_diag = np.abs(grid - 0.5) > 1e-12
             assert np.all(
                 np.sign(smoothed[off_diag, 0] - 0.5)
@@ -303,6 +315,15 @@ class TestCompositeLosses:
         with pytest.raises(ValueError):
             CompositeLossConfig(cace_quantile_pct=15)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"cace_threshold": np.nan}, {"cace_threshold": np.inf},
+        {"sl_weights": (np.nan, 1.0)}, {"sl_weights": (np.inf, 1.0)},
+        {"sl_weights": (1.0, np.nan)},
+    ])
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            CompositeLossConfig(**kwargs)
+
 
 class TestAux:
     def test_half_batch_hardening(self):
@@ -355,13 +376,13 @@ class TestAux:
 
 def enumerate_rce_risk(input_probs, labels, model, alpha):
     """Direct-summation RCE risk of per-input predictions under smoothing."""
-    smoothed = L.smooth_labels_array(labels, alpha)
+    smoothed = L.smooth_labels(labels, alpha)
     return float(np.sum(input_probs * L.rce(smoothed, model)))
 
 
 def grid_optimal_model(input_probs, labels, alpha, grid):
     """Per-input grid argmin; exact because the risk is linear per input."""
-    smoothed = L.smooth_labels_array(labels, alpha)
+    smoothed = L.smooth_labels(labels, alpha)
     best = np.empty_like(labels)
     for i in range(labels.shape[0]):
         vals = L.rce(smoothed[i], grid)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from w2slab.losses import CompositeLossConfig, loss_table, smooth_labels_array
+from w2slab.losses import CompositeLossConfig, loss_table, smooth_labels
 from w2slab.trainer import (
     LOSS_NAMES,
     DirectionStream,
@@ -216,11 +216,13 @@ class TestTrain:
         assert a == b
 
     def test_divergence_reported_with_step(self):
-        # an unbounded step forces non-finite parameters immediately
+        # ProbeConfig rejects a non-finite step, so start from non-finite
+        # parameters: the first step's loss is already non-finite
         from w2slab.trainer import TrainingDiverged
 
         task = small_task()
-        model = make_model(seed=5, steps=50, learning_rate=float("inf"))
+        model = make_model(seed=5, steps=50)
+        model.weights[:] = np.nan
         with pytest.raises(TrainingDiverged) as err, np.errstate(
             over="ignore", invalid="ignore"
         ):
@@ -232,7 +234,9 @@ class TestTrain:
             train(make_model(), gt_train_data(small_task()), "mse")
 
     @pytest.mark.parametrize("bad", [{"steps": -1}, {"learning_rate": 0.0},
-                                     {"batch_size": 0}])
+                                     {"batch_size": 0}, {"learning_rate": np.nan},
+                                     {"learning_rate": np.inf}, {"init_scale": np.nan},
+                                     {"init_scale": np.inf}])
     def test_probe_config_rejects_bad_optimizer_settings(self, bad):
         # train reads these settings from the probe's config, the one check
         with pytest.raises(ValueError):
@@ -272,10 +276,10 @@ class TestTrain:
 
 def every_loss_cells(labels):
     cfg = CompositeLossConfig(sl_weights=(0.7, 0.3))
-    cells = [(name, smooth_labels_array(labels, 0.3), cfg, 0.3) for name in LOSS_NAMES]
+    cells = [(name, smooth_labels(labels, 0.3), cfg, 0.3) for name in LOSS_NAMES]
     cells.append(("ce", labels, None, 1.0))
     # uniform labels give rce an exactly zero gradient at every step
-    cells.append(("rce", smooth_labels_array(labels, 0.0), None, 0.0))
+    cells.append(("rce", smooth_labels(labels, 0.0), None, 0.0))
     return cells
 
 
