@@ -83,10 +83,6 @@ class SampleSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform(cls, points) -> "SampleSet":
-        return cls(np.atleast_2d(np.asarray(points, dtype=float)))
-
     def __len__(self) -> int:
         return self.points.shape[0]
 

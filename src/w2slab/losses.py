@@ -1,14 +1,15 @@
 """Entropy-family losses on the probability simplex.
 
-Implements forward/reverse cross-entropy, forward/reverse KL, Shannon
-entropy, their analytic binary gradients in the tied-coordinate
-parameterization (the second coordinate moves as 1 - yhat_1), proportional
-label smoothing, and the composite training losses: the confidence-adaptive
-CE/RCE switch, the weighted symmetric cross-entropy, and the
-confidence-regularized loss with hardened self-targets.  ``loss_table`` is
-the batch loss table the trainer uses, giving values and gradients over
-``(n, 2)`` rows in one call; ``loss_values`` and ``loss_grads`` are its two
-halves and ``numeric_loss_grads`` is its central-difference oracle.
+Implements forward/reverse cross-entropy, forward/reverse KL and Shannon
+entropy over K classes, proportional label smoothing, and the batch loss
+table the trainer uses.  ``loss_table`` is the one definition of every
+training loss in ``LOSS_NAMES``: for ``(n, 2)`` rows it gives each loss's
+per-row values and its analytic gradient along the first coordinate, with
+the second tied as its complement, in one call.  The composite losses (the
+confidence-adaptive CE/RCE switch, the weighted symmetric cross-entropy and
+the confidence-regularized loss with hardened self-targets) are reached
+only through it.  ``loss_values`` and ``loss_grads`` are its two halves and
+``numeric_loss_grads`` is its central-difference oracle.
 
 Probability rows are plain arrays whose trailing axis indexes classes;
 :class:`ProbVector` is a checked, clamped single point that every function
@@ -35,21 +36,15 @@ __all__ = [
     "kl",
     "rkl",
     "entropy",
-    "grad_ce",
-    "grad_rce",
-    "grad_kl",
-    "grad_rkl",
     "smooth_labels",
     "confidence",
     "confidence_threshold",
-    "cace",
-    "sl",
     "harden_threshold",
     "harden",
-    "aux",
     "aux_beta",
     "rce_ordering_gap",
     "LOSS_NAMES",
+    "ROW_LOSSES",
     "loss_table",
     "loss_values",
     "loss_grads",
@@ -123,12 +118,6 @@ def _pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     return y, yhat
 
 
-def _binary_pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
-    y, yhat = _pair(y, yhat)
-    if y.shape[-1] != 2:
-        raise BinaryOnlyError("analytic gradients are defined for K = 2 only")
-    return y, yhat
-
 
 # --- losses ----------------------------------------------------------------
 
@@ -160,32 +149,6 @@ def entropy(y):
     """Shannon entropy -sum_i y_i log(y_i)."""
     y = _p(y)
     return -np.sum(y * np.log(y), axis=-1)
-
-
-# --- analytic binary gradients ----------------------------------------------
-# Derivatives with respect to yhat_j with the other coordinate tied as
-# 1 - yhat_j.  Returned per coordinate, so the j = 0 entry is the usual
-# derivative along the first coordinate.
-
-
-def grad_ce(y, yhat):
-    y, yhat = _binary_pair(y, yhat)
-    return -y / yhat + (1.0 - y) / (1.0 - yhat)
-
-
-def grad_rce(y, yhat):
-    y, yhat = _binary_pair(y, yhat)
-    return np.log((1.0 - y) / y) * np.ones_like(yhat)
-
-
-def grad_kl(y, yhat):
-    # entropy of y is constant in yhat, so the KL gradient equals the CE one
-    return grad_ce(y, yhat)
-
-
-def grad_rkl(y, yhat):
-    y, yhat = _binary_pair(y, yhat)
-    return np.log((1.0 - y) / y) - np.log((1.0 - yhat) / yhat)
 
 
 # --- label smoothing ---------------------------------------------------------
@@ -259,19 +222,6 @@ def confidence_threshold(pseudo_labels, quantile_pct: int) -> float:
     return float(np.quantile(confidence(_rows(pseudo_labels)), quantile_pct / 100.0))
 
 
-def cace(y, yhat, cfg: CompositeLossConfig):
-    """Confidence-adaptive loss: RCE below the confidence cut, CE above."""
-    return np.where(
-        confidence(y) < cfg.cace_threshold, rce(y, yhat), ce(y, yhat)
-    )[()]
-
-
-def sl(y, yhat, cfg: CompositeLossConfig):
-    """Symmetric loss lambda_1 * RCE + lambda_2 * CE."""
-    l1, l2 = cfg.sl_weights
-    return l1 * rce(y, yhat) + l2 * ce(y, yhat)
-
-
 def harden_threshold(batch_predictions) -> float:
     """Confidence cut t such that exactly half the batch scores exceed it.
 
@@ -294,27 +244,6 @@ def harden(yhat, threshold: float) -> np.ndarray:
     return np.where((p.max(axis=-1) > threshold)[..., None], hard, p)
 
 
-def aux(y_weak, yhat, beta: float, batch_predictions):
-    """Confidence-regularized loss with a hardened self-target.
-
-    beta * CE(y_weak, yhat) + (1 - beta) * CE(target, yhat) where the target
-    is the clamped one-hot argmax of yhat whenever yhat clears the
-    half-batch hardening cut, and yhat itself otherwise.  The target is
-    treated as a constant when differentiating.
-    """
-    _check_beta(beta)
-    return _aux_value(y_weak, yhat, beta, harden(yhat, harden_threshold(batch_predictions)))
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-
-
-def _aux_value(y_weak, yhat, beta: float, target):
-    return beta * ce(y_weak, yhat) + (1.0 - beta) * ce(target, yhat)
-
-
 def aux_beta(step: int, total_steps: int, cfg: CompositeLossConfig) -> float:
     """Linear warm-up of beta from 0 to beta_max over the warm-up window."""
     warmup = max(1.0, cfg.aux_warmup_fraction * total_steps)
@@ -334,37 +263,64 @@ def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
 
 
 # --- batch loss table ----------------------------------------------------------
-# y and p are (..., n, 2) blocks of rows; gradients are taken along the first
-# coordinate with the second tied as its complement.  The aux entry needs a
-# single (n, 2) batch, since its hardening cut is a batch statistic.
+# y and p are (..., n, 2) blocks of rows.  Each gradient is taken along p_1
+# with p_2 = 1 - p_1: the kernels return it per coordinate over the full rows
+# (the second column is minus the first) and the table reads column 0.  The
+# aux entry needs a single (n, 2) batch, since its hardening cut is a batch
+# statistic.
+
+# entries that read no config and no batch statistic, so the cells of one
+# such loss can share one table call over their (cells, batch, 2) block
+ROW_LOSSES = ("ce", "rce", "kl", "rkl")
+
+
+def _d_ce(y, p):
+    """Tied derivative of ce(y, p); linear in y."""
+    return -y / p + (1.0 - y) / (1.0 - p)
+
+
+def _d_rce(y, p):
+    """Tied derivative of rce(y, p); constant in p."""
+    return np.log((1.0 - y) / y) * np.ones_like(p)
 
 
 def loss_table(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
     """Per-row loss values and d(loss)/d(p_1) of a batch, as one pair.
 
-    ``p`` doubles as the aux batch; the aux hardening cut and target are
-    computed once and shared by the values and the gradients.
+    cace is RCE on rows whose label confidence is below the cut
+    ``cfg.cace_threshold`` and CE elsewhere; sl is ``l1 * RCE + l2 * CE``
+    with ``(l1, l2) = cfg.sl_weights``; aux is ``beta * CE(y, p) +
+    (1 - beta) * CE(t, p)``, whose target ``t`` is ``p`` hardened at the
+    half-batch cut of ``p`` itself and is a constant under differentiation.
+    Rows with K != 2 classes raise ``BinaryOnlyError``.
     """
+    y, p = _pair(y, p)
+    if y.shape[-1] != 2:
+        raise BinaryOnlyError("the loss table is defined for K = 2 only")
     if name == "ce":
-        return ce(y, p), grad_ce(y, p)[..., 0]
+        return ce(y, p), _d_ce(y, p)[..., 0]
     if name == "rce":
-        return rce(y, p), grad_rce(y, p)[..., 0]
+        return rce(y, p), _d_rce(y, p)[..., 0]
     if name == "kl":
-        return kl(y, p), grad_kl(y, p)[..., 0]
+        # the entropy of y is constant in p
+        return kl(y, p), _d_ce(y, p)[..., 0]
     if name == "rkl":
-        return rkl(y, p), grad_rkl(y, p)[..., 0]
+        # rkl(y, p) = rce(y, p) - entropy(p), and d(-entropy(p)) = -_d_rce(p, p)
+        return rkl(y, p), (_d_rce(y, p) - _d_rce(p, p))[..., 0]
     if name == "cace":
         low = confidence(y) < cfg.cace_threshold
-        return cace(y, p, cfg), np.where(low, grad_rce(y, p)[..., 0], grad_ce(y, p)[..., 0])
+        return (np.where(low, rce(y, p), ce(y, p)),
+                np.where(low, _d_rce(y, p)[..., 0], _d_ce(y, p)[..., 0]))
     if name == "sl":
         l1, l2 = cfg.sl_weights
-        return sl(y, p, cfg), l1 * grad_rce(y, p)[..., 0] + l2 * grad_ce(y, p)[..., 0]
+        return (l1 * rce(y, p) + l2 * ce(y, p),
+                l1 * _d_rce(y, p)[..., 0] + l2 * _d_ce(y, p)[..., 0])
     if name == "aux":
-        _check_beta(beta)
-        # hardened targets are constants under differentiation
-        target = harden(p, harden_threshold(p))
-        return (_aux_value(y, p, beta, target),
-                beta * grad_ce(y, p)[..., 0] + (1 - beta) * grad_ce(target, p)[..., 0])
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
+        t = harden(p, harden_threshold(p))
+        return (beta * ce(y, p) + (1.0 - beta) * ce(t, p),
+                beta * _d_ce(y, p)[..., 0] + (1.0 - beta) * _d_ce(t, p)[..., 0])
     raise ValueError(f"unknown loss {name!r}")
 
 
@@ -381,14 +337,16 @@ def loss_grads(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
 def numeric_loss_grads(
     name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0, step: float = 1e-6
 ) -> np.ndarray:
-    """Central-difference d(loss)/d(p_1) with aux targets frozen."""
-    target = harden(p, harden_threshold(p))
+    """Central-difference d(loss)/d(p_1) with aux targets frozen.
+
+    CE is linear in its label, so aux with its target t frozen is the ce
+    entry against the label ``beta * y + (1 - beta) * t``.
+    """
+    if name == "aux":
+        name, y = "ce", beta * y + (1.0 - beta) * harden(p, harden_threshold(p))
 
     def shifted(delta: float) -> np.ndarray:
         q1 = p[:, 0] + delta
-        q = np.stack([q1, 1.0 - q1], axis=-1)
-        if name == "aux":
-            return _aux_value(y, q, beta, target)
-        return loss_values(name, y, q, cfg, beta)
+        return loss_values(name, y, np.stack([q1, 1.0 - q1], axis=-1), cfg, beta)
 
     return (shifted(step) - shifted(-step)) / (2 * step)

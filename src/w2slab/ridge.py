@@ -24,7 +24,7 @@ by trial, and the eta0 cells of one (gamma, trial) share one draw.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,7 +155,6 @@ class RidgeConfig:
     n_ratio: float = 20.0
     eta0: float = 1.0
     B: float = 1.0
-    teacher_scale: float = field(default=None)  # type: ignore[assignment]
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -169,10 +168,11 @@ class RidgeConfig:
             raise ValueError(f"n_ratio must be finite and at least 1, got {self.n_ratio!r}")
         if not 0 < self.B < np.inf:
             raise ValueError(f"B must be finite and positive, got {self.B!r}")
-        if self.teacher_scale is None:
-            object.__setattr__(self, "teacher_scale", self.B / self.d_w)
-        if self.teacher_scale * self.d_w > self.B * (1 + 1e-12):
-            raise ValueError("teacher_scale * d_w must not exceed B")
+
+    @property
+    def teacher_scale(self) -> float:
+        """Teacher entry variance B / d_w."""
+        return self.B / self.d_w
 
     @property
     def d_s(self) -> int:

@@ -29,6 +29,7 @@ import numpy as np
 from .bregman import clamp_simplex
 from .losses import (
     LOSS_NAMES,
+    ROW_LOSSES,
     CompositeLossConfig,
     aux_beta,
     loss_grads,
@@ -335,11 +336,6 @@ def param_distance(theta: np.ndarray, theta0: np.ndarray) -> float:
     return float(np.linalg.norm(theta - theta0))
 
 
-# losses whose table entry reads no config: the cells of one such loss share
-# one table call per step, over their (cells, batch, 2) block
-_ROW_LOSSES = ("ce", "rce", "kl", "rkl")
-
-
 def train(
     model: LinearProbeModel,
     data: TrainData,
@@ -437,7 +433,7 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
     # row-wise block is flattened to (rows * n, 2) and read at its fits'
     # batch indices plus ``offset``; a run of adjacent rows is a slice
     calls = []
-    for name in _ROW_LOSSES:
+    for name in ROW_LOSSES:
         rows = [j for j, other in enumerate(names) if other == name]
         if rows:
             adjacent = rows[-1] - rows[0] == len(rows) - 1
@@ -446,7 +442,7 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
                           np.concatenate([labels[j] for j in rows]),
                           n * np.arange(len(rows))[:, None]))
     calls += [(j, name, cfgs[j], labels[j], 0)
-              for j, name in enumerate(names) if name not in _ROW_LOSSES]
+              for j, name in enumerate(names) if name not in ROW_LOSSES]
 
     groups: dict[tuple, list[int]] = {}
     for j, (model, data, seed) in enumerate(zip(models, datas, seeds)):

@@ -76,45 +76,45 @@ class TestLossValues:
 
 
 def numeric_gradient(loss, y, yhat, step=1e-6):
-    """Central difference along the tied coordinate, per coordinate j."""
-    out = np.empty(2)
-    for j in range(2):
-        plus, minus = yhat.copy(), yhat.copy()
-        plus[j] += step
-        plus[1 - j] -= step
-        minus[j] -= step
-        minus[1 - j] += step
-        out[j] = (loss(y, plus) - loss(y, minus)) / (2 * step)
-    return out
+    """Central difference of a K-class loss along yhat_1, yhat_2 = 1 - yhat_1."""
+    shift = np.array([step, -step])
+    return (loss(y, yhat + shift) - loss(y, yhat - shift)) / (2 * step)
+
+
+def table_grad(name, y, yhat, cfg=CompositeLossConfig(), beta=0.0):
+    """The loss table's tied gradient at one (label, prediction) row."""
+    return L.loss_grads(name, y[None], yhat[None], cfg, beta)[0]
 
 
 class TestGradients:
-    PAIRS = [(L.grad_ce, L.ce), (L.grad_rce, L.rce), (L.grad_kl, L.kl),
-             (L.grad_rkl, L.rkl)]
+    """The table's gradients of the row-wise losses against central
+    differences of the K-class values."""
 
-    @pytest.mark.parametrize("grad,loss", PAIRS, ids=lambda f: f.__name__)
-    def test_matches_central_differences(self, grad, loss):
+    PAIRS = [("ce", L.ce), ("rce", L.rce), ("kl", L.kl), ("rkl", L.rkl)]
+
+    @pytest.mark.parametrize("name,loss", PAIRS, ids=[f"grad_{n}-{n}" for n, _ in PAIRS])
+    def test_matches_central_differences(self, name, loss):
         rng = np.random.default_rng(2)
         for _ in range(1000):
             y = random_binary(rng, 1)[0]
             yhat = random_binary(rng, 1)[0]
             np.testing.assert_allclose(
-                grad(y, yhat), numeric_gradient(loss, y, yhat),
+                table_grad(name, y, yhat), numeric_gradient(loss, y, yhat),
                 rtol=1e-5, atol=1e-9,
             )
 
     def test_grad_ce_zero_at_uniform_match(self):
         u = np.array([0.5, 0.5])
-        np.testing.assert_allclose(L.grad_ce(u, u), 0.0, atol=1e-12)
+        np.testing.assert_allclose(table_grad("ce", u, u), 0.0, atol=1e-12)
 
     def test_grad_rkl_zero_at_match(self):
         y = np.array([0.3, 0.7])
-        np.testing.assert_allclose(L.grad_rkl(y, y), 0.0, atol=1e-12)
+        np.testing.assert_allclose(table_grad("rkl", y, y), 0.0, atol=1e-12)
 
     def test_grad_rce_example(self):
         y = np.array([0.9, 0.1])
-        g = L.grad_rce(y, np.array([0.5, 0.5]))
-        assert g[0] == pytest.approx(np.log(1 / 9), abs=1e-9)
+        g = table_grad("rce", y, np.array([0.5, 0.5]))
+        assert g == pytest.approx(np.log(1 / 9), abs=1e-9)
         fd = numeric_gradient(L.rce, y, np.array([0.5, 0.5]))
         np.testing.assert_allclose(g, fd, rtol=1e-5)
 
@@ -127,13 +127,13 @@ class TestGradients:
             if abs(y[0] - 0.5) < 1e-3:
                 continue
             expected = abs(np.log((1 - y[0]) / y[0]))
-            assert np.abs(L.grad_rce(y, y)[0]) >= expected - 1e-12
+            assert np.abs(table_grad("rce", y, y)) >= expected - 1e-12
             assert expected > 0
 
     def test_multiclass_rejected(self):
         y = ProbVector([0.2, 0.3, 0.5])
         with pytest.raises(L.BinaryOnlyError):
-            L.grad_ce(y, y)
+            L.loss_grads("ce", y, y, CompositeLossConfig())
 
 
 class TestGradientEngine:
@@ -168,14 +168,19 @@ class TestGradientEngine:
         np.testing.assert_allclose(L.loss_values("kl", y, p, cfg), L.kl(y, p))
         np.testing.assert_allclose(L.loss_values("rkl", y, p, cfg), L.rkl(y, p))
         np.testing.assert_allclose(
-            L.loss_values("cace", y, p, cfg), [L.cace(yy, pp, cfg) for yy, pp in zip(y, p)]
+            L.loss_values("cace", y, p, cfg),
+            [L.rce(yy, pp) if abs(yy[0] - 0.5) < cfg.cace_threshold else L.ce(yy, pp)
+             for yy, pp in zip(y, p)],
         )
+        l1, l2 = cfg.sl_weights
         np.testing.assert_allclose(
-            L.loss_values("sl", y, p, cfg), [L.sl(yy, pp, cfg) for yy, pp in zip(y, p)]
+            L.loss_values("sl", y, p, cfg),
+            [l1 * L.rce(yy, pp) + l2 * L.ce(yy, pp) for yy, pp in zip(y, p)],
         )
+        targets = L.harden(p, L.harden_threshold(p))
         np.testing.assert_allclose(
             L.loss_values("aux", y, p, cfg, 0.4),
-            [L.aux(yy, pp, 0.4, p) for yy, pp in zip(y, p)],
+            [0.4 * L.ce(yy, pp) + 0.6 * L.ce(tt, pp) for yy, pp, tt in zip(y, p, targets)],
         )
 
     def test_aux_hardens_once_per_table_call(self, monkeypatch):
@@ -192,7 +197,8 @@ class TestGradientEngine:
         monkeypatch.setattr(L, "harden_threshold", counted)
         values, grads = L.loss_table("aux", y, p, cfg, 0.3)
         assert len(cuts) == 1
-        np.testing.assert_array_equal(values, L.aux(y, p, 0.3, p))
+        target = L.harden(p, threshold(p))
+        np.testing.assert_array_equal(values, 0.3 * L.ce(y, p) + (1.0 - 0.3) * L.ce(target, p))
         np.testing.assert_array_equal(grads, L.loss_grads("aux", y, p, cfg, 0.3))
         with pytest.raises(ValueError, match="beta"):
             L.loss_table("aux", y, p, cfg, 1.5)
@@ -212,6 +218,12 @@ class TestGradientEngine:
             np.testing.assert_array_equal(grads[j], lone_grads)
             np.testing.assert_array_equal(lone_values, L.loss_values(name, y[j], p[j], cfg))
             np.testing.assert_array_equal(lone_grads, L.loss_grads(name, y[j], p[j], cfg))
+
+    @pytest.mark.parametrize("name", L.LOSS_NAMES)
+    def test_multiclass_rows_rejected(self, name):
+        y = p = np.full((4, 3), 1 / 3)
+        with pytest.raises(L.BinaryOnlyError):
+            L.loss_table(name, y, p, CompositeLossConfig(), 0.5)
 
     def test_unknown_loss_rejected(self):
         y = p = np.full((2, 2), 0.5)
@@ -273,15 +285,17 @@ class TestCompositeLosses:
         yhat = ProbVector([0.6, 0.4])
         confident = ProbVector([0.99, 0.01])
         uncertain = ProbVector([0.52, 0.48])
-        assert L.cace(confident, yhat, cfg) == pytest.approx(float(L.ce(confident, yhat)))
-        assert L.cace(uncertain, yhat, cfg) == pytest.approx(float(L.rce(uncertain, yhat)))
+        assert float(L.loss_values("cace", confident, yhat, cfg)) == pytest.approx(
+            float(L.ce(confident, yhat)))
+        assert float(L.loss_values("cace", uncertain, yhat, cfg)) == pytest.approx(
+            float(L.rce(uncertain, yhat)))
 
     def test_cace_zero_threshold_is_ce(self):
         cfg = CompositeLossConfig(cace_threshold=0.0)
         rng = np.random.default_rng(4)
         for _ in range(50):
             y, yhat = random_binary(rng, 2)
-            assert L.cace(y, yhat, cfg) == pytest.approx(float(L.ce(y, yhat)))
+            assert float(L.loss_values("cace", y, yhat, cfg)) == pytest.approx(float(L.ce(y, yhat)))
 
     def test_confidence_threshold_quantile(self):
         rng = np.random.default_rng(5)
@@ -294,14 +308,15 @@ class TestCompositeLosses:
         y, yhat = ProbVector([0.8, 0.2]), ProbVector([0.55, 0.45])
         ce_only = CompositeLossConfig(sl_weights=(0.0, 1.0))
         rce_only = CompositeLossConfig(sl_weights=(1.0, 0.0))
-        assert L.sl(y, yhat, ce_only) == pytest.approx(float(L.ce(y, yhat)))
-        assert L.sl(y, yhat, rce_only) == pytest.approx(float(L.rce(y, yhat)))
+        assert float(L.loss_values("sl", y, yhat, ce_only)) == pytest.approx(float(L.ce(y, yhat)))
+        assert float(L.loss_values("sl", y, yhat, rce_only)) == pytest.approx(
+            float(L.rce(y, yhat)))
 
     def test_sl_uniform_label_offset(self):
         cfg = CompositeLossConfig(sl_weights=(1.0, 1.0))
         y = ProbVector.uniform(2)
         yhat = ProbVector([0.7, 0.3])
-        assert L.sl(y, yhat, cfg) == pytest.approx(
+        assert float(L.loss_values("sl", y, yhat, cfg)) == pytest.approx(
             float(L.ce(y, yhat)) + np.log(2), abs=1e-12
         )
 
@@ -348,23 +363,27 @@ class TestAux:
         np.testing.assert_array_equal(L.harden(batch, 0.0)[4], clamp_simplex([1.0, 0.0]))
         np.testing.assert_array_equal(L.harden(batch, t)[2:5], batch[2:5])
 
+    # the aux entry hardens against its own prediction batch: row 0 of each
+    # batch below is the prediction under test, row 1 a uniform one
+
     def test_beta_one_reduces_to_ce(self):
         y_weak = ProbVector([0.7, 0.3])
         yhat = ProbVector([0.6, 0.4])
-        batch = [yhat.probs, [0.5, 0.5]]
-        assert L.aux(y_weak, yhat, 1.0, batch) == pytest.approx(
+        y, batch = np.array([y_weak.probs, [0.5, 0.5]]), np.array([yhat.probs, [0.5, 0.5]])
+        assert L.loss_values("aux", y, batch, CompositeLossConfig(), 1.0)[0] == pytest.approx(
             float(L.ce(y_weak, yhat))
         )
 
     def test_beta_zero_with_confident_prediction(self):
         yhat = ProbVector([1.0, 0.0])  # clamps to (1 - eps, eps)
-        batch = [yhat.probs, [0.5, 0.5]]
-        val = L.aux(ProbVector([0.6, 0.4]), yhat, 0.0, batch)
+        y, batch = np.array([[0.6, 0.4], [0.5, 0.5]]), np.array([yhat.probs, [0.5, 0.5]])
+        val = L.loss_values("aux", y, batch, CompositeLossConfig(), 0.0)[0]
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            L.aux(ProbVector([0.6, 0.4]), ProbVector([0.6, 0.4]), 0.5, [])
+        empty = np.empty((0, 2))
+        with pytest.raises(ValueError, match="empty"):
+            L.loss_values("aux", empty, empty, CompositeLossConfig(), 0.5)
 
     def test_beta_schedule(self):
         cfg = CompositeLossConfig(aux_beta_max=0.8, aux_warmup_fraction=0.5)

@@ -126,8 +126,14 @@ class TestConfig:
             RidgeConfig(d_w=1)
         with pytest.raises(ValueError):
             RidgeConfig(n_ratio=0.5)
-        with pytest.raises(ValueError):
-            RidgeConfig(teacher_scale=1.0, B=1.0, d_w=100)
+
+    def test_teacher_scale_is_derived_not_set(self):
+        # the teacher entry variance is B / d_w by construction
+        for scale in (1.0, np.nan, -1.0):
+            with pytest.raises(TypeError):
+                RidgeConfig(teacher_scale=scale)
+        with pytest.raises(AttributeError):
+            RidgeConfig().teacher_scale = 1.0
 
     def test_teacher_norm_matches_bound_constant(self):
         cfg = RidgeConfig(d_w=400, gamma=1.5, seed=3)
