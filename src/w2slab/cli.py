@@ -5,12 +5,15 @@ Four subcommands: ``verify`` runs the identity and inequality suites,
 bound, ``classify`` runs the label-smoothing loss comparison, and
 ``bias-variance`` runs the split-ensemble estimator.  Configuration is a
 flat key=value text file with ``--set`` overrides.  Each command is a
-``run_<command>(cfg) -> (rows, verdicts)`` function; every verdict is a
-``measured op bound`` record from ``_verdict``.  ``main`` alone prints the
-verdicts, writes a CSV of the rows and a JSON report, and picks the exit
-status: 0 all verdicts pass, 1 a verdict failed (artifacts written) or a
-program error (traceback), 2 bad config.  Each command checks its config
-with the library's own checks before any work.
+``run_<command>(cfg) -> (rows, verdicts, stages)`` function; every verdict
+is a ``measured op bound`` record from ``_verdict``, and ``stages`` holds
+what the run reports about its own timing (``ridge``: the sweep's worker
+count and the wall time of its sweep and quadrature stages; empty for the
+others).  ``main`` alone prints the verdicts, writes a CSV of the rows and
+a JSON report, and picks the exit status: 0 all verdicts pass, 1 a verdict
+failed (artifacts written) or a program error (traceback), 2 bad config.
+Each command checks its config with the library's own checks before any
+work.
 """
 
 from __future__ import annotations
@@ -156,7 +159,8 @@ def _jsonable(value):
 
 
 def write_outputs(out_dir: str, command: str, config: dict, columns: list[str],
-                  rows: list[dict], verdicts: list[dict], duration: float) -> None:
+                  rows: list[dict], verdicts: list[dict], duration: float,
+                  stages: dict) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = command.replace("-", "_")
@@ -172,6 +176,8 @@ def write_outputs(out_dir: str, command: str, config: dict, columns: list[str],
         "verdicts": [{k: _jsonable(v) for k, v in verdict.items()} for verdict in verdicts],
         "duration_seconds": duration,
     }
+    if stages:
+        report["stages"] = stages
     with open(out / f"{stem}.json", "w") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -200,7 +206,7 @@ def _verify_geometries(rng):
     return [SquaredNorm(int(rng.integers(1, 5))), NegativeEntropy(int(rng.integers(2, 9)))]
 
 
-def run_verify(cfg: dict) -> tuple[list[dict], list[dict]]:
+def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     """Identity, inequality and equality suites; one row per risk-gap report."""
     for key in ("scenarios", "pairs", "triples"):
         if cfg[key] < 1:
@@ -333,26 +339,41 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict]]:
                  op, bound)
         for name, what, op, bound in checks
     ]
-    return rows, verdicts
+    return rows, verdicts, {}
 
 
 # --- ridge ------------------------------------------------------------------
 
 
-def run_ridge(cfg: dict) -> tuple[list[dict], list[dict]]:
-    """Capacity/regularization grid against the closed-form bound."""
+def run_ridge(cfg: dict) -> tuple[list[dict], list[dict], dict]:
+    """Capacity/regularization grid against the closed-form bound.
+
+    Its stages record the sweep's worker count (``sweep_workers``) and the
+    wall time in seconds of the draw-and-solve sweep (``sweep_s``) and of
+    the quadrature route (``quadrature_s``), each as ``"%.3e"`` text.
+    """
     try:
         base = ridge.RidgeConfig(d_w=cfg["d_w"], n_ratio=cfg["n_ratio"], B=cfg["B"],
                                  seed=cfg["seed"])
         ridge.sweep_cells(base, cfg["gammas"], cfg["eta0s"], cfg["trials"])
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    start = time.perf_counter()
     estimates = ridge.sweep_misfit(base, cfg["gammas"], cfg["eta0s"], cfg["trials"])
+    sweep_s = time.perf_counter() - start
+    integrals = {key: ridge.mp_integral(*key) for key in estimates}
+    quadrature_s = time.perf_counter() - start - sweep_s
+    # times as fixed-width text, so the report's size does not vary run to run
+    stages = {
+        "sweep_workers": ridge.sweep_workers(len(cfg["gammas"]) * cfg["trials"]),
+        "sweep_s": f"{sweep_s:.3e}",
+        "quadrature_s": f"{quadrature_s:.3e}",
+    }
     rows: list[dict] = []
     ratios, mp_gaps = [], []
     for (eta0, gamma), estimate in estimates.items():
         h = ridge.h_closed_form(eta0, gamma)
-        mp = ridge.mp_integral(eta0, gamma)
+        mp = integrals[eta0, gamma]
         mp_gaps.append(abs(mp - h))
         ratios.append(estimate.empirical_misfit / (cfg["B"] * h))
         for t, value in enumerate(estimate.per_trial):
@@ -379,13 +400,13 @@ def run_ridge(cfg: dict) -> tuple[list[dict], list[dict]]:
         _verdict("misfit_decreases_with_capacity", "max inversions per eta0 sweep",
                  np.max(inversions), "<=", 1),
         monotone,
-    ]
+    ], stages
 
 
 # --- classify ------------------------------------------------------------------
 
 
-def run_classify(cfg: dict) -> tuple[list[dict], list[dict]]:
+def run_classify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     """Label-smoothing sweep over losses and alphas; prints the per-cell summary."""
     try:
         trainer.check_sweep(cfg["losses"], cfg["alphas"], cfg["repeats"])
@@ -436,13 +457,13 @@ def run_classify(cfg: dict) -> tuple[list[dict], list[dict]]:
             f"rce distance >= ce distance at alpha 1 in {sum(farther)}/{len(farther)} "
             f"repeats, share",
             np.mean(farther), ">", 0.5))
-    return rows, verdicts
+    return rows, verdicts, {}
 
 
 # --- bias-variance ----------------------------------------------------------------
 
 
-def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
+def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     """Split-ensemble bias/variance estimation over disjoint teacher splits.
 
     Each outer round re-partitions the pools into ``n_splits`` disjoint
@@ -541,13 +562,13 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict]]:
                  f"ensemble-supervised variance lower on {lower.sum()}/{lower.size} "
                  f"points, share",
                  np.mean(lower), ">", 0.5),
-    ]
+    ], {}
 
 
 # --- entry point ---------------------------------------------------------------
 
 
-# each command's run function, returning (rows, verdicts), and its CSV columns
+# each command's run function, returning (rows, verdicts, stages), and its CSV columns
 COMMANDS = {
     "verify": (run_verify, ["scenario", "geometry", "variant", "direction",
                             "lhs", "rhs", "misfit", "epsilon", "slack"]),
@@ -584,11 +605,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.command, args.config, args.overrides)
         start = time.time()
-        rows, verdicts = run(cfg)
+        rows, verdicts, stages = run(cfg)
         for v in verdicts:
             print(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}: {v['detail']}")
         write_outputs(args.out, args.command, cfg, columns, rows, verdicts,
-                      time.time() - start)
+                      time.time() - start, stages)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

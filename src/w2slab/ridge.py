@@ -17,13 +17,21 @@ A trial is solved in d_w space, never in d_s space: with A = W1^T W1 and
 G = X X^T, the push-through identity gives the student's map as
 W1^T w2 = (A G + eta I)^-1 A G W, so its residual against the teacher is
 -eta (A G + eta I)^-1 W, one d_w x d_w solve.  The draw and A G do not
-depend on eta0, so ``sweep_misfit`` runs the grid gamma by gamma and trial
-by trial, and the eta0 cells of one (gamma, trial) share one draw.
+depend on eta0, so ``sweep_misfit`` makes one job per (gamma, trial), and
+the eta0 cells of that job share one draw.  The jobs run on a thread pool
+(the normal fill and the products release the GIL) of ``sweep_workers``
+threads: one per core when BLAS is pinned to one thread, one alone when
+BLAS takes every core.  Each worker draws into its own reused d_w x n and
+d_s x d_w float64 buffers (about 7.7 MB at the CLI defaults).
+
+The quadrature route is a nested Gauss-Chebyshev rule in numpy; scipy is
+needed only for ``scipy.special`` (in ``bregman``).
 """
 
 from __future__ import annotations
 
-import functools
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +48,7 @@ __all__ = [
     "mp_density_mass",
     "run_trial",
     "sweep_cells",
+    "sweep_workers",
     "sweep_misfit",
     "simulate_misfit",
     "verify_monotonicity",
@@ -48,7 +57,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
+    """The quadrature rule did not settle to the requested accuracy."""
 
 
 def _check_range(eta0: float, gamma: float) -> None:
@@ -82,33 +91,48 @@ def mp_density(lam, gamma: float):
     return dens
 
 
+# the largest rule _mp_quad tries has 2**16 - 1 nodes
+_MAX_INTERVALS = 2**16
+
+
 def _mp_quad(gamma: float, f, tol: float) -> float:
     """Integrate f(lam) against the MP density.
 
-    The substitution lam = c + r sin(theta) absorbs the square-root edge
-    factor, leaving a smooth integrand for the adaptive rule.
+    With lam = c + r x the density is sqrt(1 - x^2) times the smooth factor
+    gamma r^2 / (2 pi lam), so a Gauss-Chebyshev rule of the second kind
+    (m nodes cos(k pi / (m + 1)), weights pi / (m + 1) sin^2) takes the
+    square-root edges exactly.  The rules for m = 2^j - 1 are nested; m
+    doubles to 2m + 1 until two successive values differ by at most
+    tol / 10.  The difference is floored at the rounding of the sum,
+    50 eps sum |w f| as in QUADPACK, so a tolerance below it is never met:
+    QuadratureError is raised past 2^16 - 1 nodes.  f must accept an
+    array of lam.
     """
-    # imported here: only the quadrature needs it, and it is slow to import
-    from scipy import integrate
-
     lo = (1.0 - np.sqrt(1.0 / gamma)) ** 2
     hi = (1.0 + np.sqrt(1.0 / gamma)) ** 2
     c, r = (hi + lo) / 2.0, (hi - lo) / 2.0
 
-    def integrand(theta: float) -> float:
-        lam = c + r * np.sin(theta)
-        jacobian = r * np.cos(theta)
-        edge = r * np.cos(theta)  # sqrt((hi - lam)(lam - lo))
-        return gamma * edge * jacobian * f(lam) / (2.0 * np.pi * lam)
+    def rule(intervals: int) -> tuple[float, float]:
+        """The rule's value and its rounding floor."""
+        theta = np.arange(1, intervals) * (np.pi / intervals)
+        lam = c + r * np.cos(theta)
+        terms = np.pi / intervals * np.sin(theta) ** 2 * (
+            gamma * r * r * f(lam) / (2.0 * np.pi * lam))
+        return float(terms.sum()), 50.0 * np.finfo(float).eps * float(np.abs(terms).sum())
 
-    value, abserr = integrate.quad(
-        integrand, -np.pi / 2.0, np.pi / 2.0, epsabs=tol / 10.0, epsrel=tol / 10.0
+    intervals = 8
+    value, _ = rule(intervals)
+    while intervals < _MAX_INTERVALS:
+        intervals *= 2
+        previous = value
+        value, floor = rule(intervals)
+        change = max(abs(value - previous), floor)
+        if change <= tol / 10.0:
+            return value
+    raise QuadratureError(
+        f"Gauss-Chebyshev error estimate {change:.3e} at {intervals - 1} nodes "
+        f"exceeds tolerance / 10 = {tol / 10.0:.3e}"
     )
-    if abserr > tol:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return float(value)
 
 
 def mp_integral(eta0: float, gamma: float, tol: float = 1e-9) -> float:
@@ -120,7 +144,7 @@ def mp_integral(eta0: float, gamma: float, tol: float = 1e-9) -> float:
 
 def mp_density_mass(gamma: float, tol: float = 1e-9) -> float:
     """Total mass of the bare MP density; equals 1 for every gamma > 1."""
-    return _mp_quad(gamma, lambda lam: 1.0, tol)
+    return _mp_quad(gamma, np.ones_like, tol)
 
 
 def ridge_solve(features: np.ndarray, targets: np.ndarray, eta: float) -> np.ndarray:
@@ -217,20 +241,52 @@ def _trial_rng(cfg: RidgeConfig, trial: int, attempt: int = 0) -> np.random.Gene
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, trial, attempt]))
 
 
-@functools.lru_cache(maxsize=1)
+# per thread: the last draw, as (key, draw), and the buffers of _normal_into
+_per_thread = threading.local()
+
+
+def _normal_into(name: str, rng: np.random.Generator, scale: float, shape) -> np.ndarray:
+    """``rng.normal(0, scale, shape)``, written into this thread's buffer ``name``.
+
+    Bit for bit the fresh draw (normal is 0 + scale z).  The buffer grows
+    to the largest shape asked for and is reused, so a thread's draws
+    neither allocate nor free their big arrays: freeing them raised
+    malloc's mmap threshold and left the sweep's peak memory to the
+    fragmentation of the workers' heaps.  The view returned is overwritten
+    by the thread's next draw, and the buffer lives as long as its thread.
+    """
+    size = int(np.prod(shape))
+    buffer = getattr(_per_thread, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size)
+        setattr(_per_thread, name, buffer)
+    out = buffer[:size].reshape(shape)
+    rng.standard_normal(out=out)
+    out *= scale
+    return out
+
+
 def _draw(cfg: RidgeConfig, trial: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
     """The eta0-free part of a trial: the teacher W and the d_w x d_w product A G.
 
-    ``run_trial`` passes ``cfg`` with eta0 fixed, so consecutive cells that
-    differ only in eta0 hit this one-entry cache; the arrays are read-only.
+    ``run_trial`` passes ``cfg`` with eta0 fixed, so consecutive cells on
+    one thread that differ only in eta0 share a draw.  The cache holds one
+    draw per thread, so the workers of ``sweep_misfit`` never evict each
+    other's draws.  The arrays are read-only.  W1 and X are drawn into the
+    thread's reused buffers (``_normal_into``).
     """
+    key = (cfg, trial, attempt)
+    last = getattr(_per_thread, "last_draw", None)
+    if last is not None and last[0] == key:
+        return last[1]
     rng = _trial_rng(cfg, trial, attempt)
     d_w = cfg.d_w
     W = rng.normal(0.0, np.sqrt(cfg.teacher_scale), size=d_w)
-    W1 = rng.normal(0.0, np.sqrt(1.0 / d_w), size=(cfg.d_s, d_w))
-    X = rng.normal(0.0, np.sqrt(1.0 / d_w), size=(d_w, cfg.n))
+    W1 = _normal_into("W1", rng, np.sqrt(1.0 / d_w), (cfg.d_s, d_w))
+    X = _normal_into("X", rng, np.sqrt(1.0 / d_w), (d_w, cfg.n))
     AG = (W1.T @ W1) @ (X @ X.T)
     W.flags.writeable = AG.flags.writeable = False
+    _per_thread.last_draw = (key, (W, AG))
     return W, AG
 
 
@@ -238,8 +294,8 @@ def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0) -> TrialResult:
     """Draw one teacher/student instance and compute its exact input-averaged misfit.
 
     The draw (teacher W, student features W1, inputs X) does not depend on
-    eta0, so it is shared with the previous call when that call differed
-    only in eta0.  The ridge student's map W1^T w2 equals
+    eta0, so it is shared with the previous call on the same thread when
+    that call differed only in eta0.  The ridge student's map W1^T w2 equals
     (A G + eta I)^-1 A G W (push-through identity, A = W1^T W1, G = X X^T),
     so its residual W1^T w2 - W is -eta (A G + eta I)^-1 W: a d_w x d_w
     solve with no cancellation against W.  Inputs have covariance I / d_w,
@@ -276,33 +332,85 @@ def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     return {(e, g): replace(base, gamma=g, eta0=e) for e in eta0s for g in gammas}
 
 
+# what sets the BLAS thread count, in the order OpenBLAS and MKL read it
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def sweep_workers(draws: int) -> int:
+    """Threads ``sweep_misfit`` runs ``draws`` (gamma, trial) jobs on.
+
+    Every worker's products run on the BLAS thread count: the first
+    positive integer among ``_BLAS_THREAD_VARIABLES``, else (as OpenBLAS
+    and MKL default) every core.  Workers times BLAS threads stays within
+    the cores this process may run on, since threads beyond them contend
+    (two workers of two-thread BLAS on two cores are slower than one
+    worker), and there is no more than one worker per job.  So an unpinned
+    BLAS runs the sweep on one worker, and a BLAS pinned to one thread on
+    one worker per core.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    blas = cores
+    for name in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(cores // blas, draws))
+
+
+def _draw_cells(cfgs, trial: int) -> tuple[list[float], list[int]]:
+    """Misfits and retry counts of the eta0 cells ``cfgs`` of one (gamma, trial).
+
+    A numerically singular solve is retried at the next attempt, which
+    draws afresh, for its own cell only.
+    """
+    misfits, retries = [], []
+    for cfg in cfgs:
+        for attempt in range(10):
+            try:
+                misfits.append(run_trial(cfg, trial, attempt).misfit)
+                break
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            raise np.linalg.LinAlgError(
+                f"trial {trial} of cell eta0={cfg.eta0}, gamma={cfg.gamma} "
+                "failed after 10 attempts"
+            )
+        retries.append(attempt)
+    return misfits, retries
+
+
 def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     """Estimate the misfit of every (eta0, gamma) cell, keyed as ``sweep_cells``.
 
-    The loop runs gamma, then trial, then eta0, so the eta0 cells of one
-    (gamma, trial) reuse one draw.  Each cell still calls ``run_trial``
-    once per trial and is reproducible from (seed, trial) alone.  A
-    numerically singular solve is retried at the next attempt, which
-    draws afresh, and counted against its own cell.
+    One job per (gamma, trial) draws once and runs its eta0 cells through
+    ``run_trial``; the jobs run on ``sweep_workers`` threads.  Each cell
+    still calls ``run_trial`` once per trial and is reproducible from
+    (seed, trial) alone, so the result does not depend on the schedule.
+    Retries are counted per cell.  A cell that fails 10 attempts raises
+    LinAlgError and cancels the jobs not yet started.
     """
+    # imported here: only this sweep needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     cells = sweep_cells(base, gammas, eta0s, trials)
     values = {key: np.empty(trials) for key in cells}
     retries = dict.fromkeys(cells, 0)
-    for gamma in gammas:
-        for t in range(trials):
-            for eta0 in eta0s:
-                key = (eta0, gamma)
-                for attempt in range(10):
-                    try:
-                        values[key][t] = run_trial(cells[key], t, attempt).misfit
-                        break
-                    except np.linalg.LinAlgError:
-                        retries[key] += 1
-                else:
-                    raise np.linalg.LinAlgError(
-                        f"trial {t} of cell eta0={eta0}, gamma={gamma} "
-                        "failed after 10 attempts"
-                    )
+    draws = [(gamma, t) for gamma in gammas for t in range(trials)]
+    pool = ThreadPoolExecutor(sweep_workers(len(draws)))
+    try:
+        jobs = [pool.submit(_draw_cells, [cells[e, gamma] for e in eta0s], t)
+                for gamma, t in draws]
+        for (gamma, t), job in zip(draws, jobs):
+            for eta0, misfit, retried in zip(eta0s, *job.result()):
+                values[eta0, gamma][t] = misfit
+                retries[eta0, gamma] += retried
+    finally:
+        pool.shutdown(cancel_futures=True)
     estimates = {}
     for key, cfg in cells.items():
         v = values[key]

@@ -257,7 +257,7 @@ def test_criterion_6_smoothing_trend():
 def test_criterion_7_bias_variance_estimator():
     start = time.time()
     cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
-    rows, verdicts = run_bias_variance(cfg)
+    rows, verdicts, _ = run_bias_variance(cfg)
     identity = [v for v in verdicts if v["name"] == "bias_variance_identity"][0]
     ensemble = [v for v in verdicts if v["name"] == "ensemble_reduces_variance"][0]
     worst = max(abs(r["bias"] + r["variance"] - r["mean_ce"]) for r in rows)

@@ -313,6 +313,20 @@ class TestRidgeCommand:
         assert len(lines) == 2  # header plus exactly one data row
         assert lines[0] == "d_w,gamma,n_ratio,eta0,trial,misfit,bound,h,mp_integral"
 
+    def test_report_records_its_stages(self, tmp_path):
+        assert run_tiny("ridge", tmp_path) in (0, 1)
+        report = strict_json(tmp_path / "ridge.json")
+        stages = report["stages"]
+        assert set(stages) == {"sweep_workers", "sweep_s", "quadrature_s"}
+        assert isinstance(stages["sweep_workers"], int) and stages["sweep_workers"] >= 1
+        # fixed-width text: the report's size must not depend on the timings
+        assert [len(stages[k]) for k in ("sweep_s", "quadrature_s")] == [9, 9]
+        sweep_s, quadrature_s = float(stages["sweep_s"]), float(stages["quadrature_s"])
+        assert sweep_s > 0 and quadrature_s > 0
+        assert sweep_s + quadrature_s <= 1.001 * report["duration_seconds"]
+        run_tiny("verify", tmp_path)
+        assert "stages" not in strict_json(tmp_path / "verify.json")
+
     def test_csv_byte_identical_across_runs(self, tmp_path):
         args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5",
                 "--set", "trials=3", "--set", "d_w=40", "--set", "n_ratio=5"]
@@ -461,5 +475,5 @@ class TestBiasVarianceCommand:
                     "mean_ce": float(np.mean([losses.ce(truth_vec, p) for p in preds])),
                 })
 
-        rows, _ = run_bias_variance(cfg)
+        rows, _, _ = run_bias_variance(cfg)
         assert rows == expected

@@ -1,8 +1,13 @@
 """Ridge lab tests: closed form vs quadrature, solver optimality, the
 misfit bound at finite size, internal consistency of the exact
-input-average against a fresh Monte Carlo estimate, and the d_w-space
-trial solve and shared-draw sweep against the d_s-space Gram solve."""
+input-average against a fresh Monte Carlo estimate, the d_w-space
+trial solve and shared-draw sweep against the d_s-space Gram solve, and
+the threaded sweep against a serial loop."""
 
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +16,7 @@ import pytest
 from w2slab import cli, ridge
 from w2slab.ridge import (
     MisfitEstimate,
+    QuadratureError,
     RidgeConfig,
     h_closed_form,
     mp_density,
@@ -78,6 +84,26 @@ class TestQuadrature:
 
     def test_large_eta0_approaches_one(self):
         assert mp_integral(1e6, 2.0) == pytest.approx(1.0, abs=1e-2)
+
+    # gamma = 1.01 puts the MP lower edge at 2.5e-5, next to the 1/lam pole
+    HARD_GAMMAS = (1.01, 1.1, 1.5, 2.0, 4.0, 16.0, 100.0, 1e3)
+    HARD_ETA0S = (1e-3, 1e-2, 0.1, 0.5, 1.0, 10.0, 1e3, 1e6)
+
+    def test_agrees_with_closed_form_on_hard_grid(self):
+        gaps = [abs(mp_integral(e, g) - h_closed_form(e, g))
+                for g in self.HARD_GAMMAS for e in self.HARD_ETA0S]
+        assert max(gaps) <= 1e-12
+
+    def test_density_mass_is_one_to_rounding(self):
+        for gamma in self.HARD_GAMMAS:
+            assert abs(mp_density_mass(gamma) - 1.0) <= 1e-12
+
+    def test_unreachable_tolerance_raises(self):
+        # below the rounding of the sum, no rule can certify the value
+        with pytest.raises(QuadratureError, match="exceeds tolerance"):
+            mp_integral(1.0, 2.0, tol=1e-30)
+        with pytest.raises(QuadratureError):
+            mp_density_mass(1.01, tol=1e-30)
 
 
 class TestRidgeSolve:
@@ -260,6 +286,12 @@ class TestTrialSolve:
         assert not (W.flags.writeable or AG.flags.writeable)
 
 
+def force_workers(monkeypatch, cores):
+    """Make ``sweep_workers`` see ``cores`` cores and a one-thread BLAS."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
 class TestSweep:
     BASE = RidgeConfig(d_w=30, n_ratio=5.0, seed=12)
     GAMMAS = (1.5, 4.0, 2.0)
@@ -314,6 +346,70 @@ class TestSweep:
         # 2 gammas x 3 trials; one draw per (cell, trial) would be 18
         assert sorted(calls) == [(g, t, 0) for g in (1.5, 3.0) for t in range(3)]
         assert len((tmp_path / "ridge.csv").read_text().splitlines()) == 1 + 18
+
+    def test_pool_matches_serial_oracle(self, monkeypatch):
+        # more workers than cores, switching threads as often as it can
+        force_workers(monkeypatch, 8)
+        assert ridge.sweep_workers(len(self.GAMMAS) * 4) == 8
+        # the first two jobs wait for each other: one worker alone would break
+        # the barrier, so passing shows two draws ran at once
+        barrier = threading.Barrier(2, timeout=30)
+        original = ridge.run_trial
+
+        def meeting(cfg, trial, attempt=0):
+            if (cfg.gamma, cfg.eta0, trial, attempt) in ((1.5, 1.0, 0, 0), (1.5, 1.0, 1, 0)):
+                barrier.wait()
+            # the first attempt at every odd trial fails, in every cell
+            if trial % 2 == 1 and attempt == 0:
+                raise np.linalg.LinAlgError("singular")
+            return original(cfg, trial, attempt)
+
+        monkeypatch.setattr(ridge, "run_trial", meeting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            est = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        for (eta0, gamma), got in est.items():
+            cfg = replace(self.BASE, gamma=gamma, eta0=eta0)
+            serial = [original(cfg, t, t % 2).misfit for t in range(4)]
+            np.testing.assert_array_equal(got.per_trial, serial)
+            assert got.retries == 2
+
+    def test_worker_failure_raises_and_cancels_pending_draws(self, monkeypatch):
+        force_workers(monkeypatch, 4)
+        calls = []
+        original = ridge.run_trial
+
+        def failing(cfg, trial, attempt=0):
+            calls.append((cfg.gamma, trial))
+            if (cfg.eta0, cfg.gamma, trial) == (0.25, 1.5, 0):
+                raise np.linalg.LinAlgError("singular")
+            time.sleep(0.002)
+            return original(cfg, trial, attempt)
+
+        monkeypatch.setattr(ridge, "run_trial", failing)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="trial 0 of cell eta0=0.25, gamma=1.5 failed after 10"):
+            sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 20)
+        # the failing draw is the first of 60 jobs; cancelling stops the rest
+        assert len({(g, t) for g, t in calls}) < 30
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        for name in ridge._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        # an unpinned BLAS takes every core for itself
+        assert ridge.sweep_workers(100) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert ridge.sweep_workers(100) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert ridge.sweep_workers(100) == 4
+        assert ridge.sweep_workers(3) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ridge.sweep_workers(100) == 3
 
     def test_rejects_bad_grid(self):
         for gammas, eta0s, trials in (((), (1.0,), 2), ((2.0, 2.0), (1.0,), 2),

@@ -404,7 +404,7 @@ class TestTrainMany:
         cfg = {key: default for key, (_, default) in cli.SCHEMAS["bias-variance"].items()}
         # split_train below the batch size: the teachers train on short batches
         cfg.update(task_seeds=1, dim=5, n_test=20, split_train=16, split_pseudo=64)
-        rows, _ = cli.run_bias_variance(cfg)
+        rows, _, _ = cli.run_bias_variance(cfg)
         assert len(rows) == 3 * 20
         assert streams == [] and gdv_calls == []
 
