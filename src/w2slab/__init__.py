@@ -1,5 +1,9 @@
 """Numerical verification lab for weak-to-strong generalization bounds."""
 
+# every command draws from numpy.random, which numpy loads only on first use;
+# loading it here keeps that cost in the import
+import numpy.random  # noqa: F401
+
 from .bregman import (
     BregmanGeometry,
     DomainError,

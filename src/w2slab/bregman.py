@@ -14,6 +14,10 @@ to constant shifts along the all-ones direction.  We fix the representative
 sample the weight-normalized geometric mean of its points.  Residual and
 dual-difference vectors are reduced to the simplex tangent space (centered)
 so that Cauchy-Schwarz residuals vanish exactly for dual-mean predictors.
+
+The negative-entropy generator and its divergence (KL) share one numpy
+kernel, ``_xlogy``: x log y, taken as 0 where x = 0, the convention of
+``scipy.special.xlogy``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 __all__ = [
     "SIMPLEX_EPS",
@@ -85,6 +88,23 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise x log y, with 0 where x == 0.
+
+    When every y is positive the product needs no mask.  Otherwise zeros of
+    x are masked to 0 and the other entries give x log y quietly: NaN for a
+    negative or NaN y, as ``scipy.special.xlogy`` does.
+    """
+    # the ufunc reductions here and in the callers skip the Python wrappers
+    # of ndarray.min and np.sum, which on a few coordinates cost a sizable
+    # share of a whole KL.  The minimum is over y and 1, so that an empty y
+    # takes the product; NaN fails the test
+    if np.minimum.reduce(y, axis=None, initial=1.0) > 0:
+        return x * np.log(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
 
 
 def mean_minimizer(sample: SampleSet) -> np.ndarray:
@@ -265,7 +285,7 @@ class NegativeEntropy(BregmanGeometry):
     # gradients require strictly positive coordinates
     def potential(self, x):
         x = np.asarray(x, dtype=float)
-        return np.sum(xlogy(x, x), axis=-1)
+        return np.add.reduce(_xlogy(x, x), axis=-1)
 
     def grad(self, x):
         return np.log(np.asarray(x, dtype=float))
@@ -278,8 +298,9 @@ class NegativeEntropy(BregmanGeometry):
 
     def _divergence(self, x, y):
         # points summing to 1 only up to rounding can give KL ~ -1e-17;
-        # the divergence is nonnegative, so round those up to zero
-        return np.maximum(np.sum(rel_entr(x, y), axis=-1), 0.0)
+        # the divergence is nonnegative, so round those up to zero.
+        # y is interior, so x / y is 0 exactly where x is
+        return np.maximum(np.add.reduce(_xlogy(x, x / y), axis=-1), 0.0)
 
     def from_dual(self, s):
         s = np.asarray(s, dtype=float)

@@ -24,8 +24,7 @@ threads: one per core when BLAS is pinned to one thread, one alone when
 BLAS takes every core.  Each worker draws into its own reused d_w x n and
 d_s x d_w float64 buffers (about 7.7 MB at the CLI defaults).
 
-The quadrature route is a nested Gauss-Chebyshev rule in numpy; scipy is
-needed only for ``scipy.special`` (in ``bregman``).
+The quadrature route is a nested Gauss-Chebyshev rule in numpy.
 """
 
 from __future__ import annotations

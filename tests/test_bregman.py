@@ -5,6 +5,8 @@ independent oracle for every closed-form divergence, and brute-force grid
 minimization checks both expectation minimizers.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,69 @@ class TestDivergence:
         g = NegativeEntropy(2)
         with pytest.raises(DomainError):
             g.divergence([0.9, 0.3], [0.5, 0.5])
+
+
+class TestScipyOracle:
+    """The numpy KL kernel against ``scipy.special``'s ``xlogy`` and
+    ``rel_entr``; the gap is in the last bits of ``log``."""
+
+    TOL = dict(atol=1e-15, rtol=1e-15)
+
+    @staticmethod
+    def quiet(f, *args):
+        # a RuntimeWarning is a failure even where the value is right
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return f(*args)
+
+    def check(self, x, y):
+        from scipy import special
+        g = NegativeEntropy(x.shape[-1])
+        np.testing.assert_allclose(self.quiet(g.potential, x),
+                                   np.sum(special.xlogy(x, x), axis=-1), **self.TOL)
+        oracle = np.maximum(np.sum(special.rel_entr(x, y), axis=-1), 0.0)
+        np.testing.assert_allclose(self.quiet(g._divergence, x, y), oracle, **self.TOL)
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_random_simplex_pairs(self, k):
+        rng = np.random.default_rng(k)
+        x, y = rng.dirichlet(np.ones(k), size=(2, 1000))
+        self.check(x, y)
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_near_equal_pairs(self, k):
+        rng = np.random.default_rng(10 + k)
+        x = rng.dirichlet(np.ones(k), size=1000)
+        y = x * (1.0 + 1e-6 * rng.standard_normal(x.shape))
+        self.check(x, y / y.sum(axis=-1, keepdims=True))
+
+    def test_first_argument_with_exact_zeros(self):
+        rng = np.random.default_rng(5)
+        x = rng.dirichlet(np.ones(4), size=200)
+        x[::3, 1] = 0.0
+        x[::5, 2:] = 0.0
+        x /= x.sum(axis=-1, keepdims=True)
+        self.check(x, rng.dirichlet(np.ones(4), size=200))
+
+    def test_one_hot_against_tiny_coordinate(self):
+        x = np.array([1.0, 0.0, 0.0])
+        y = clamp_simplex([0.0, 0.5, 0.5])
+        assert y[0] == 1e-12
+        self.check(x, y)
+        g = NegativeEntropy(3)
+        assert self.quiet(g._divergence, x, y) == pytest.approx(27.631021115928547, rel=1e-15)
+
+    def test_potential_special_values(self):
+        from scipy import special
+        x = np.array([[0.0], [-0.0], [-0.5], [np.nan], [1.0]])
+        phi = self.quiet(NegativeEntropy(1).potential, x)
+        np.testing.assert_array_equal(phi, [0.0, 0.0, np.nan, np.nan, 0.0])
+        np.testing.assert_array_equal(phi, special.xlogy(x, x)[:, 0])
+
+    def test_empty_batch(self):
+        g = NegativeEntropy(3)
+        assert self.quiet(g.potential, np.empty((0, 3))).shape == (0,)
+        assert self.quiet(g._divergence, np.empty((0, 3)), np.full(3, 1 / 3)).shape == (0,)
 
 
 class TestDualMaps:

@@ -1,6 +1,6 @@
 """Package-level behaviors: every exported name resolves, ``python -m
-w2slab`` runs the command line, and ``ridge`` leaves ``scipy.integrate``
-unimported."""
+w2slab`` runs the command line, ``ridge`` leaves ``scipy.integrate``
+unimported, and no command imports scipy at all."""
 
 import importlib
 import os
@@ -53,3 +53,35 @@ def test_ridge_never_imports_scipy_integrate(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "ridge.csv").is_file()
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy.special alone cost about 0.3 s and 19 MB in every command's start-up
+    tiny = {
+        "verify": ["scenarios=3", "pairs=100", "triples=20"],
+        "ridge": ["d_w=20", "trials=2", "n_ratio=3"],
+        "classify": ["losses=ce,rce", "alphas=0.01,1", "repeats=1", "dim=20",
+                     "n_pseudo=256", "n_test=100"],
+        "bias-variance": ["task_seeds=1", "k=1", "n_splits=2", "n_test=20",
+                          "split_pseudo=128", "dim=20"],
+    }
+    script = (
+        "import sys\n"
+        "from w2slab import cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        f"for command, items in {tiny!r}.items():\n"
+        f"    args = [command, '--out', {str(tmp_path)!r}]\n"
+        "    for item in items:\n"
+        "        args += ['--set', item]\n"
+        "    code = cli.main(args)\n"
+        "    assert code in (0, 1), (command, code)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "True"  # numpy.random is loaded with the package
+    assert lines[-1] == "[]"
+    for name in ("verify", "ridge", "classify", "bias_variance"):
+        assert (tmp_path / f"{name}.csv").is_file()
