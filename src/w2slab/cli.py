@@ -471,7 +471,10 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     plus an ensemble-supervised student whose pseudo-labels are the dual
     mean of all the round's teachers.  Every fit is an independent ce fit
     from its own seed: a task seed's teachers train in one
-    ``trainer.train_fits`` call, then each student in a call of its own.
+    ``trainer.train_fits`` call, then each round's ``2 * n_splits`` students
+    in one more.  A student is a projection probe trained in input space
+    (``v = P^T w``, stepped through ``M = P^T P``), so it holds no
+    chunk-by-width feature matrix.
     """
     for key in ("k", "n_splits", "task_seeds"):
         if cfg[key] < 1:
@@ -493,12 +496,13 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
     n_splits = cfg["n_splits"]
 
-    def fit_probes(probe_cfg, inputs_and_labels, seeds):
-        # the reports are unused; predictions are read off the models
+    def fit_probes(probe_cfg, fits):
+        # one (inputs, labels, seed) triple per fit; the reports are unused,
+        # predictions are read off the models
         models = [trainer.LinearProbeModel(cfg["dim"], probe_cfg, np.random.default_rng(s))
-                  for s in seeds]
+                  for _, _, s in fits]
         trainer.train_fits(models, [trainer.TrainData(x, y, x[:2], np.array([1.0, -1.0]))
-                                    for x, y in inputs_and_labels], seeds)
+                                    for x, y, _ in fits], [s for _, _, s in fits])
         return models
 
     for outer_seed in range(cfg["task_seeds"]):
@@ -520,24 +524,23 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                 ))
         teachers = fit_probes(
             probe_teacher,
-            [(data.train_x[idx], trainer.labels_to_soft(data.train_y[idx]))
-             for idx, _, _ in pairs],
-            [seed_ij for _, _, seed_ij in pairs])
+            [(data.train_x[idx], trainer.labels_to_soft(data.train_y[idx]), seed_ij)
+             for idx, _, seed_ij in pairs])
         teacher_runs = [t.predict_proba(data.test_x) for t in teachers]
         student_runs, ens_runs = [], []
-        for p, (_, pidx, seed_ij) in enumerate(pairs):
-            first = p - p % n_splits  # the round's first pair
-            chunk_x = data.pseudo_x[pidx]
-            labels = [t.predict_proba(chunk_x) for t in teachers[first: first + n_splits]]
-            # one student per call: each holds its own chunk-by-width features
-            # for its whole fit, so two in one call would raise peak memory
-            student, = fit_probes(probe_student, [(chunk_x, labels[p - first])],
-                                  [seed_ij + 1])
-            student_runs.append(student.predict_proba(data.test_x))
-            ens_student, = fit_probes(probe_student,
-                                      [(chunk_x, harness.ensemble_dual_mean(labels))],
-                                      [seed_ij + 2])
-            ens_runs.append(ens_student.predict_proba(data.test_x))
+        for first in range(0, len(pairs), n_splits):
+            round_teachers = teachers[first: first + n_splits]
+            # per pair, its student (its own teacher's labels) and its
+            # ensemble-supervised student, both on the pair's pseudo chunk
+            fits = []
+            for j, (_, pidx, seed_ij) in enumerate(pairs[first: first + n_splits]):
+                chunk_x = data.pseudo_x[pidx]
+                labels = [t.predict_proba(chunk_x) for t in round_teachers]
+                fits += [(chunk_x, labels[j], seed_ij + 1),
+                         (chunk_x, harness.ensemble_dual_mean(labels), seed_ij + 2)]
+            students = fit_probes(probe_student, fits)
+            student_runs += [s.predict_proba(data.test_x) for s in students[0::2]]
+            ens_runs += [s.predict_proba(data.test_x) for s in students[1::2]]
 
         # (runs, points, 2) test predictions per model
         stacks = [("teacher", np.stack(teacher_runs)), ("student", np.stack(student_runs)),

@@ -15,6 +15,17 @@ parameterization come from the batch loss table in :mod:`w2slab.losses`
 start weights and batch order in lockstep, ``train_fits`` independent fits
 with their own; ``train`` is the one-fit case of both, and all three run the
 one step loop.
+
+Every probe trains in input space.  A projection probe's features
+``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
+with ``v = P^T w``, and a gradient step ``w -= lr P g`` on the weights, with
+``g = x_b^T dl/du / B`` the input-space gradient of a batch, is the step
+``v -= lr M g`` with ``M = P^T P``.  The step loop keeps ``v`` and forms
+``M`` once per projection, never an ``n x width`` feature matrix; the
+weights are ``w0 - lr P sum(g)`` at the end, and gradient norms and the
+gradient direction variance are those of the weight gradients ``(P g, g_b)``,
+read in the ``M`` metric.  An identity probe has ``P = I``: ``v`` is ``w``
+and ``M g`` is ``g`` itself.
 """
 
 from __future__ import annotations
@@ -174,11 +185,12 @@ class LinearProbeModel:
 
     The teacher reads inputs directly; the student sees a fixed random
     projection to ``width`` features with entry variance 1/dim.  Only the
-    weight vector and bias train.
+    weight vector and bias train; predictions go through ``input_weights``.
     """
 
     def __init__(self, dim: int, cfg: ProbeConfig, rng: np.random.Generator) -> None:
         self.cfg = cfg
+        self.dim = dim
         if cfg.feature == "projection":
             self.projection = rng.normal(0.0, np.sqrt(1.0 / dim), size=(cfg.width, dim))
             n_features = cfg.width
@@ -194,9 +206,17 @@ class LinearProbeModel:
             return np.asarray(x, dtype=float)
         return np.asarray(x, dtype=float) @ self.projection.T
 
+    @property
+    def input_weights(self) -> np.ndarray:
+        """``v = P^T w``: the weights of the probe as a linear model of its
+        inputs, ``w`` itself for an identity probe."""
+        if self.projection is None:
+            return self.weights
+        return self.projection.T @ self.weights
+
     def predict_pos(self, x: np.ndarray) -> np.ndarray:
-        """P(class +1) per row."""
-        return _sigmoid(self.features(x) @ self.weights + self.bias)
+        """P(class +1) per row, through ``input_weights``."""
+        return _sigmoid(np.asarray(x, dtype=float) @ self.input_weights + self.bias)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """(n, 2) clamped probability rows."""
@@ -216,20 +236,6 @@ class LinearProbeModel:
 
     def distance_from_init(self) -> float:
         return param_distance(self.theta, self._theta0)
-
-    def head(self) -> LinearProbeModel:
-        """A copy of this probe that takes ``self.features(x)`` in place of ``x``.
-
-        The copy's feature map is the identity, its weights and bias start
-        where this probe's are now, and its settings are this probe's, so
-        training it on precomputed features repeats bit for bit what
-        training this probe on the raw inputs would do.
-        """
-        head = copy.copy(self)
-        head.projection = None
-        head.weights = self.weights.copy()
-        head._theta0 = head.theta.copy()
-        return head
 
 
 # --- training ------------------------------------------------------------------
@@ -274,34 +280,43 @@ class DirectionStream:
     """Running sums from which the gradient direction variance is read.
 
     Holds, per fit, the sum of the unit gradients ``u`` seen so far, the sum
-    of their squared norms and their count ``m``; zero gradients have no
+    of the unit gradients with the metric applied, ``M u``, the sum of their
+    squared norms ``u . M u`` and their count ``m``; zero gradients have no
     direction and are not counted.  The average pairwise ``1 - cos`` over
     the ``m (m - 1)`` ordered pairs is then
-    ``1 - (||sum u||^2 - sum ||u||^2) / (m (m - 1))``, so no gradient is
-    held.
+    ``1 - (sum u . sum M u - sum u . M u) / (m (m - 1))``, so no gradient is
+    held.  The metric is the Euclidean one unless ``add`` is given the
+    metric-applied gradients.
     """
 
     def __init__(self, fits: int, dim: int) -> None:
         self.unit_sum = np.zeros((fits, dim))
+        self.metric_sum = np.zeros((fits, dim))
         self.square_sum = np.zeros(fits)
         self.kept = np.zeros(fits, dtype=int)
 
-    def add(self, grads: np.ndarray, norms: np.ndarray) -> None:
-        """Count one ``(fits, dim)`` block of gradients with their norms."""
+    def add(self, grads: np.ndarray, norms: np.ndarray,
+            metric_grads: np.ndarray | None = None) -> None:
+        """Count one ``(fits, dim)`` block of gradients ``g`` with their norms
+        ``sqrt(g . M g)``; ``metric_grads`` is the block ``M g``, and ``g``
+        itself when omitted."""
         live = norms > 0.0
         unit = grads[live] / norms[live, None]
+        metric = unit if metric_grads is None else metric_grads[live] / norms[live, None]
         self.unit_sum[live] += unit
-        self.square_sum[live] += (unit * unit).sum(axis=1)
+        self.metric_sum[live] += metric
+        self.square_sum[live] += (unit * metric).sum(axis=1)
         self.kept += live
 
     def close(self) -> np.ndarray:
         """Per-fit value over what was added since the last close, nan where
         fewer than two gradients were kept; then start over."""
         m = self.kept
-        pairs = (self.unit_sum * self.unit_sum).sum(axis=1) - self.square_sum
+        pairs = (self.unit_sum * self.metric_sum).sum(axis=1) - self.square_sum
         with np.errstate(divide="ignore", invalid="ignore"):
             value = np.where(m >= 2, 1.0 - pairs / (m * (m - 1)), np.nan)
         self.unit_sum[:] = 0.0
+        self.metric_sum[:] = 0.0
         self.square_sum[:] = 0.0
         self.kept[:] = 0
         return value
@@ -374,11 +389,12 @@ def train_many(
 
     A cell is a ``(loss_name, labels, loss_cfg, alpha)`` tuple whose
     ``(n, 2)`` soft labels stand in for ``data.labels``.  The cells share
-    ``data.x``, the start weights and the batch order drawn from ``seed``,
-    so each step gathers its batch once; each cell keeps its own weight row
-    and its own two matrix-vector products, so its report is bit for bit
-    that of ``train`` on a copy of ``model`` with that cell's labels.
-    ``model`` itself is not changed.
+    ``data.x``, the start weights, the batch order drawn from ``seed`` and,
+    for a projection probe, the one ``M = P^T P``, so each step gathers its
+    batch once; each cell keeps its own input-space weight row ``v = P^T w``
+    and its own matrix-vector products (``x_b v``, ``x_b^T dl/du`` and
+    ``M g``), so its report is bit for bit that of ``train`` on a copy of
+    ``model`` with that cell's labels.  ``model`` itself is not changed.
     """
     cells = list(cells)
     # the copies share the start arrays; training rebinds, never writes, them
@@ -391,11 +407,12 @@ def train_fits(models, datas, seeds) -> list[TrainReport]:
     under the ce loss, in lockstep, and report each.
 
     The fits are independent: each has its own inputs, labels, start
-    weights and batch order, its own gather and its own two matrix-vector
-    products per step, so its report is bit for bit that of
+    weights and batch order, its own gather and its own matrix-vector
+    products per step (a projection probe's ``M = P^T P`` is formed once
+    per projection), so its report is bit for bit that of
     ``train(models[j], datas[j], "ce", seed=seeds[j])``.  There must be one
     data set and one seed per model, and the fits must share one
-    ``ProbeConfig``, feature count and row count, or ``ValueError`` is
+    ``ProbeConfig``, input dimension and row count, or ``ValueError`` is
     raised before any step.
     """
     models, datas, seeds = list(models), list(datas), list(seeds)
@@ -408,8 +425,9 @@ def train_fits(models, datas, seeds) -> list[TrainReport]:
 
 def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]:
     """Train ``models[j]`` in place on ``datas[j]`` under ``cells[j]`` from
-    ``seeds[j]``.  Fits on the same input array through the same feature map
-    with the same seed share one batch order and one gather per step."""
+    ``seeds[j]``, in input space (see the module docstring).  Fits on the
+    same input array with the same seed share one batch order and one
+    gather per step."""
     if not cells:
         raise ValueError("lockstep training needs at least one cell")
     names, cfgs, labels = [], [], []
@@ -423,11 +441,11 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
         names.append(loss_name)
         cfgs.append(loss_cfg)
         labels.append(np.asarray(cell_labels, dtype=float))
-    cfg, n = models[0].cfg, len(datas[0].x)
-    if any(m.cfg != cfg or m.weights.shape != models[0].weights.shape for m in models) \
+    cfg, d, n = models[0].cfg, models[0].dim, len(datas[0].x)
+    if any(m.cfg != cfg or m.dim != d for m in models) \
             or any(len(data.x) != n for data in datas) or any(len(y) != n for y in labels):
         raise ValueError("fits trained in lockstep must share one ProbeConfig, "
-                         "feature count and row count")
+                         "input dimension and row count")
     # one table call per step for each row-wise loss over its fits' rows, and
     # one per fit for the others: (rows, loss, config, labels, offset); a
     # row-wise block is flattened to (rows * n, 2) and read at its fits'
@@ -445,22 +463,21 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
               for j, name in enumerate(names) if name not in ROW_LOSSES]
 
     groups: dict[tuple, list[int]] = {}
-    for j, (model, data, seed) in enumerate(zip(models, datas, seeds)):
-        groups.setdefault((id(data.x), id(model.projection), seed), []).append(j)
+    for j, (data, seed) in enumerate(zip(datas, seeds)):
+        groups.setdefault((id(data.x), seed), []).append(j)
     members = [np.array(fits) for fits in groups.values()]
-    zs = [models[fits[0]].features(datas[fits[0]].x) for fits in groups.values()]
+    xs = [datas[fits[0]].x for fits in groups.values()]
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0x7247]))
-            for _, _, seed in groups]
+            for _, seed in groups]
     group_of = np.empty(len(models), dtype=int)
     for g, fits in enumerate(members):
         group_of[fits] = g
 
     steps, lr, batch = cfg.steps, cfg.learning_rate, cfg.batch_size
-    d = zs[0].shape[1]
     k = len(cells)
     steps_per_epoch = max(1, n // batch)
 
-    weights = np.stack([m.weights for m in models])
+    weights = np.stack([m.input_weights for m in models])  # v, one row per fit
     bias = np.array([[m.bias] for m in models], dtype=float)
     batch_rows = min(batch, n)
     u = np.empty((k, batch_rows))
@@ -468,12 +485,24 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
     pb = np.empty((k, batch_rows, 2))  # the (p1, 1 - p1) batch, refilled in place each step
     p1, p0 = pb[..., 0], pb[..., 1]
     idx_all = np.empty(u.shape, dtype=np.intp)  # each fit's batch rows
-    grads = np.empty((k, d + 1))  # weight gradient, then the bias gradient
+    grads = np.empty((k, d + 1))  # input-space gradient g, then the bias gradient
     grad_w, grad_b = grads[:, :d], grads[:, d:]
+    # the step (M g, g_b); g itself for identity probes
+    projected = cfg.feature == "projection"
+    if projected:
+        projections = {id(m.projection): m.projection for m in models}
+        metrics = {key: p.T @ p for key, p in projections.items()}
+        moves = np.empty_like(grads)
+        metric_rows = list(zip([metrics[id(m.projection)] for m in models],
+                               grad_w, moves[:, :d]))
+        grad_sum = np.zeros((k, d))
+    else:
+        moves = grads
+    move_w, move_b = moves[:, :d], moves[:, d:]
     # per-fit row views: each fit's products stay matrix-vector products
     fit_rows = list(zip(weights, u, grad_w, group_of))
-    grad_rows = list(grads)
-    batches = [None] * len(zs)
+    norm_rows = list(zip(grads, moves))
+    batches = [None] * len(xs)
     epoch_norms = np.empty((k, steps_per_epoch))
     stream = DirectionStream(k, d + 1) if track_gdv else None
     grad_norms: list[np.ndarray] = []
@@ -487,14 +516,14 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
         if cursor + batch > n:
             orders = [rng.permutation(n) for rng in rngs]
             cursor = 0
-        for g, (z, order, fits) in enumerate(zip(zs, orders, members)):
+        for g, (x, order, fits) in enumerate(zip(xs, orders, members)):
             idx = order[cursor : cursor + batch]
             idx_all[fits] = idx
-            batches[g] = z[idx]
+            batches[g] = x[idx]
         cursor += batch
 
-        for w, u_row, _, g in fit_rows:
-            np.matmul(batches[g], w, out=u_row)
+        for v, u_row, _, g in fit_rows:
+            np.matmul(batches[g], v, out=u_row)
         u += bias
         # _sigmoid, then a clamp into the simplex interior so saturated
         # sigmoids keep the loss and the tied-coordinate gradients finite;
@@ -522,14 +551,20 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
             np.matmul(batches[g].T, dldu_row, out=g_row)
         grad_w /= batch_rows
         grad_b[:, 0] = np.add.reduce(dldu, axis=1) / batch_rows
-        weights -= lr * grad_w
-        bias -= lr * grad_b
+        if projected:
+            for metric, g_row, move_row in metric_rows:
+                np.matmul(metric, g_row, out=move_row)
+            move_b[:] = grad_b
+            grad_sum += grad_w
+        weights -= lr * move_w
+        bias -= lr * move_b
 
-        norms = np.array([math.sqrt(g @ g) for g in grad_rows])
+        # |(P g, g_b)| = sqrt(g . M g + g_b^2)
+        norms = np.array([math.sqrt(g @ move) for g, move in norm_rows])
         epoch_norms[:, in_epoch] = norms
         in_epoch += 1
         if stream is not None:
-            stream.add(grads, norms)
+            stream.add(grads, norms, moves)
         if in_epoch == steps_per_epoch or step == steps - 1:
             grad_norms.append(epoch_norms[:, :in_epoch].mean(axis=1))
             if stream is not None:
@@ -538,7 +573,10 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
 
     reports = []
     for j, (model, data, (loss_name, _, _, alpha)) in enumerate(zip(models, datas, cells)):
-        model.weights = weights[j].copy()
+        if projected:
+            model.weights = model.weights - lr * (model.projection @ grad_sum[j])
+        else:
+            model.weights = weights[j].copy()
         model.bias = float(bias[j, 0])
         reports.append(TrainReport(
             accuracy=model.accuracy(data.test_x, data.test_y),
@@ -548,7 +586,7 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
             loss_name=loss_name,
             alpha=alpha,
             final_loss=float(final_loss[j]),
-            mean_prediction=float(_sigmoid(zs[group_of[j]] @ model.weights + model.bias).mean()),
+            mean_prediction=float(model.predict_pos(data.x).mean()),
             test_rce_risk=float(np.mean(rce(labels_to_soft(data.test_y),
                                             model.predict_proba(data.test_x)))),
         ))
@@ -578,11 +616,12 @@ def _repeat_stage(
     """One task draw and seed, shared by every ``(loss_name, alpha)`` cell.
 
     Draws the task, fits the teacher on ground truth, labels the pseudo
-    split with the teacher's probabilities and projects the pseudo and test
-    splits through an untrained student.  Each cell then smooths the labels
-    and trains one copy of that untrained student, all in one
-    ``train_many`` call with GDV tracked.  Returns the teacher's report and
-    one student report per cell; the feature matrices are freed on return.
+    split with the teacher's probabilities and draws an untrained student.
+    Each cell then smooths the labels and trains one copy of that untrained
+    student on the raw pseudo split, all in one ``train_many`` call with GDV
+    tracked; the copies train ``v = P^T w`` in input space and share the
+    one ``M = P^T P``, so no student feature matrix is formed.  Returns the
+    teacher's report and one student report per cell.
     """
     teacher_cfg = teacher_cfg or DEFAULT_TEACHER
     student_cfg = student_cfg or default_student_config(task)
@@ -598,15 +637,11 @@ def _repeat_stage(
         seed=t_seed,
     )
     student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
-    student_data = TrainData(
-        student.features(data.pseudo_x),
-        teacher.predict_proba(data.pseudo_x),
-        student.features(data.test_x),
-        data.test_y,
-    )
+    student_data = TrainData(data.pseudo_x, teacher.predict_proba(data.pseudo_x),
+                             data.test_x, data.test_y)
     specs = [(loss_name, smooth_labels(student_data.labels, alpha), loss_cfg, alpha)
              for loss_name, alpha in cells]
-    return teacher_report, train_many(student.head(), student_data, specs,
+    return teacher_report, train_many(student, student_data, specs,
                                       seed=s_seed, track_gdv=True)
 
 
@@ -691,13 +726,12 @@ def alpha_sweep(
     One row per (loss, alpha, repeat).  Each repeat redraws the task from
     its own seed and does once the work that all cells of the repeat share,
     which also pairs the loss comparisons: the task draw, the teacher
-    fit and its pseudo-label probabilities, the student's random projection
-    and initial weights, and the student features of the pseudo and test
-    splits.  Each cell has its own label smoothing and student training,
-    from those initial weights; the cells of a repeat train in lockstep in
-    one ``train_many`` call, and the adaptive loss's confidence cut comes
-    from that cell's smoothed labels.  ``check_sweep`` checks the
-    arguments before any training.
+    fit and its pseudo-label probabilities, and the student's random
+    projection and initial weights.  Each cell has its own label smoothing
+    and student training, from those initial weights; the cells of a repeat
+    train in lockstep in one ``train_many`` call, and the adaptive loss's
+    confidence cut comes from that cell's smoothed labels.  ``check_sweep``
+    checks the arguments before any training.
     """
     check_sweep(losses, alphas, repeats)
     cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]

@@ -410,6 +410,28 @@ class TestBiasVarianceCommand:
         assert len(calls) == 3 * n_test * task_seeds
         assert set(calls) == {(6, 2)}
 
+    def test_one_student_call_per_round(self, monkeypatch):
+        """A task seed's teachers train in one ``train_fits`` call, then each
+        round's ``2 * n_splits`` students in one call of their own."""
+        from w2slab import trainer
+        from w2slab.cli import SCHEMAS, run_bias_variance
+
+        fit = trainer.train_fits
+        calls = []
+
+        def counted(models, datas, seeds):
+            models = list(models)
+            calls.append((models[0].cfg.feature, len(models)))
+            return fit(models, datas, seeds)
+
+        monkeypatch.setattr(trainer, "train_fits", counted)
+        cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
+        cfg.update(task_seeds=2, k=3, n_splits=2, dim=5, n_test=20, split_train=16,
+                   split_pseudo=64)
+        run_bias_variance(cfg)
+        per_seed = [("identity", 3 * 2)] + [("projection", 2 * 2)] * 3
+        assert calls == per_seed * 2
+
     def test_rows_equal_lone_fits(self):
         """The lockstep fits give the rows of a reference that trains every
         teacher and student alone with ``train``."""

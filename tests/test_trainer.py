@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from w2slab.losses import CompositeLossConfig, loss_table, smooth_labels
+from w2slab.losses import CompositeLossConfig, aux_beta, loss_table, smooth_labels
 from w2slab.trainer import (
     LOSS_NAMES,
     DirectionStream,
@@ -168,6 +168,61 @@ class TestParamDistance:
             param_distance(np.zeros(2), np.zeros(3))
 
 
+def replay_in_weight_space(model, data, cell, seed):
+    """Oracle: mini-batch gradient descent on ``(w, b)`` over the features
+    ``z = model.features(x)``, one step at a time, each pass over the rows
+    drawing its batch order from ``seed`` and taking ``n // batch_size``
+    full batches, for ``n`` of at least one batch.  Returns the final
+    weights and bias and the ``(w, b)`` gradients of each epoch."""
+    name, labels, loss_cfg, _ = cell
+    loss_cfg = loss_cfg or CompositeLossConfig()
+    if name == "cace" and loss_cfg.cace_threshold == 0.0:
+        loss_cfg = loss_cfg.with_threshold_from(labels)
+    steps, lr, batch = model.cfg.steps, model.cfg.learning_rate, model.cfg.batch_size
+    z = model.features(data.x)
+    w, b = model.weights.copy(), model.bias
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7247]))
+    epochs, done = [], 0
+    while done < steps:
+        order, grads = rng.permutation(len(z)), []
+        for s in range(min(len(z) // batch, steps - done)):
+            idx = order[batch * s: batch * (s + 1)]
+            p1 = np.clip(1.0 / (1.0 + np.exp(-(z[idx] @ w + b))), 1e-12, 1.0 - 1e-12)
+            beta = aux_beta(done + s, steps, loss_cfg) if name == "aux" else 0.0
+            _, dldp = loss_table(name, labels[idx], np.stack([p1, 1.0 - p1], axis=-1),
+                                 loss_cfg, beta)
+            dldu = dldp * p1 * (1.0 - p1)
+            grad = np.append(z[idx].T @ dldu / batch, dldu.mean())
+            w, b = w - lr * grad[:-1], b - lr * grad[-1]
+            grads.append(grad)
+        epochs.append(grads)
+        done += len(grads)
+    return w, b, epochs
+
+
+def assert_replayed(rep, model, expected, tol):
+    """``rep`` and the trained ``model`` agree with a weight-space replay
+    (``replay_in_weight_space``) to ``tol``."""
+    w, b, epochs = expected
+    np.testing.assert_allclose(model.weights, w, rtol=0, atol=tol)
+    assert abs(model.bias - b) <= tol
+    np.testing.assert_allclose(
+        rep.grad_norms, [np.mean(np.linalg.norm(e, axis=1)) for e in epochs],
+        rtol=0, atol=tol)
+    # nan matches nan: an epoch without two nonzero gradients
+    np.testing.assert_allclose(rep.gdv_trace, [pairwise_gdv(e) for e in epochs],
+                               rtol=0, atol=tol)
+
+
+# identity probes repeat the replay's arithmetic; projection probes train
+# v = P^T w in input space, which moves the last bits.  The settings below
+# are stable (lr / 4 times the top eigenvalue of z^T z / n, a bound on the
+# ce step's curvature, is about 0.2 against 2), so the two stay within
+# rounding of each other
+PROBES = [pytest.param("identity", 0, 1e-12, id="identity"),
+          pytest.param("projection", 30, 1e-10, id="projection")]
+
+
 def gt_train_data(task):
     data = task.sample()
     return TrainData(data.train_x, labels_to_soft(data.train_y),
@@ -253,18 +308,6 @@ class TestTrain:
         rep = train(model, train_data, "ce", seed=7)
         assert rep.mean_prediction == model.predict_pos(data.pseudo_x).mean()
 
-    def test_head_on_features_repeats_raw_training(self):
-        task = small_task()
-        data = task.sample()
-        model = make_model(feature="projection", width=40, init_scale=0.1, seed=8, steps=40)
-        head = model.head()
-        raw = train(model, TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
-                                     data.test_x, data.test_y), "rce", seed=8)
-        projected = TrainData(model.features(data.pseudo_x),
-                              labels_to_soft(data.pseudo_y),
-                              model.features(data.test_x), data.test_y)
-        assert train(head, projected, "rce", seed=8) == raw
-
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_every_loss_trains(self, name):
         task = small_task()
@@ -310,18 +353,19 @@ class TestTrainMany:
         # an epoch of one step has no pair of gradients to compare
         assert np.isnan(reports[0].mean_gdv) == (rows // batch < 2)
 
-    def test_gdv_trace_matches_pairwise_oracle(self, monkeypatch):
+    @pytest.mark.parametrize("feature,width,tol", PROBES)
+    def test_gdv_trace_matches_pairwise_oracle(self, monkeypatch, feature, width, tol):
         from w2slab import trainer
 
         epochs, current = [], []
 
         class Recording(DirectionStream):
-            def add(self, grads, norms):
-                current.append(grads.copy())
-                super().add(grads, norms)
+            def add(self, grads, norms, metric_grads=None):
+                current.append(len(grads))
+                super().add(grads, norms, metric_grads)
 
             def close(self):
-                epochs.append(np.array(current))
+                epochs.append(len(current))
                 current.clear()
                 return super().close()
 
@@ -329,46 +373,40 @@ class TestTrainMany:
         data = small_task().sample()
         train_data = TrainData(data.train_x, labels_to_soft(data.train_y),
                                data.test_x, data.test_y)
-        model = make_model(seed=10, steps=23, batch_size=20)
+        model = make_model(feature=feature, width=width, seed=10, steps=23, batch_size=20)
         cells = every_loss_cells(train_data.labels)
         reports = train_many(model, train_data, cells, seed=10, track_gdv=True)
         # 64 rows in batches of 20: three full batches per epoch, the last
         # epoch cut short
-        assert [len(e) for e in epochs] == [3] * 7 + [2]
-        for j, rep in enumerate(reports):
-            expected = [pairwise_gdv(epoch[:, j]) for epoch in epochs]
-            np.testing.assert_allclose(rep.gdv_trace, expected, rtol=0, atol=1e-12)
+        assert epochs == [3] * 7 + [2]
+        for (name, labels, cfg, alpha), rep in zip(cells, reports):
+            expected = replay_in_weight_space(model, dataclasses.replace(
+                train_data, labels=labels), (name, labels, cfg, alpha), seed=10)
+            # train_many leaves ``model`` as it was: the weights are read off
+            # a lone fit, bit for bit the cell's (test_lockstep_equals_lone_fits)
+            lone = make_model(feature=feature, width=width, seed=10, steps=23,
+                              batch_size=20)
+            train(lone, dataclasses.replace(train_data, labels=labels), name, seed=10,
+                  loss_cfg=cfg, alpha=alpha, track_gdv=True)
+            assert_replayed(rep, lone, expected, tol)
         assert all(np.isnan(reports[-1].gdv_trace))
 
-    def test_epoch_is_one_pass_of_full_batches(self):
+    @pytest.mark.parametrize("feature,width,tol", PROBES)
+    def test_epoch_is_one_pass_of_full_batches(self, feature, width, tol):
         """100 rows in batches of 32: each pass takes three batches and drops
         the last four rows, so 12 steps are four epochs, and each epoch's
-        GDV is that of its pass's three gradients, replayed here."""
+        gradient norm and GDV are those of its pass's three gradients,
+        replayed here in weight space."""
         data = small_task(n_pseudo=100).sample()
         train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
                                data.test_x, data.test_y)
-        model = make_model(seed=11, steps=12, init_scale=0.1)
-        w, b = model.weights.copy(), model.bias
+        model = make_model(feature=feature, width=width, seed=11, steps=12, init_scale=0.1)
+        expected = replay_in_weight_space(
+            model, train_data, ("ce", train_data.labels, None, 1.0), seed=11)
+        assert [len(e) for e in expected[2]] == [3] * 4
         rep = train(model, train_data, "ce", seed=11, track_gdv=True)
-        rng = np.random.default_rng(np.random.SeedSequence([11, 0x7247]))
-        expected = []
-        for _ in range(4):
-            order, grads = rng.permutation(100), []
-            for s in range(3):
-                idx = order[32 * s: 32 * (s + 1)]
-                p1 = np.clip(1.0 / (1.0 + np.exp(-(train_data.x[idx] @ w + b))),
-                             1e-12, 1.0 - 1e-12)
-                _, dldp = loss_table("ce", train_data.labels[idx],
-                                     np.stack([p1, 1.0 - p1], axis=-1),
-                                     CompositeLossConfig())
-                dldu = dldp * p1 * (1.0 - p1)
-                grad = np.append(train_data.x[idx].T @ dldu / 32, dldu.mean())
-                w, b = w - 0.1 * grad[:-1], b - 0.1 * grad[-1]
-                grads.append(grad)
-            expected.append(pairwise_gdv(grads))
         assert len(rep.grad_norms) == 4
-        np.testing.assert_allclose(rep.gdv_trace, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(model.weights, w, rtol=0, atol=1e-12)
+        assert_replayed(rep, model, expected, tol)
 
     def test_gdv_off_by_default(self):
         rep = train(make_model(seed=1, steps=10), gt_train_data(small_task()), "ce", seed=1)
@@ -391,9 +429,9 @@ class TestTrainMany:
         streams, gdv_calls = [], []
 
         class Counting(DirectionStream):
-            def add(self, grads, norms):
+            def add(self, grads, *rest):
                 streams.append(grads.shape[0])
-                super().add(grads, norms)
+                super().add(grads, *rest)
 
         def counted_gdv(*args, **kwargs):
             gdv_calls.append(args)
@@ -446,11 +484,9 @@ class TestTrainFits:
         # the fits differ, so none trained another's weights
         assert len({rep.param_distance for rep in reports}) == 3
 
-    def test_shared_inputs_and_seed_share_one_gather(self, monkeypatch):
-        from w2slab import trainer
-
-        gathers = []
-        features = trainer.LinearProbeModel.features
+    @staticmethod
+    def counting_gathers(data, gathers):
+        """``data`` with inputs that record each batch gather in ``gathers``."""
 
         class Counted(np.ndarray):
             def __getitem__(self, item):
@@ -458,13 +494,15 @@ class TestTrainFits:
                     gathers.append(item)  # a batch gather, not a view
                 return np.asarray(self)[item]
 
-        def counted_features(self, x):
-            return features(self, x).view(Counted)
+        return dataclasses.replace(data, x=data.x.view(Counted))
 
-        monkeypatch.setattr(trainer.LinearProbeModel, "features", counted_features)
+    def test_shared_inputs_and_seed_share_one_gather(self):
+        gathers = []
         (model, data, _), (other, other_data, _), _ = self.independent_fits(64, 16)
-        # two fits on one input array, one feature map and one seed, and one
-        # fit on other inputs: two gathers per step
+        data = self.counting_gathers(data, gathers)
+        other_data = self.counting_gathers(other_data, gathers)
+        # two fits on one input array and one seed, and one fit on other
+        # inputs: two gathers per step
         twin = copy.copy(model)
         reports = train_fits([model, twin, other], [data, data, other_data], [5, 5, 6])
         assert len(gathers) == 2 * 25
@@ -473,23 +511,24 @@ class TestTrainFits:
         train_many(model, data, [("ce", data.labels, None, 1.0)] * 3, seed=5)
         assert len(gathers) == 25
 
-    def test_mismatched_fits_rejected_before_any_step(self, monkeypatch):
-        from w2slab import trainer
-
-        def no_features(self, x):
-            raise AssertionError("features computed before the fits were checked")
-
-        monkeypatch.setattr(trainer.LinearProbeModel, "features", no_features)
+    def test_mismatched_fits_rejected_before_any_step(self):
+        gathers = []
         (model, data, seed), (other, other_data, other_seed), _ = self.independent_fits(64, 16)
+        data = self.counting_gathers(data, gathers)
+        other_data = self.counting_gathers(other_data, gathers)
         longer = make_model(feature="projection", width=30, seed=2, steps=26, batch_size=16)
         short = dataclasses.replace(other_data, x=other_data.x[:60],
                                     labels=other_data.labels[:60])
-        # one config, but identity probes over 20 and 19 inputs
+        # one config, but identity probes over 20 and 19 inputs, and
+        # projection probes of one width over 20 and 19 inputs
         wide, narrow = (make_model(dim=dim, seed=2, steps=25, batch_size=16)
                         for dim in (20, 19))
+        wide_p, narrow_p = (make_model(dim=dim, feature="projection", width=30, seed=2,
+                                       steps=25, batch_size=16) for dim in (20, 19))
         for models, datas in (([model, longer], [data, other_data]),
                               ([model, other], [data, short]),
-                              ([wide, narrow], [data, other_data])):
+                              ([wide, narrow], [data, other_data]),
+                              ([wide_p, narrow_p], [data, other_data])):
             with pytest.raises(ValueError, match="ProbeConfig"):
                 train_fits(models, datas, [seed, other_seed])
         with pytest.raises(ValueError, match="ProbeConfig"):
@@ -498,6 +537,7 @@ class TestTrainFits:
         for datas, seeds in (([data], [seed, other_seed]), ([data, other_data], [seed])):
             with pytest.raises(ValueError, match="one seed per model"):
                 train_fits([model, other], datas, seeds)
+        assert gathers == []  # no batch was gathered
 
 
 class TestPipeline:
