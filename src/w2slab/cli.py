@@ -365,7 +365,7 @@ def run_ridge(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     quadrature_s = time.perf_counter() - start - sweep_s
     # times as fixed-width text, so the report's size does not vary run to run
     stages = {
-        "sweep_workers": ridge.sweep_workers(len(cfg["gammas"]) * cfg["trials"]),
+        "sweep_workers": ridge.sweep_workers(cfg["trials"]),
         "sweep_s": f"{sweep_s:.3e}",
         "quadrature_s": f"{quadrature_s:.3e}",
     }

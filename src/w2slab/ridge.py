@@ -16,13 +16,21 @@ both routes are implemented so each can check the other.
 A trial is solved in d_w space, never in d_s space: with A = W1^T W1 and
 G = X X^T, the push-through identity gives the student's map as
 W1^T w2 = (A G + eta I)^-1 A G W, so its residual against the teacher is
--eta (A G + eta I)^-1 W, one d_w x d_w solve.  The draw and A G do not
-depend on eta0, so ``sweep_misfit`` makes one job per (gamma, trial), and
-the eta0 cells of that job share one draw.  The jobs run on a thread pool
-(the normal fill and the products release the GIL) of ``sweep_workers``
-threads: one per core when BLAS is pinned to one thread, one alone when
-BLAS takes every core.  Each worker draws into its own reused d_w x n and
-d_s x d_w float64 buffers (about 7.7 MB at the CLI defaults).
+-eta (A G + eta I)^-1 W, one d_w x d_w solve.
+
+A trial's random stream depends on (seed, trial, attempt) only, not on gamma
+or eta0: the teacher W is its first d_w normals, and after them W1 (d_s x d_w)
+and X (d_w x n) are consecutive windows of one prefix.  So ``sweep_misfit``
+makes one job per trial, which runs every (eta0, gamma) cell of that trial,
+largest d_s first: the first cell draws the whole prefix, and every other
+cell reads its W1 and X from it.  The eta0 cells of one gamma also share
+A G.  The jobs run on a thread pool (the normal fill and the products
+release the GIL) of ``sweep_workers`` threads: one per core when BLAS is
+pinned to one thread, one alone when BLAS takes every core, and never more
+than there are trials, so a sweep of fewer trials than cores leaves cores
+idle (the CLI defaults, 50 trials on 2 workers, lose nothing).  Each worker
+keeps its trial's generator and one reused float64 buffer of
+d_w (max d_s + n) scaled normals (about 7.7 MB at the CLI defaults).
 
 The quadrature route is a nested Gauss-Chebyshev rule in numpy.
 """
@@ -240,29 +248,54 @@ def _trial_rng(cfg: RidgeConfig, trial: int, attempt: int = 0) -> np.random.Gene
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, trial, attempt]))
 
 
-# per thread: the last draw, as (key, draw), and the buffers of _normal_into
+# per thread: the last draw, as (key, draw); the last trial's stream, as
+# (key, generator, teacher normals); the scaled normals drawn from it so
+# far, and the buffer that holds them
 _per_thread = threading.local()
 
 
-def _normal_into(name: str, rng: np.random.Generator, scale: float, shape) -> np.ndarray:
-    """``rng.normal(0, scale, shape)``, written into this thread's buffer ``name``.
+def _trial_normals(cfg: RidgeConfig, trial: int,
+                   attempt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W, W1 and X of one trial, read from this thread's stream of that trial.
 
-    Bit for bit the fresh draw (normal is 0 + scale z).  The buffer grows
-    to the largest shape asked for and is reused, so a thread's draws
-    neither allocate nor free their big arrays: freeing them raised
-    malloc's mmap threshold and left the sweep's peak memory to the
-    fragmentation of the workers' heaps.  The view returned is overwritten
-    by the thread's next draw, and the buffer lives as long as its thread.
+    Bit for bit ``rng.normal`` draws of W (scale sqrt(B / d_w)), then W1 and
+    X (scale sqrt(1 / d_w)) from ``_trial_rng`` (normal is 0 + scale z).
+    The stream does not depend on gamma, so W1 and X are read from one
+    prefix z of scaled normals: W1 = z[:d_s d_w], X = z[d_s d_w : d_s d_w +
+    d_w n].  The thread keeps its last stream, keyed (seed, d_w, trial,
+    attempt), and extends the prefix from the kept generator when a cell
+    needs more of it than has been drawn (standard_normal is
+    prefix-consistent).  The prefix is written into one buffer per thread,
+    which grows to the largest prefix asked for and is reused, so a
+    thread's trials neither allocate nor free big arrays: freeing them
+    raised malloc's mmap threshold and left the sweep's peak memory to the
+    fragmentation of the workers' heaps.  W1 and X are views of the buffer,
+    overwritten by the thread's next trial; the buffer lives as long as its
+    thread.
     """
-    size = int(np.prod(shape))
-    buffer = getattr(_per_thread, name, None)
-    if buffer is None or buffer.size < size:
-        buffer = np.empty(size)
-        setattr(_per_thread, name, buffer)
-    out = buffer[:size].reshape(shape)
-    rng.standard_normal(out=out)
-    out *= scale
-    return out
+    d_w = cfg.d_w
+    key = (cfg.seed, d_w, trial, attempt)
+    if getattr(_per_thread, "stream", (None,))[0] != key:
+        rng = _trial_rng(cfg, trial, attempt)
+        _per_thread.stream = (key, rng, rng.standard_normal(d_w))
+        _per_thread.drawn = 0
+    _, rng, teacher = _per_thread.stream
+    drawn = _per_thread.drawn
+    offset = cfg.d_s * d_w
+    need = offset + d_w * cfg.n
+    buffer = getattr(_per_thread, "buffer", None)
+    if need > drawn:
+        if buffer is None or buffer.size < need:
+            grown = np.empty(need)
+            if drawn:
+                grown[:drawn] = buffer[:drawn]
+            buffer = _per_thread.buffer = grown
+        fresh = buffer[drawn:need]
+        rng.standard_normal(out=fresh)
+        fresh *= np.sqrt(1.0 / d_w)
+        _per_thread.drawn = need
+    W = np.sqrt(cfg.teacher_scale) * teacher
+    return W, buffer[:offset].reshape(cfg.d_s, d_w), buffer[offset:need].reshape(d_w, cfg.n)
 
 
 def _draw(cfg: RidgeConfig, trial: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,18 +304,15 @@ def _draw(cfg: RidgeConfig, trial: int, attempt: int) -> tuple[np.ndarray, np.nd
     ``run_trial`` passes ``cfg`` with eta0 fixed, so consecutive cells on
     one thread that differ only in eta0 share a draw.  The cache holds one
     draw per thread, so the workers of ``sweep_misfit`` never evict each
-    other's draws.  The arrays are read-only.  W1 and X are drawn into the
-    thread's reused buffers (``_normal_into``).
+    other's draws.  The arrays are read-only.  W, W1 and X come from the
+    thread's stream of the trial (``_trial_normals``), which the cells of
+    other gammas read as well.
     """
     key = (cfg, trial, attempt)
     last = getattr(_per_thread, "last_draw", None)
     if last is not None and last[0] == key:
         return last[1]
-    rng = _trial_rng(cfg, trial, attempt)
-    d_w = cfg.d_w
-    W = rng.normal(0.0, np.sqrt(cfg.teacher_scale), size=d_w)
-    W1 = _normal_into("W1", rng, np.sqrt(1.0 / d_w), (cfg.d_s, d_w))
-    X = _normal_into("X", rng, np.sqrt(1.0 / d_w), (d_w, cfg.n))
+    W, W1, X = _trial_normals(cfg, trial, attempt)
     AG = (W1.T @ W1) @ (X @ X.T)
     W.flags.writeable = AG.flags.writeable = False
     _per_thread.last_draw = (key, (W, AG))
@@ -292,9 +322,11 @@ def _draw(cfg: RidgeConfig, trial: int, attempt: int) -> tuple[np.ndarray, np.nd
 def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0) -> TrialResult:
     """Draw one teacher/student instance and compute its exact input-averaged misfit.
 
-    The draw (teacher W, student features W1, inputs X) does not depend on
-    eta0, so it is shared with the previous call on the same thread when
-    that call differed only in eta0.  The ridge student's map W1^T w2 equals
+    The draw (teacher W, student features W1, inputs X) depends on (seed,
+    trial, attempt) and on the widths only, so a cell reads it from the
+    stream the previous call on the same thread drew when that call had the
+    same trial and attempt, and shares A G with it when it differed only in
+    eta0.  The ridge student's map W1^T w2 equals
     (A G + eta I)^-1 A G W (push-through identity, A = W1^T W1, G = X X^T),
     so its residual W1^T w2 - W is -eta (A G + eta I)^-1 W: a d_w x d_w
     solve with no cancellation against W.  Inputs have covariance I / d_w,
@@ -335,17 +367,18 @@ def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def sweep_workers(draws: int) -> int:
-    """Threads ``sweep_misfit`` runs ``draws`` (gamma, trial) jobs on.
+def sweep_workers(trials: int) -> int:
+    """Threads ``sweep_misfit`` runs its ``trials`` jobs, one per trial, on.
 
     Every worker's products run on the BLAS thread count: the first
     positive integer among ``_BLAS_THREAD_VARIABLES``, else (as OpenBLAS
     and MKL default) every core.  Workers times BLAS threads stays within
     the cores this process may run on, since threads beyond them contend
     (two workers of two-thread BLAS on two cores are slower than one
-    worker), and there is no more than one worker per job.  So an unpinned
-    BLAS runs the sweep on one worker, and a BLAS pinned to one thread on
-    one worker per core.
+    worker), and there is no more than one worker per trial.  So an
+    unpinned BLAS runs the sweep on one worker, and a BLAS pinned to one
+    thread on one worker per core, or per trial when there are fewer
+    trials than cores.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -357,14 +390,15 @@ def sweep_workers(draws: int) -> int:
         if value.isdigit() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, min(cores // blas, draws))
+    return max(1, min(cores // blas, trials))
 
 
-def _draw_cells(cfgs, trial: int) -> tuple[list[float], list[int]]:
-    """Misfits and retry counts of the eta0 cells ``cfgs`` of one (gamma, trial).
+def _trial_cells(cfgs, trial: int) -> tuple[list[float], list[int]]:
+    """Misfits and retry counts of the cells ``cfgs`` of one trial, run in order.
 
     A numerically singular solve is retried at the next attempt, which
-    draws afresh, for its own cell only.
+    draws afresh, for its own cell only; the next cell goes back to
+    attempt 0.
     """
     misfits, retries = [], []
     for cfg in cfgs:
@@ -386,8 +420,11 @@ def _draw_cells(cfgs, trial: int) -> tuple[list[float], list[int]]:
 def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     """Estimate the misfit of every (eta0, gamma) cell, keyed as ``sweep_cells``.
 
-    One job per (gamma, trial) draws once and runs its eta0 cells through
-    ``run_trial``; the jobs run on ``sweep_workers`` threads.  Each cell
+    One job per trial runs every cell of that trial through ``run_trial``,
+    largest d_s first and the eta0 cells of one gamma together, so the
+    trial's normals are drawn once, by its first cell, and each gamma draws
+    A G once.  The jobs run on ``sweep_workers(trials)`` threads, so a sweep
+    of fewer trials than cores runs on fewer workers than cores.  Each cell
     still calls ``run_trial`` once per trial and is reproducible from
     (seed, trial) alone, so the result does not depend on the schedule.
     Retries are counted per cell.  A cell that fails 10 attempts raises
@@ -399,15 +436,16 @@ def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     cells = sweep_cells(base, gammas, eta0s, trials)
     values = {key: np.empty(trials) for key in cells}
     retries = dict.fromkeys(cells, 0)
-    draws = [(gamma, t) for gamma in gammas for t in range(trials)]
-    pool = ThreadPoolExecutor(sweep_workers(len(draws)))
+    widest_first = sorted(gammas, key=lambda g: cells[eta0s[0], g].d_s, reverse=True)
+    order = [(e, g) for g in widest_first for e in eta0s]
+    pool = ThreadPoolExecutor(sweep_workers(trials))
     try:
-        jobs = [pool.submit(_draw_cells, [cells[e, gamma] for e in eta0s], t)
-                for gamma, t in draws]
-        for (gamma, t), job in zip(draws, jobs):
-            for eta0, misfit, retried in zip(eta0s, *job.result()):
-                values[eta0, gamma][t] = misfit
-                retries[eta0, gamma] += retried
+        jobs = [pool.submit(_trial_cells, [cells[key] for key in order], t)
+                for t in range(trials)]
+        for t, job in enumerate(jobs):
+            for key, misfit, retried in zip(order, *job.result()):
+                values[key][t] = misfit
+                retries[key] += retried
     finally:
         pool.shutdown(cancel_futures=True)
     estimates = {}

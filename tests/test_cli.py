@@ -1,6 +1,7 @@
 """Command-line behaviors: config parsing, exit codes, output artifacts,
 and byte-level determinism of the CSVs."""
 
+import concurrent.futures
 import json
 import operator
 import os
@@ -326,6 +327,24 @@ class TestRidgeCommand:
         assert sweep_s + quadrature_s <= 1.001 * report["duration_seconds"]
         run_tiny("verify", tmp_path)
         assert "stages" not in strict_json(tmp_path / "verify.json")
+
+    def test_stage_reports_the_workers_the_sweep_ran(self, tmp_path, monkeypatch):
+        # 4 cores and a one-thread BLAS, but one trial is one job: one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        pools = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        assert run(["ridge", "--set", "gammas=1.5,2,4", "--set", "eta0s=1",
+                    "--set", "trials=1", "--set", "d_w=20", "--set", "n_ratio=3",
+                    "--out", str(tmp_path)]) in (0, 1)
+        assert pools == [1]
+        assert strict_json(tmp_path / "ridge.json")["stages"]["sweep_workers"] == 1
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5",

@@ -1,8 +1,9 @@
 """Ridge lab tests: closed form vs quadrature, solver optimality, the
 misfit bound at finite size, internal consistency of the exact
 input-average against a fresh Monte Carlo estimate, the d_w-space
-trial solve and shared-draw sweep against the d_s-space Gram solve, and
-the threaded sweep against a serial loop."""
+trial solve and shared-draw sweep against the d_s-space Gram solve, each
+trial's one normal stream against fresh draws, and the threaded sweep
+against a serial loop."""
 
 import os
 import sys
@@ -328,12 +329,12 @@ class TestSweep:
                 assert got.retries == 0
                 np.testing.assert_array_equal(got.per_trial, clean[key].per_trial)
 
-    def test_one_draw_per_gamma_and_trial(self, tmp_path, monkeypatch):
+    def test_one_stream_per_trial(self, tmp_path, monkeypatch):
         calls = []
         original = ridge._trial_rng
 
         def counting(cfg, trial, attempt=0):
-            calls.append((cfg.gamma, trial, attempt))
+            calls.append((trial, attempt))
             return original(cfg, trial, attempt)
 
         monkeypatch.setattr(ridge, "_trial_rng", counting)
@@ -343,16 +344,38 @@ class TestSweep:
             "--out", str(tmp_path),
         ])
         assert code in (0, 1)
-        # 2 gammas x 3 trials; one draw per (cell, trial) would be 18
-        assert sorted(calls) == [(g, t, 0) for g in (1.5, 3.0) for t in range(3)]
+        # one stream per trial; one per (gamma, trial) would be 6, per cell 18
+        assert sorted(calls) == [(t, 0) for t in range(3)]
         assert len((tmp_path / "ridge.csv").read_text().splitlines()) == 1 + 18
+
+    def test_one_prefix_of_normals_per_trial(self, monkeypatch):
+        drawn = dict.fromkeys(range(3), 0)
+        original = ridge._trial_rng
+
+        class Counting:
+            """A trial's generator that counts the normals drawn from it."""
+
+            def __init__(self, rng, trial):
+                self.rng, self.trial = rng, trial
+
+            def standard_normal(self, size=None, out=None):
+                drawn[self.trial] += out.size if out is not None else int(np.prod(size))
+                return self.rng.standard_normal(size, out=out)
+
+        monkeypatch.setattr(ridge, "_trial_rng", lambda cfg, trial, attempt=0:
+                            Counting(original(cfg, trial, attempt), trial))
+        sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
+        d_w, n = self.BASE.d_w, self.BASE.n
+        widest = max(replace(self.BASE, gamma=g).d_s for g in self.GAMMAS)
+        # W, then the widest cell's W1 and X; every other cell reads a window of them
+        assert drawn == dict.fromkeys(range(3), d_w + d_w * (widest + n))
 
     def test_pool_matches_serial_oracle(self, monkeypatch):
         # more workers than cores, switching threads as often as it can
         force_workers(monkeypatch, 8)
-        assert ridge.sweep_workers(len(self.GAMMAS) * 4) == 8
+        assert ridge.sweep_workers(4) == 4
         # the first two jobs wait for each other: one worker alone would break
-        # the barrier, so passing shows two draws ran at once
+        # the barrier, so passing shows two trials ran at once
         barrier = threading.Barrier(2, timeout=30)
         original = ridge.run_trial
 
@@ -393,7 +416,8 @@ class TestSweep:
         with pytest.raises(np.linalg.LinAlgError,
                            match="trial 0 of cell eta0=0.25, gamma=1.5 failed after 10"):
             sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 20)
-        # the failing draw is the first of 60 jobs; cancelling stops the rest
+        # the failing cell ends the first of 20 jobs (one per trial, of 3 gammas
+        # each); cancelling stops the rest
         assert len({(g, t) for g, t in calls}) < 30
 
     def test_worker_count(self, monkeypatch):
@@ -417,6 +441,70 @@ class TestSweep:
                                       ((1.0,), (1.0,), 2), ((2.0,), (0.0,), 2)):
             with pytest.raises(ValueError):
                 sweep_misfit(self.BASE, gammas, eta0s, trials)
+
+
+def fresh_misfit(cfg, trial, attempt=0):
+    """run_trial's arithmetic on a fresh rng.normal draw of W, W1 and X."""
+    W, W1, X = draw(cfg, trial, attempt)
+    K = (W1.T @ W1) @ (X @ X.T) + cfg.eta * np.eye(cfg.d_w)
+    direction = -cfg.eta * np.linalg.solve(K, W)
+    return float(direction @ direction / cfg.d_w)
+
+
+class TestTrialStream:
+    """Cells read W, W1 and X from their trial's one stream, bit for bit fresh draws."""
+
+    BASE = RidgeConfig(d_w=30, n_ratio=5.0, seed=21)
+    ETA0S = (1.0, 0.25)
+    # ascending extends the kept prefix at every gamma; the sweep runs widest first
+    ORDERS = {"ascending": (1.5, 2.0, 4.0), "descending": (4.0, 2.0, 1.5),
+              "mixed": (2.0, 4.0, 1.5)}
+
+    def failing_once(self, monkeypatch, gamma, trial):
+        """Fail the first attempt-0 draw of (gamma, trial) after drawing it."""
+        original, failed = ridge._draw, []
+
+        def flaky(cfg, t, attempt):
+            drawn = original(cfg, t, attempt)
+            if (cfg.gamma, t, attempt) == (gamma, trial, 0) and not failed:
+                failed.append(t)
+                raise np.linalg.LinAlgError("singular")
+            return drawn
+
+        monkeypatch.setattr(ridge, "_draw", flaky)
+        return failed
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_cells_equal_fresh_draws(self, order, monkeypatch):
+        gammas = self.ORDERS[order]
+        # the first cell of the middle width fails once at trial 1: its attempt-1
+        # stream must not reuse attempt 0's prefix, and the next cell must get
+        # attempt 0's stream back
+        middle = sorted(gammas)[1]
+        cfgs = [replace(self.BASE, gamma=g, eta0=e) for g in gammas for e in self.ETA0S]
+        failed = self.failing_once(monkeypatch, middle, 1)
+        for t in range(3):
+            misfits, retries = ridge._trial_cells(cfgs, t)
+            assert retries == [int((c.gamma, c.eta0, t) == (middle, self.ETA0S[0], 1))
+                               for c in cfgs]
+            assert misfits == [fresh_misfit(c, t, r) for c, r in zip(cfgs, retries)]
+        assert failed == [1]
+        failed = self.failing_once(monkeypatch, middle, 1)
+        est = sweep_misfit(self.BASE, gammas, self.ETA0S, 3)
+        assert failed == [1]
+        for (eta0, gamma), got in est.items():
+            cfg = replace(self.BASE, gamma=gamma, eta0=eta0)
+            retried = (gamma, eta0) == (middle, self.ETA0S[0])
+            assert got.retries == int(retried)
+            assert got.per_trial.tolist() == [fresh_misfit(cfg, t, int(retried and t == 1))
+                                              for t in range(3)]
+
+    def test_cells_of_other_seeds_widths_and_n_equal_fresh_draws(self):
+        # one thread, consecutive cells of one trial whose streams differ or agree
+        for cfg in (self.BASE, replace(self.BASE, n_ratio=8.0), replace(self.BASE, d_w=20),
+                    replace(self.BASE, seed=22), replace(self.BASE, n_ratio=3.0),
+                    replace(self.BASE, gamma=4.0)):
+            assert run_trial(cfg, 0).misfit == fresh_misfit(cfg, 0)
 
 
 class TestMonotonicityReport:
