@@ -21,16 +21,16 @@ W1^T w2 = (A G + eta I)^-1 A G W, so its residual against the teacher is
 A trial's random stream depends on (seed, trial, attempt) only, not on gamma
 or eta0: the teacher W is its first d_w normals, and after them W1 (d_s x d_w)
 and X (d_w x n) are consecutive windows of one prefix.  So ``sweep_misfit``
-makes one job per trial, which runs every (eta0, gamma) cell of that trial,
-largest d_s first: the first cell draws the whole prefix, and every other
-cell reads its W1 and X from it.  The eta0 cells of one gamma also share
-A G.  The jobs run on a thread pool (the normal fill and the products
-release the GIL) of ``sweep_workers`` threads: one per core when BLAS is
-pinned to one thread, one alone when BLAS takes every core, and never more
-than there are trials, so a sweep of fewer trials than cores leaves cores
-idle (the CLI defaults, 50 trials on 2 workers, lose nothing).  Each worker
-keeps its trial's generator and one reused float64 buffer of
-d_w (max d_s + n) scaled normals (about 7.7 MB at the CLI defaults).
+makes one job per trial, which draws W and the prefix once, sized for the
+widest gamma, forms each gamma's A G once, and hands that draw to
+``run_trial`` for each eta0 cell; ``run_trial`` called alone draws its own.
+The jobs run on a thread pool (the normal fill and the products release
+the GIL) of ``sweep_workers`` threads: one per core when BLAS is pinned to
+one thread, one alone when BLAS takes every core, and never more than
+there are trials, so a sweep of fewer trials than cores leaves cores idle
+(the CLI defaults, 50 trials on 2 workers, lose nothing).  Each worker
+reuses one float64 buffer that holds the prefix, d_w (max d_s + n) scaled
+normals, and the current A G (about 7.7 MB at the CLI defaults).
 
 The quadrature route is a nested Gauss-Chebyshev rule in numpy.
 """
@@ -68,10 +68,11 @@ class QuadratureError(RuntimeError):
 
 
 def _check_range(eta0: float, gamma: float) -> None:
-    if not eta0 > 0:
-        raise ValueError(f"eta0 must be positive, got {eta0!r}")
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma!r}")
+    """Raise ValueError unless 0 < eta0 < inf and 1 < gamma < inf, the domain of h."""
+    if not 0 < eta0 < np.inf:
+        raise ValueError(f"eta0 must be finite and positive, got {eta0!r}")
+    if not 1 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
 
 
 def h_closed_form(eta0: float, gamma: float) -> float:
@@ -84,8 +85,7 @@ def h_closed_form(eta0: float, gamma: float) -> float:
 
 def mp_density(lam, gamma: float):
     """Marchenko-Pastur eigenvalue density for aspect ratio 1/gamma < 1."""
-    if not gamma > 1:
-        raise ValueError(f"gamma must exceed 1, got {gamma!r}")
+    _check_range(1.0, gamma)  # the density has no eta0
     lam = np.asarray(lam, dtype=float)
     lo = (1.0 - np.sqrt(1.0 / gamma)) ** 2
     hi = (1.0 + np.sqrt(1.0 / gamma)) ** 2
@@ -151,6 +151,7 @@ def mp_integral(eta0: float, gamma: float, tol: float = 1e-9) -> float:
 
 def mp_density_mass(gamma: float, tol: float = 1e-9) -> float:
     """Total mass of the bare MP density; equals 1 for every gamma > 1."""
+    _check_range(1.0, gamma)
     return _mp_quad(gamma, np.ones_like, tol)
 
 
@@ -191,10 +192,7 @@ class RidgeConfig:
     def __post_init__(self) -> None:
         if self.d_w < 2:
             raise ValueError("d_w must be at least 2")
-        if not 1 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be finite and exceed 1, got {self.gamma!r}")
-        if not 0 < self.eta0 < np.inf:
-            raise ValueError(f"eta0 must be finite and positive, got {self.eta0!r}")
+        _check_range(self.eta0, self.gamma)
         if not 1 <= self.n_ratio < np.inf:
             raise ValueError(f"n_ratio must be finite and at least 1, got {self.n_ratio!r}")
         if not 0 < self.B < np.inf:
@@ -248,94 +246,62 @@ def _trial_rng(cfg: RidgeConfig, trial: int, attempt: int = 0) -> np.random.Gene
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, trial, attempt]))
 
 
-# per thread: the last draw, as (key, draw); the last trial's stream, as
-# (key, generator, teacher normals); the scaled normals drawn from it so
-# far, and the buffer that holds them
+# one float64 buffer per thread, reused by every sweep job the thread runs
 _per_thread = threading.local()
 
 
-def _trial_normals(cfg: RidgeConfig, trial: int,
-                   attempt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W, W1 and X of one trial, read from this thread's stream of that trial.
+def _normals(cfg: RidgeConfig, trial: int, attempt: int, out: np.ndarray) -> np.ndarray:
+    """Return a trial's teacher W and fill ``out`` with the normals after it.
 
-    Bit for bit ``rng.normal`` draws of W (scale sqrt(B / d_w)), then W1 and
-    X (scale sqrt(1 / d_w)) from ``_trial_rng`` (normal is 0 + scale z).
-    The stream does not depend on gamma, so W1 and X are read from one
-    prefix z of scaled normals: W1 = z[:d_s d_w], X = z[d_s d_w : d_s d_w +
-    d_w n].  The thread keeps its last stream, keyed (seed, d_w, trial,
-    attempt), and extends the prefix from the kept generator when a cell
-    needs more of it than has been drawn (standard_normal is
-    prefix-consistent).  The prefix is written into one buffer per thread,
-    which grows to the largest prefix asked for and is reused, so a
-    thread's trials neither allocate nor free big arrays: freeing them
-    raised malloc's mmap threshold and left the sweep's peak memory to the
-    fragmentation of the workers' heaps.  W1 and X are views of the buffer,
-    overwritten by the thread's next trial; the buffer lives as long as its
-    thread.
+    Bit for bit ``rng.normal`` draws from ``_trial_rng`` (normal is 0 +
+    scale z): W is the first d_w normals at scale sqrt(B / d_w), and ``out``
+    holds the next ``out.size`` at scale sqrt(1 / d_w).  The stream does not
+    depend on gamma, eta0 or n, and standard_normal is prefix-consistent,
+    so W1 and X of every cell of the trial are windows of one prefix z
+    (see ``_gram_product``).
     """
-    d_w = cfg.d_w
-    key = (cfg.seed, d_w, trial, attempt)
-    if getattr(_per_thread, "stream", (None,))[0] != key:
-        rng = _trial_rng(cfg, trial, attempt)
-        _per_thread.stream = (key, rng, rng.standard_normal(d_w))
-        _per_thread.drawn = 0
-    _, rng, teacher = _per_thread.stream
-    drawn = _per_thread.drawn
-    offset = cfg.d_s * d_w
-    need = offset + d_w * cfg.n
-    buffer = getattr(_per_thread, "buffer", None)
-    if need > drawn:
-        if buffer is None or buffer.size < need:
-            grown = np.empty(need)
-            if drawn:
-                grown[:drawn] = buffer[:drawn]
-            buffer = _per_thread.buffer = grown
-        fresh = buffer[drawn:need]
-        rng.standard_normal(out=fresh)
-        fresh *= np.sqrt(1.0 / d_w)
-        _per_thread.drawn = need
-    W = np.sqrt(cfg.teacher_scale) * teacher
-    return W, buffer[:offset].reshape(cfg.d_s, d_w), buffer[offset:need].reshape(d_w, cfg.n)
+    rng = _trial_rng(cfg, trial, attempt)
+    W = np.sqrt(cfg.teacher_scale) * rng.standard_normal(cfg.d_w)
+    rng.standard_normal(out=out)
+    out *= np.sqrt(1.0 / cfg.d_w)
+    return W
 
 
-def _draw(cfg: RidgeConfig, trial: int, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eta0-free part of a trial: the teacher W and the d_w x d_w product A G.
+def _gram_product(cfg: RidgeConfig, z: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The d_w x d_w product A G = (W1^T W1)(X X^T) of cell ``cfg``.
 
-    ``run_trial`` passes ``cfg`` with eta0 fixed, so consecutive cells on
-    one thread that differ only in eta0 share a draw.  The cache holds one
-    draw per thread, so the workers of ``sweep_misfit`` never evict each
-    other's draws.  The arrays are read-only.  W, W1 and X come from the
-    thread's stream of the trial (``_trial_normals``), which the cells of
-    other gammas read as well.
+    W1 = z[:d_s d_w] as d_s x d_w and X = z[d_s d_w : d_s d_w + d_w n]
+    as d_w x n, read from a prefix z that ``_normals`` drew.
     """
-    key = (cfg, trial, attempt)
-    last = getattr(_per_thread, "last_draw", None)
-    if last is not None and last[0] == key:
-        return last[1]
-    W, W1, X = _trial_normals(cfg, trial, attempt)
-    AG = (W1.T @ W1) @ (X @ X.T)
-    W.flags.writeable = AG.flags.writeable = False
-    _per_thread.last_draw = (key, (W, AG))
-    return W, AG
+    d_w, offset = cfg.d_w, cfg.d_s * cfg.d_w
+    W1 = z[:offset].reshape(cfg.d_s, d_w)
+    X = z[offset:offset + d_w * cfg.n].reshape(d_w, cfg.n)
+    return np.matmul(W1.T @ W1, X @ X.T, out=out)
 
 
-def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0) -> TrialResult:
-    """Draw one teacher/student instance and compute its exact input-averaged misfit.
+def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0,
+              draw: tuple[np.ndarray, np.ndarray] | None = None) -> TrialResult:
+    """Solve one teacher/student instance and compute its exact input-averaged misfit.
 
-    The draw (teacher W, student features W1, inputs X) depends on (seed,
-    trial, attempt) and on the widths only, so a cell reads it from the
-    stream the previous call on the same thread drew when that call had the
-    same trial and attempt, and shares A G with it when it differed only in
-    eta0.  The ridge student's map W1^T w2 equals
-    (A G + eta I)^-1 A G W (push-through identity, A = W1^T W1, G = X X^T),
-    so its residual W1^T w2 - W is -eta (A G + eta I)^-1 W: a d_w x d_w
-    solve with no cancellation against W.  Inputs have covariance I / d_w,
-    so the expectation over test inputs reduces the misfit to
-    ||W1^T w2 - W||^2 / d_w with no sampling error.
+    ``draw`` is the cell's (W, A G) for (trial, attempt), which
+    ``sweep_misfit``'s jobs draw once per trial and form once per gamma;
+    it is only read.  Without it, the cell draws its own W, W1 and X
+    from the (seed, trial, attempt) stream.  The ridge student's map
+    W1^T w2 equals (A G + eta I)^-1 A G W (push-through identity,
+    A = W1^T W1, G = X X^T), so its residual W1^T w2 - W is
+    -eta (A G + eta I)^-1 W: a d_w x d_w solve with no cancellation
+    against W.  Inputs have covariance I / d_w, so the expectation over
+    test inputs reduces the misfit to ||W1^T w2 - W||^2 / d_w with no
+    sampling error.
     """
-    # eta0 does not enter the draw; fixing it makes the cache key eta0-free
-    W, AG = _draw(replace(cfg, eta0=1.0), trial, attempt)
-    K = AG + cfg.eta * np.eye(cfg.d_w)
+    if draw is None:
+        z = np.empty(cfg.d_w * (cfg.d_s + cfg.n))
+        draw = _normals(cfg, trial, attempt, z), _gram_product(cfg, z)
+    W, AG = draw
+    # the same bits as AG + eta * np.eye(d_w): off the diagonal that adds 0.0
+    K = AG.copy()
+    K.flat[::cfg.d_w + 1] += cfg.eta
     x = np.linalg.solve(K, W)
     rel_residual = np.linalg.norm(K @ x - W) / max(np.linalg.norm(W), 1e-300)
     if not np.isfinite(rel_residual) or rel_residual > 1e-8:
@@ -393,39 +359,53 @@ def sweep_workers(trials: int) -> int:
     return max(1, min(cores // blas, trials))
 
 
-def _trial_cells(cfgs, trial: int) -> tuple[list[float], list[int]]:
-    """Misfits and retry counts of the cells ``cfgs`` of one trial, run in order.
+def _trial_cells(groups, trial: int) -> tuple[list[float], list[int]]:
+    """Misfits and retry counts of one trial's cells, in order.
 
-    A numerically singular solve is retried at the next attempt, which
-    draws afresh, for its own cell only; the next cell goes back to
-    attempt 0.
+    ``groups`` holds one list of cells per gamma.  The job draws W and the prefix of scaled normals once, sized for the
+    widest gamma, into its thread's buffer, forms each gamma's A G once
+    in the buffer's d_w x d_w tail, and hands (W, A G) to ``run_trial``
+    for each eta0 cell.  Reusing the buffer keeps the d_w x d_w products
+    from being freed and faulted back in at every job.  A numerically
+    singular solve is retried at the next attempt, which draws afresh,
+    for its own cell only; the next cell goes back to the job's draw.
     """
+    first = groups[0][0]
+    d_w = first.d_w
+    size = d_w * (max(group[0].d_s for group in groups) + first.n)
+    buffer = getattr(_per_thread, "buffer", None)
+    if buffer is None or buffer.size < size + d_w * d_w:
+        buffer = _per_thread.buffer = np.empty(size + d_w * d_w)
+    z, AG = buffer[:size], buffer[size:size + d_w * d_w].reshape(d_w, d_w)
+    W = _normals(first, trial, 0, z)
     misfits, retries = [], []
-    for cfg in cfgs:
-        for attempt in range(10):
-            try:
-                misfits.append(run_trial(cfg, trial, attempt).misfit)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            raise np.linalg.LinAlgError(
-                f"trial {trial} of cell eta0={cfg.eta0}, gamma={cfg.gamma} "
-                "failed after 10 attempts"
-            )
-        retries.append(attempt)
+    for group in groups:
+        _gram_product(group[0], z, out=AG)
+        for cfg in group:
+            for attempt in range(10):
+                try:
+                    misfits.append(run_trial(cfg, trial, attempt,
+                                             (W, AG) if attempt == 0 else None).misfit)
+                    break
+                except np.linalg.LinAlgError:
+                    continue
+            else:
+                raise np.linalg.LinAlgError(
+                    f"trial {trial} of cell eta0={cfg.eta0}, gamma={cfg.gamma} "
+                    "failed after 10 attempts"
+                )
+            retries.append(attempt)
     return misfits, retries
 
 
 def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     """Estimate the misfit of every (eta0, gamma) cell, keyed as ``sweep_cells``.
 
-    One job per trial runs every cell of that trial through ``run_trial``,
-    largest d_s first and the eta0 cells of one gamma together, so the
-    trial's normals are drawn once, by its first cell, and each gamma draws
-    A G once.  The jobs run on ``sweep_workers(trials)`` threads, so a sweep
-    of fewer trials than cores runs on fewer workers than cores.  Each cell
-    still calls ``run_trial`` once per trial and is reproducible from
+    One job per trial (``_trial_cells``) runs every cell of that trial: it
+    draws the trial's normals once, forms A G once per gamma, and calls
+    ``run_trial`` once per cell with that draw.  The jobs run on
+    ``sweep_workers(trials)`` threads, so a sweep of fewer trials than
+    cores runs on fewer workers than cores.  Each cell is reproducible from
     (seed, trial) alone, so the result does not depend on the schedule.
     Retries are counted per cell.  A cell that fails 10 attempts raises
     LinAlgError and cancels the jobs not yet started.
@@ -436,12 +416,11 @@ def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     cells = sweep_cells(base, gammas, eta0s, trials)
     values = {key: np.empty(trials) for key in cells}
     retries = dict.fromkeys(cells, 0)
-    widest_first = sorted(gammas, key=lambda g: cells[eta0s[0], g].d_s, reverse=True)
-    order = [(e, g) for g in widest_first for e in eta0s]
+    order = [(e, g) for g in gammas for e in eta0s]
+    groups = [[cells[e, g] for e in eta0s] for g in gammas]
     pool = ThreadPoolExecutor(sweep_workers(trials))
     try:
-        jobs = [pool.submit(_trial_cells, [cells[key] for key in order], t)
-                for t in range(trials)]
+        jobs = [pool.submit(_trial_cells, groups, t) for t in range(trials)]
         for t, job in enumerate(jobs):
             for key, misfit, retried in zip(order, *job.result()):
                 values[key][t] = misfit
@@ -494,8 +473,9 @@ def verify_monotonicity(eta0_grid, gamma_grid) -> MonotonicityReport:
     violations: list[str] = []
     for i, e in enumerate(eta0s):
         row = values[i]
-        if np.any(np.diff(row) >= 0):
+        # written so that a NaN h counts as a violation
+        if not np.all(np.diff(row) < 0):
             violations.append(f"h not strictly decreasing in gamma at eta0={e}")
-        if np.any((row <= 0) | (row >= 1)):
+        if not np.all((row > 0) & (row < 1)):
             violations.append(f"h left (0, 1) at eta0={e}")
     return MonotonicityReport(eta0s, gammas, values, tuple(violations))

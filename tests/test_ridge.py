@@ -61,6 +61,20 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             h_closed_form(1.0, 0.5)
 
+    @pytest.mark.parametrize("eta0,gamma", [(1.0, np.inf), (np.inf, 2.0)])
+    def test_rejects_non_finite(self, eta0, gamma):
+        # every route to h, the density and the config share one domain check
+        for call in (lambda: h_closed_form(eta0, gamma), lambda: mp_integral(eta0, gamma),
+                     lambda: verify_monotonicity([eta0], [2.0, gamma]),
+                     lambda: RidgeConfig(eta0=eta0, gamma=gamma)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
+        if gamma != 2.0:
+            with pytest.raises(ValueError, match="must be finite"):
+                mp_density([1.0], gamma)
+            with pytest.raises(ValueError, match="must be finite"):
+                mp_density_mass(gamma)
+
 
 class TestQuadrature:
     def test_density_mass_is_one(self):
@@ -280,12 +294,6 @@ class TestTrialSolve:
                 misfit = float(direct @ direct / cfg.d_w)
                 assert abs(run_trial(cfg, t).misfit - misfit) <= 1e-12 * misfit
 
-    def test_shared_draw_is_read_only(self):
-        cfg = RidgeConfig(d_w=20, gamma=2.0, n_ratio=5.0, seed=8)
-        run_trial(cfg, 0)
-        W, AG = ridge._draw(replace(cfg, eta0=1.0), 0, 0)
-        assert not (W.flags.writeable or AG.flags.writeable)
-
 
 def force_workers(monkeypatch, cores):
     """Make ``sweep_workers`` see ``cores`` cores and a one-thread BLAS."""
@@ -311,10 +319,10 @@ class TestSweep:
         clean = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
         original = ridge.run_trial
 
-        def flaky(cfg, trial, attempt=0):
+        def flaky(cfg, trial, attempt=0, draw=None):
             if (cfg.eta0, cfg.gamma, trial, attempt) == (0.25, 4.0, 1, 0):
                 raise np.linalg.LinAlgError("singular")
-            return original(cfg, trial, attempt)
+            return original(cfg, trial, attempt, draw)
 
         monkeypatch.setattr(ridge, "run_trial", flaky)
         est = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
@@ -349,26 +357,42 @@ class TestSweep:
         assert len((tmp_path / "ridge.csv").read_text().splitlines()) == 1 + 18
 
     def test_one_prefix_of_normals_per_trial(self, monkeypatch):
-        drawn = dict.fromkeys(range(3), 0)
-        original = ridge._trial_rng
-
-        class Counting:
-            """A trial's generator that counts the normals drawn from it."""
-
-            def __init__(self, rng, trial):
-                self.rng, self.trial = rng, trial
-
-            def standard_normal(self, size=None, out=None):
-                drawn[self.trial] += out.size if out is not None else int(np.prod(size))
-                return self.rng.standard_normal(size, out=out)
-
-        monkeypatch.setattr(ridge, "_trial_rng", lambda cfg, trial, attempt=0:
-                            Counting(original(cfg, trial, attempt), trial))
-        sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
+        original_rng, original_trial = ridge._trial_rng, ridge.run_trial
         d_w, n = self.BASE.d_w, self.BASE.n
         widest = max(replace(self.BASE, gamma=g).d_s for g in self.GAMMAS)
-        # W, then the widest cell's W1 and X; every other cell reads a window of them
-        assert drawn == dict.fromkeys(range(3), d_w + d_w * (widest + n))
+        # a sweep with no retry, then one whose cell (eta0=1, gamma=2) fails at
+        # trial 1, attempt 0
+        for retried in (None, (1.0, 2.0, 1)):
+            drawn = {}
+
+            class Counting:
+                """A trial's generator that counts the normals drawn from it."""
+
+                def __init__(self, rng, stream):
+                    self.rng, self.stream = rng, stream
+                    drawn.setdefault(stream, 0)
+
+                def standard_normal(self, size=None, out=None):
+                    drawn[self.stream] += out.size if out is not None else int(np.prod(size))
+                    return self.rng.standard_normal(size, out=out)
+
+            def flaky(cfg, trial, attempt=0, draw=None):
+                if retried and (cfg.eta0, cfg.gamma, trial, attempt) == (*retried, 0):
+                    raise np.linalg.LinAlgError("singular")
+                return original_trial(cfg, trial, attempt, draw)
+
+            monkeypatch.setattr(ridge, "_trial_rng", lambda cfg, trial, attempt=0:
+                                Counting(original_rng(cfg, trial, attempt), (trial, attempt)))
+            monkeypatch.setattr(ridge, "run_trial", flaky)
+            sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
+            # W, then the widest cell's W1 and X; every other cell reads a window
+            # of them, the cells after a retried one included
+            expected = {(t, 0): d_w + d_w * (widest + n) for t in range(3)}
+            if retried is not None:
+                # the retry draws its own cell's W, W1 and X only
+                eta0, gamma, trial = retried
+                expected[trial, 1] = d_w + d_w * (replace(self.BASE, gamma=gamma).d_s + n)
+            assert drawn == expected
 
     def test_pool_matches_serial_oracle(self, monkeypatch):
         # more workers than cores, switching threads as often as it can
@@ -379,13 +403,13 @@ class TestSweep:
         barrier = threading.Barrier(2, timeout=30)
         original = ridge.run_trial
 
-        def meeting(cfg, trial, attempt=0):
+        def meeting(cfg, trial, attempt=0, draw=None):
             if (cfg.gamma, cfg.eta0, trial, attempt) in ((1.5, 1.0, 0, 0), (1.5, 1.0, 1, 0)):
                 barrier.wait()
             # the first attempt at every odd trial fails, in every cell
             if trial % 2 == 1 and attempt == 0:
                 raise np.linalg.LinAlgError("singular")
-            return original(cfg, trial, attempt)
+            return original(cfg, trial, attempt, draw)
 
         monkeypatch.setattr(ridge, "run_trial", meeting)
         interval = sys.getswitchinterval()
@@ -405,12 +429,12 @@ class TestSweep:
         calls = []
         original = ridge.run_trial
 
-        def failing(cfg, trial, attempt=0):
+        def failing(cfg, trial, attempt=0, draw=None):
             calls.append((cfg.gamma, trial))
             if (cfg.eta0, cfg.gamma, trial) == (0.25, 1.5, 0):
                 raise np.linalg.LinAlgError("singular")
             time.sleep(0.002)
-            return original(cfg, trial, attempt)
+            return original(cfg, trial, attempt, draw)
 
         monkeypatch.setattr(ridge, "run_trial", failing)
         with pytest.raises(np.linalg.LinAlgError,
@@ -456,22 +480,22 @@ class TestTrialStream:
 
     BASE = RidgeConfig(d_w=30, n_ratio=5.0, seed=21)
     ETA0S = (1.0, 0.25)
-    # ascending extends the kept prefix at every gamma; the sweep runs widest first
+    # the job sizes its one prefix for the widest gamma, wherever it comes
     ORDERS = {"ascending": (1.5, 2.0, 4.0), "descending": (4.0, 2.0, 1.5),
               "mixed": (2.0, 4.0, 1.5)}
 
     def failing_once(self, monkeypatch, gamma, trial):
-        """Fail the first attempt-0 draw of (gamma, trial) after drawing it."""
-        original, failed = ridge._draw, []
+        """Fail the first attempt-0 solve of (gamma, trial) after solving it."""
+        original, failed = ridge.run_trial, []
 
-        def flaky(cfg, t, attempt):
-            drawn = original(cfg, t, attempt)
+        def flaky(cfg, t, attempt=0, draw=None):
+            solved = original(cfg, t, attempt, draw)
             if (cfg.gamma, t, attempt) == (gamma, trial, 0) and not failed:
                 failed.append(t)
                 raise np.linalg.LinAlgError("singular")
-            return drawn
+            return solved
 
-        monkeypatch.setattr(ridge, "_draw", flaky)
+        monkeypatch.setattr(ridge, "run_trial", flaky)
         return failed
 
     @pytest.mark.parametrize("order", ORDERS)
@@ -481,10 +505,11 @@ class TestTrialStream:
         # stream must not reuse attempt 0's prefix, and the next cell must get
         # attempt 0's stream back
         middle = sorted(gammas)[1]
-        cfgs = [replace(self.BASE, gamma=g, eta0=e) for g in gammas for e in self.ETA0S]
+        groups = [[replace(self.BASE, gamma=g, eta0=e) for e in self.ETA0S] for g in gammas]
+        cfgs = [cfg for group in groups for cfg in group]
         failed = self.failing_once(monkeypatch, middle, 1)
         for t in range(3):
-            misfits, retries = ridge._trial_cells(cfgs, t)
+            misfits, retries = ridge._trial_cells(groups, t)
             assert retries == [int((c.gamma, c.eta0, t) == (middle, self.ETA0S[0], 1))
                                for c in cfgs]
             assert misfits == [fresh_misfit(c, t, r) for c, r in zip(cfgs, retries)]
@@ -513,6 +538,15 @@ class TestMonotonicityReport:
         assert rep.ok
         assert rep.values.shape == (4, 6)
         assert np.all((rep.values > 0) & (rep.values < 1))
+
+    def test_nan_value_is_a_violation(self, monkeypatch):
+        original = ridge.h_closed_form
+        monkeypatch.setattr(ridge, "h_closed_form", lambda eta0, gamma:
+                            np.nan if gamma == 4.0 else original(eta0, gamma))
+        rep = verify_monotonicity([1.0], [1.5, 2.0, 4.0])
+        assert not rep.ok
+        assert rep.violations == ("h not strictly decreasing in gamma at eta0=1.0",
+                                  "h left (0, 1) at eta0=1.0")
 
     def test_values_sorted_by_gamma(self):
         rep = verify_monotonicity([1.0], [4.0, 2.0, 1.5])
