@@ -14,7 +14,7 @@ from .bregman import (
     clamp_simplex,
     mean_minimizer,
 )
-from .losses import CompositeLossConfig, ProbVector
+from .losses import ProbVector
 
 __all__ = [
     "BregmanGeometry",
@@ -26,7 +26,6 @@ __all__ = [
     "clamp_simplex",
     "DomainError",
     "ProbVector",
-    "CompositeLossConfig",
     "__version__",
 ]
 

@@ -269,6 +269,9 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
             abs(grid1[np.argmin(rev)] - geometry.dual_mean(sample)[0])]
 
     # inequality and equality suites on random scenarios
+    # the largest risk-gap identity gap so far (np.maximum keeps a NaN); a
+    # list of every report's gap read about 0.2 MB more peak RSS
+    identity_gap = 0.0
     for index in range(cfg["scenarios"]):
         for geometry in _verify_geometries(rng):
             scenario = harness.random_scenario(geometry, rng, seed=index)
@@ -279,6 +282,8 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                     rep = verifier(scenario, geometry, direction)
                     if label == "conditional":
                         conditional[direction] = rep
+                    identity_gap = np.maximum(identity_gap, abs(
+                        rep.lhs - (rep.teacher_risk - rep.misfit + rep.exact_inner)))
                     found["residual_dominates_inner_product"].append(
                         rep.epsilon - abs(rep.exact_inner))
                     rows.append({
@@ -313,10 +318,17 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                 mean_ce = float(np.mean(losses.ce(truth, runs)))
                 found["bias_variance_identity"].append(abs(bias + variance - mean_ce))
     found["risk_gap_inequality"] = [row["slack"] for row in rows]
+    found["risk_gap_identity"].append(identity_gap)
 
     tol_eq = cfg["tol_equality"]
     # (name, what is measured, op, bound): "<=" judges the largest
-    # measurement, ">=" the smallest
+    # measurement, ">=" the smallest.  Over every conditional and product
+    # risk-gap report, with S the student risk, T the teacher risk, M the
+    # misfit and inner the enumerated inner-product remainder:
+    # risk_gap_identity checks the exact S = T - M + inner; the inequality
+    # S <= T - M + epsilon, its slack epsilon - inner; and the residual
+    # domination epsilon >= |inner|.  The last two read the same value
+    # whenever the report of least epsilon - |inner| has inner >= 0
     checks = [
         ("law_of_cosines", "max |residual|", "<=", cfg["tol_identity"]),
         ("decomposition_reconstruction", "max |gap|", "<=", cfg["tol_decomposition"]),
@@ -325,6 +337,8 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
          f"min generator-form divergence over {cfg['pairs']} pairs per geometry",
          ">=", -cfg["tol_identity"]),
         ("expectation_minimizer_grid", "max |argmin offset|", "<=", step),
+        ("risk_gap_identity", "max |student risk - (teacher risk - misfit + inner)|",
+         "<=", cfg["tol_identity"]),
         ("risk_gap_inequality", "min slack", ">=", -cfg["tol_slack"]),
         ("residual_dominates_inner_product", "min (epsilon - |inner|)", ">=", -1e-12),
         ("posterior_mean_equality", "max |gap|", "<=", tol_eq),
@@ -493,7 +507,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     rows: list[dict] = []
 
     probe_teacher = trainer.DEFAULT_TEACHER
-    probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
+    probe_student = trainer.default_student_config(base_task)
     n_splits = cfg["n_splits"]
 
     def fit_probes(probe_cfg, fits):

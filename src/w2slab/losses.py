@@ -6,10 +6,14 @@ table the trainer uses.  ``loss_table`` is the one definition of every
 training loss in ``LOSS_NAMES``: for ``(n, 2)`` rows it gives each loss's
 per-row values and its analytic gradient along the first coordinate, with
 the second tied as its complement, in one call.  The composite losses (the
-confidence-adaptive CE/RCE switch, the weighted symmetric cross-entropy and
-the confidence-regularized loss with hardened self-targets) are reached
-only through it.  ``loss_values`` and ``loss_grads`` are its two halves and
-``numeric_loss_grads`` is its central-difference oracle.
+confidence-adaptive CE/RCE switch, the symmetric cross-entropy and the
+confidence-regularized loss with hardened self-targets) are reached only
+through it.  Their settings are fixed, except for the two a fit supplies:
+the adaptive loss's confidence cut ``cut``, which the trainer derives from
+the fit's own labels (``confidence_threshold``), and the regularized loss's
+weight ``beta``, which follows the step (``aux_beta``).  ``loss_values``
+and ``loss_grads`` are its two halves and ``numeric_loss_grads`` is its
+central-difference oracle.
 
 Probability rows are plain arrays whose trailing axis indexes classes;
 :class:`ProbVector` is a checked, clamped single point that every function
@@ -21,7 +25,7 @@ is the one smoothing function: it maps ``(..., 2)`` rows to clamped
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +34,12 @@ from .bregman import clamp_simplex
 __all__ = [
     "ProbVector",
     "BinaryOnlyError",
-    "CompositeLossConfig",
     "ce",
     "rce",
     "kl",
     "rkl",
     "entropy",
+    "check_alpha",
     "smooth_labels",
     "confidence",
     "confidence_threshold",
@@ -154,6 +158,12 @@ def entropy(y):
 # --- label smoothing ---------------------------------------------------------
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the smoothing level ``alpha`` lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+
+
 def smooth_labels(y, alpha: float) -> np.ndarray:
     """Shrink binary label rows toward uniform: y_j -> 1/2 + alpha (y_j - 1/2).
 
@@ -161,8 +171,7 @@ def smooth_labels(y, alpha: float) -> np.ndarray:
     rows.  Preserves the argmax for every alpha > 0; alpha = 0 yields the
     uniform rows and alpha = 1 the (clamped) identity.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    check_alpha(alpha)
     y = _p(y)
     if y.shape[-1] != 2:
         raise BinaryOnlyError("label smoothing is defined for K = 2 only")
@@ -170,43 +179,6 @@ def smooth_labels(y, alpha: float) -> np.ndarray:
 
 
 # --- composite losses ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompositeLossConfig:
-    """Knobs for the composite losses.
-
-    ``cace_threshold`` is the confidence cut c below which the adaptive loss
-    switches to reverse cross-entropy; it is derived once from the full
-    pseudo-label set at the ``cace_quantile_pct`` quantile, not per batch.
-    ``sl_weights`` are the (reverse, forward) weights of the symmetric loss.
-    The warm-up fraction schedules the hardening weight beta linearly from 0
-    to ``aux_beta_max`` over that share of training.
-    """
-
-    cace_threshold: float = 0.0
-    cace_quantile_pct: int = 20
-    sl_weights: tuple[float, float] = (1.0, 1.0)
-    aux_beta_max: float = 0.5
-    aux_warmup_fraction: float = 0.2
-
-    def __post_init__(self) -> None:
-        l1, l2 = self.sl_weights
-        if not (0 <= l1 < np.inf and 0 <= l2 < np.inf and l1 + l2 > 0):
-            raise ValueError("sl_weights must be finite and nonnegative with a positive sum")
-        if not 0.0 <= self.aux_beta_max <= 1.0:
-            raise ValueError("aux_beta_max must lie in [0, 1]")
-        if not 0.0 < self.aux_warmup_fraction <= 1.0:
-            raise ValueError("aux_warmup_fraction must lie in (0, 1]")
-        if self.cace_quantile_pct not in (5, 10, 20, 30):
-            raise ValueError("cace_quantile_pct must be one of {5, 10, 20, 30}")
-        if not 0 <= self.cace_threshold < np.inf:
-            raise ValueError("cace_threshold must be finite and nonnegative")
-
-    def with_threshold_from(self, pseudo_labels) -> "CompositeLossConfig":
-        """Return a copy with c set from the pseudo-label confidence quantile."""
-        c = confidence_threshold(pseudo_labels, self.cace_quantile_pct)
-        return replace(self, cace_threshold=c)
 
 
 def confidence(y) -> np.ndarray:
@@ -217,9 +189,10 @@ def confidence(y) -> np.ndarray:
     return np.abs(y[..., 0] - 0.5)
 
 
-def confidence_threshold(pseudo_labels, quantile_pct: int) -> float:
-    """Confidence cut such that ~quantile_pct percent of labels fall below it."""
-    return float(np.quantile(confidence(_rows(pseudo_labels)), quantile_pct / 100.0))
+def confidence_threshold(pseudo_labels) -> float:
+    """The adaptive loss's confidence cut: the 20% quantile of the labels'
+    confidence, so about a fifth of them fall below it."""
+    return float(np.quantile(confidence(_rows(pseudo_labels)), 0.2))
 
 
 def harden_threshold(batch_predictions) -> float:
@@ -244,10 +217,11 @@ def harden(yhat, threshold: float) -> np.ndarray:
     return np.where((p.max(axis=-1) > threshold)[..., None], hard, p)
 
 
-def aux_beta(step: int, total_steps: int, cfg: CompositeLossConfig) -> float:
-    """Linear warm-up of beta from 0 to beta_max over the warm-up window."""
-    warmup = max(1.0, cfg.aux_warmup_fraction * total_steps)
-    return cfg.aux_beta_max * min(1.0, step / warmup)
+def aux_beta(step: int, total_steps: int) -> float:
+    """The aux weight beta at ``step``: a linear warm-up from 0 to 0.5 over
+    the first 20% of the steps."""
+    warmup = max(1.0, 0.2 * total_steps)
+    return 0.5 * min(1.0, step / warmup)
 
 
 def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
@@ -269,9 +243,9 @@ def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
 # aux entry needs a single (n, 2) batch, since its hardening cut is a batch
 # statistic.
 
-# entries that read no config and no batch statistic, so the cells of one
-# such loss can share one table call over their (cells, batch, 2) block
-ROW_LOSSES = ("ce", "rce", "kl", "rkl")
+# entries that read no per-fit setting and no batch statistic, so the cells
+# of one such loss can share one table call over their (cells, batch, 2) block
+ROW_LOSSES = ("ce", "rce", "kl", "rkl", "sl")
 
 
 def _d_ce(y, p):
@@ -284,15 +258,16 @@ def _d_rce(y, p):
     return np.log((1.0 - y) / y) * np.ones_like(p)
 
 
-def loss_table(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
+def loss_table(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
     """Per-row loss values and d(loss)/d(p_1) of a batch, as one pair.
 
-    cace is RCE on rows whose label confidence is below the cut
-    ``cfg.cace_threshold`` and CE elsewhere; sl is ``l1 * RCE + l2 * CE``
-    with ``(l1, l2) = cfg.sl_weights``; aux is ``beta * CE(y, p) +
-    (1 - beta) * CE(t, p)``, whose target ``t`` is ``p`` hardened at the
+    cace is RCE on rows whose label confidence is below ``cut`` and CE
+    elsewhere (so CE at the default cut 0); sl is the symmetric
+    cross-entropy with unit weights, ``RCE + CE``; aux is ``beta * CE(y, p)
+    + (1 - beta) * CE(t, p)``, whose target ``t`` is ``p`` hardened at the
     half-batch cut of ``p`` itself and is a constant under differentiation.
-    Rows with K != 2 classes raise ``BinaryOnlyError``.
+    The other entries read neither ``cut`` nor ``beta``.  Rows with K != 2
+    classes raise ``BinaryOnlyError``.
     """
     y, p = _pair(y, p)
     if y.shape[-1] != 2:
@@ -308,13 +283,11 @@ def loss_table(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
         # rkl(y, p) = rce(y, p) - entropy(p), and d(-entropy(p)) = -_d_rce(p, p)
         return rkl(y, p), (_d_rce(y, p) - _d_rce(p, p))[..., 0]
     if name == "cace":
-        low = confidence(y) < cfg.cace_threshold
+        low = confidence(y) < cut
         return (np.where(low, rce(y, p), ce(y, p)),
                 np.where(low, _d_rce(y, p)[..., 0], _d_ce(y, p)[..., 0]))
     if name == "sl":
-        l1, l2 = cfg.sl_weights
-        return (l1 * rce(y, p) + l2 * ce(y, p),
-                l1 * _d_rce(y, p)[..., 0] + l2 * _d_ce(y, p)[..., 0])
+        return rce(y, p) + ce(y, p), _d_rce(y, p)[..., 0] + _d_ce(y, p)[..., 0]
     if name == "aux":
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
@@ -324,18 +297,18 @@ def loss_table(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
     raise ValueError(f"unknown loss {name!r}")
 
 
-def loss_values(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
+def loss_values(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
     """Per-row loss values for a batch: the first half of ``loss_table``."""
-    return loss_table(name, y, p, cfg, beta)[0]
+    return loss_table(name, y, p, cut, beta)[0]
 
 
-def loss_grads(name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0):
+def loss_grads(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
     """Per-row d(loss)/d(p_1) for a batch: the second half of ``loss_table``."""
-    return loss_table(name, y, p, cfg, beta)[1]
+    return loss_table(name, y, p, cut, beta)[1]
 
 
 def numeric_loss_grads(
-    name: str, y, p, cfg: CompositeLossConfig, beta: float = 0.0, step: float = 1e-6
+    name: str, y, p, cut: float = 0.0, beta: float = 0.0, step: float = 1e-6
 ) -> np.ndarray:
     """Central-difference d(loss)/d(p_1) with aux targets frozen.
 
@@ -347,6 +320,6 @@ def numeric_loss_grads(
 
     def shifted(delta: float) -> np.ndarray:
         q1 = p[:, 0] + delta
-        return loss_values(name, y, np.stack([q1, 1.0 - q1], axis=-1), cfg, beta)
+        return loss_values(name, y, np.stack([q1, 1.0 - q1], axis=-1), cut, beta)
 
     return (shifted(step) - shifted(-step)) / (2 * step)

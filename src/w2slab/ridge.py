@@ -362,13 +362,14 @@ def sweep_workers(trials: int) -> int:
 def _trial_cells(groups, trial: int) -> tuple[list[float], list[int]]:
     """Misfits and retry counts of one trial's cells, in order.
 
-    ``groups`` holds one list of cells per gamma.  The job draws W and the prefix of scaled normals once, sized for the
-    widest gamma, into its thread's buffer, forms each gamma's A G once
-    in the buffer's d_w x d_w tail, and hands (W, A G) to ``run_trial``
-    for each eta0 cell.  Reusing the buffer keeps the d_w x d_w products
-    from being freed and faulted back in at every job.  A numerically
-    singular solve is retried at the next attempt, which draws afresh,
-    for its own cell only; the next cell goes back to the job's draw.
+    ``groups`` holds one list of cells per gamma.  The job draws W and the
+    prefix of scaled normals once, sized for the widest gamma, into its
+    thread's buffer, forms each gamma's A G once in the buffer's d_w x d_w
+    tail, and hands (W, A G) to ``run_trial`` for each eta0 cell.  Reusing
+    the buffer keeps the d_w x d_w products from being freed and faulted
+    back in at every job.  A numerically singular solve is retried at the
+    next attempt, which draws afresh, for its own cell only; the next cell
+    goes back to the job's draw.
     """
     first = groups[0][0]
     d_w = first.d_w

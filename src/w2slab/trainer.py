@@ -11,10 +11,13 @@ Losses and their analytic per-sample gradients in the tied binary
 parameterization come from the batch loss table in :mod:`w2slab.losses`
 (``LOSS_NAMES``, ``loss_table`` and its halves ``loss_values`` and
 ``loss_grads``), which also holds their central-difference oracle
-``numeric_loss_grads``.  ``train_many`` trains the fits that share inputs,
-start weights and batch order in lockstep, ``train_fits`` independent fits
-with their own; ``train`` is the one-fit case of both, and all three run the
-one step loop.
+``numeric_loss_grads``.  A training cell is a ``(loss_name, labels)`` pair;
+the step loop derives the two settings a fit supplies to the table, the
+adaptive loss's confidence cut from the cell's labels and the aux weight
+from the step.  ``train_many`` trains the fits that share inputs, start
+weights and batch order in lockstep, ``train_fits`` independent fits with
+their own; ``train`` is the one-fit case of both, and all three run the one
+step loop.
 
 Every probe trains in input space.  A projection probe's features
 ``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
@@ -41,8 +44,9 @@ from .bregman import clamp_simplex
 from .losses import (
     LOSS_NAMES,
     ROW_LOSSES,
-    CompositeLossConfig,
     aux_beta,
+    check_alpha,
+    confidence_threshold,
     loss_grads,
     loss_table,
     loss_values,
@@ -230,10 +234,6 @@ class LinearProbeModel:
     def theta(self) -> np.ndarray:
         return np.concatenate([self.weights, [self.bias]])
 
-    @property
-    def theta0(self) -> np.ndarray:
-        return self._theta0
-
     def distance_from_init(self) -> float:
         return param_distance(self.theta, self._theta0)
 
@@ -264,8 +264,6 @@ class TrainReport:
     param_distance: float
     grad_norms: tuple[float, ...]  # per epoch
     gdv_trace: tuple[float, ...]  # per epoch, nan when undefined; empty if not tracked
-    loss_name: str
-    alpha: float
     final_loss: float
     mean_prediction: float
     test_rce_risk: float
@@ -356,8 +354,6 @@ def train(
     data: TrainData,
     loss_name: str,
     seed: int = 0,
-    loss_cfg: CompositeLossConfig | None = None,
-    alpha: float = 1.0,
     track_gdv: bool = False,
 ) -> TrainReport:
     """Run mini-batch gradient descent on ``model`` in place and report the outcome.
@@ -374,8 +370,8 @@ def train(
 
     The one-fit case of ``train_many`` and of ``train_fits``.
     """
-    cell = (loss_name, data.labels, loss_cfg, alpha)
-    return _train_lockstep([model], [data], [cell], [seed], track_gdv)[0]
+    return _train_lockstep([model], [data], [(loss_name, data.labels)], [seed],
+                           track_gdv)[0]
 
 
 def train_many(
@@ -387,14 +383,14 @@ def train_many(
 ) -> list[TrainReport]:
     """Train one copy of ``model`` per cell, in lockstep, and report each.
 
-    A cell is a ``(loss_name, labels, loss_cfg, alpha)`` tuple whose
-    ``(n, 2)`` soft labels stand in for ``data.labels``.  The cells share
-    ``data.x``, the start weights, the batch order drawn from ``seed`` and,
-    for a projection probe, the one ``M = P^T P``, so each step gathers its
-    batch once; each cell keeps its own input-space weight row ``v = P^T w``
-    and its own matrix-vector products (``x_b v``, ``x_b^T dl/du`` and
-    ``M g``), so its report is bit for bit that of ``train`` on a copy of
-    ``model`` with that cell's labels.  ``model`` itself is not changed.
+    A cell is a ``(loss_name, labels)`` pair whose ``(n, 2)`` soft labels
+    stand in for ``data.labels``.  The cells share ``data.x``, the start
+    weights, the batch order drawn from ``seed`` and, for a projection
+    probe, the one ``M = P^T P``, so each step gathers its batch once; each
+    cell keeps its own input-space weight row ``v = P^T w`` and its own
+    matrix-vector products (``x_b v``, ``x_b^T dl/du`` and ``M g``), so its
+    report is bit for bit that of ``train`` on a copy of ``model`` with that
+    cell's labels.  ``model`` itself is not changed.
     """
     cells = list(cells)
     # the copies share the start arrays; training rebinds, never writes, them
@@ -419,7 +415,7 @@ def train_fits(models, datas, seeds) -> list[TrainReport]:
     if not len(models) == len(datas) == len(seeds):
         raise ValueError(f"train_fits needs one data set and one seed per model, got "
                          f"{len(models)} models, {len(datas)} data sets, {len(seeds)} seeds")
-    cells = [("ce", data.labels, None, 1.0) for data in datas]
+    cells = [("ce", data.labels) for data in datas]
     return _train_lockstep(models, datas, cells, seeds, False)
 
 
@@ -430,16 +426,11 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
     gather per step."""
     if not cells:
         raise ValueError("lockstep training needs at least one cell")
-    names, cfgs, labels = [], [], []
-    for loss_name, cell_labels, loss_cfg, _ in cells:
+    names, labels = [], []
+    for loss_name, cell_labels in cells:
         if loss_name not in LOSS_NAMES:
             raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
-        loss_cfg = loss_cfg or CompositeLossConfig()
-        if loss_name == "cace" and loss_cfg.cace_threshold == 0.0:
-            # fix the confidence cut from the full label set before training
-            loss_cfg = loss_cfg.with_threshold_from(cell_labels)
         names.append(loss_name)
-        cfgs.append(loss_cfg)
         labels.append(np.asarray(cell_labels, dtype=float))
     cfg, d, n = models[0].cfg, models[0].dim, len(datas[0].x)
     if any(m.cfg != cfg or m.dim != d for m in models) \
@@ -447,19 +438,20 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
         raise ValueError("fits trained in lockstep must share one ProbeConfig, "
                          "input dimension and row count")
     # one table call per step for each row-wise loss over its fits' rows, and
-    # one per fit for the others: (rows, loss, config, labels, offset); a
+    # one per fit for the others: (rows, loss, labels, offset, cut); a
     # row-wise block is flattened to (rows * n, 2) and read at its fits'
-    # batch indices plus ``offset``; a run of adjacent rows is a slice
+    # batch indices plus ``offset``; a run of adjacent rows is a slice.  The
+    # adaptive loss's cut is fixed from the fit's full label set
     calls = []
     for name in ROW_LOSSES:
         rows = [j for j, other in enumerate(names) if other == name]
         if rows:
             adjacent = rows[-1] - rows[0] == len(rows) - 1
             calls.append((slice(rows[0], rows[-1] + 1) if adjacent else np.array(rows),
-                          name, cfgs[rows[0]],
-                          np.concatenate([labels[j] for j in rows]),
-                          n * np.arange(len(rows))[:, None]))
-    calls += [(j, name, cfgs[j], labels[j], 0)
+                          name, np.concatenate([labels[j] for j in rows]),
+                          n * np.arange(len(rows))[:, None], 0.0))
+    calls += [(j, name, labels[j], 0,
+               confidence_threshold(labels[j]) if name == "cace" else 0.0)
               for j, name in enumerate(names) if name not in ROW_LOSSES]
 
     groups: dict[tuple, list[int]] = {}
@@ -537,10 +529,10 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
         # run otherwise never touches, about 0.2 MB more peak RSS in classify
         np.clip(e, 1e-12, 1.0 - 1e-12, out=p1)
         np.subtract(1.0, p1, out=p0)
-        for rows, name, loss_cfg, y, offset in calls:
-            beta = aux_beta(step, steps, loss_cfg) if name == "aux" else 0.0
+        for rows, name, y, offset, cut in calls:
+            beta = aux_beta(step, steps) if name == "aux" else 0.0
             vals[rows], dldp[rows] = loss_table(name, y[offset + idx_all[rows]], pb[rows],
-                                                loss_cfg, beta)
+                                                cut, beta)
         # np.mean's arithmetic (a sum, then a division by the count)
         # without its per-call overhead
         final_loss = np.add.reduce(vals, axis=1) / batch_rows
@@ -572,7 +564,7 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
             in_epoch = 0
 
     reports = []
-    for j, (model, data, (loss_name, _, _, alpha)) in enumerate(zip(models, datas, cells)):
+    for j, (model, data) in enumerate(zip(models, datas)):
         if projected:
             model.weights = model.weights - lr * (model.projection @ grad_sum[j])
         else:
@@ -583,8 +575,6 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
             param_distance=model.distance_from_init(),
             grad_norms=tuple(float(e[j]) for e in grad_norms),
             gdv_trace=tuple(float(e[j]) for e in gdv_trace),
-            loss_name=loss_name,
-            alpha=alpha,
             final_loss=float(final_loss[j]),
             mean_prediction=float(model.predict_pos(data.x).mean()),
             test_rce_risk=float(np.mean(rce(labels_to_soft(data.test_y),
@@ -611,7 +601,6 @@ def _repeat_stage(
     student_cfg: ProbeConfig | None,
     seed: int,
     cells: list[tuple[str, float]],
-    loss_cfg: CompositeLossConfig | None = None,
 ) -> tuple[TrainReport, list[TrainReport]]:
     """One task draw and seed, shared by every ``(loss_name, alpha)`` cell.
 
@@ -639,15 +628,10 @@ def _repeat_stage(
     student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
     student_data = TrainData(data.pseudo_x, teacher.predict_proba(data.pseudo_x),
                              data.test_x, data.test_y)
-    specs = [(loss_name, smooth_labels(student_data.labels, alpha), loss_cfg, alpha)
+    specs = [(loss_name, smooth_labels(student_data.labels, alpha))
              for loss_name, alpha in cells]
     return teacher_report, train_many(student, student_data, specs,
                                       seed=s_seed, track_gdv=True)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
 
 
 def w2s_pipeline(
@@ -657,18 +641,16 @@ def w2s_pipeline(
     loss_name: str = "ce",
     alpha: float = 1.0,
     seed: int = 0,
-    loss_cfg: CompositeLossConfig | None = None,
 ) -> tuple[TrainReport, TrainReport]:
     """Teacher on ground truth, smoothed pseudo-labels, student under ``loss_name``.
 
     The one-cell case of ``alpha_sweep``, built from the same per-repeat
-    stage and per-cell training.  The teacher's report carries the cell's
-    ``alpha``.
+    stage and per-cell training; ``smooth_labels`` rejects an ``alpha``
+    outside [0, 1].
     """
-    _check_alpha(alpha)
     teacher_report, (student_report,) = _repeat_stage(
-        task, teacher_cfg, student_cfg, seed, [(loss_name, alpha)], loss_cfg)
-    return replace(teacher_report, alpha=alpha), student_report
+        task, teacher_cfg, student_cfg, seed, [(loss_name, alpha)])
+    return teacher_report, student_report
 
 
 def summarize_sweep(rows: list[dict]) -> list[dict]:
@@ -706,7 +688,7 @@ def check_sweep(losses: list[str], alphas: list[float], repeats: int) -> None:
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats!r}")
     for alpha in alphas:
-        _check_alpha(alpha)
+        check_alpha(alpha)
     unknown = sorted(set(losses) - set(LOSS_NAMES))
     if unknown:
         raise ValueError(f"losses must be among {LOSS_NAMES}, got {unknown}")
@@ -719,7 +701,6 @@ def alpha_sweep(
     repeats: int,
     teacher_cfg: ProbeConfig | None = None,
     student_cfg: ProbeConfig | None = None,
-    loss_cfg: CompositeLossConfig | None = None,
 ) -> list[dict]:
     """Cross product of losses and smoothing levels, repeated with fresh seeds.
 
@@ -741,7 +722,7 @@ def alpha_sweep(
             np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
         ))
         teacher_report, reports = _repeat_stage(
-            repeat_task, teacher_cfg, student_cfg, repeat, cells, loss_cfg)
+            repeat_task, teacher_cfg, student_cfg, repeat, cells)
         rows += [
             {
                 "loss": loss_name,

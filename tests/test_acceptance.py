@@ -176,14 +176,13 @@ def test_criterion_5_loss_gradient_suite():
         return (loss(y, yhat + shift) - loss(y, yhat - shift)) / (2 * step)
 
     grads_ok = True
-    cfg = losses.CompositeLossConfig()
     pairs = [("ce", losses.ce), ("rce", losses.rce), ("kl", losses.kl), ("rkl", losses.rkl)]
     for _ in range(1000):
         y1, p1 = rng.uniform(1e-3, 1 - 1e-3, size=2)
         y = np.array([y1, 1 - y1])
         yhat = np.array([p1, 1 - p1])
         for name, loss in pairs:
-            a = losses.loss_grads(name, y[None], yhat[None], cfg)[0]
+            a = losses.loss_grads(name, y[None], yhat[None])[0]
             n = tied_difference(loss, y, yhat)
             grads_ok &= bool(np.all(np.abs(a - n) <= 1e-5 * np.abs(n) + 1e-9))
 

@@ -2,6 +2,7 @@
 and byte-level determinism of the CSVs."""
 
 import concurrent.futures
+import dataclasses
 import json
 import operator
 import os
@@ -237,11 +238,31 @@ class TestVerdicts:
             assert v["passed"] == OPS[v["op"]](v["measured"], v["bound"])
         assert code == (0 if all(v["passed"] for v in report["verdicts"]) else 1)
 
-    def test_verify_emits_thirteen_verdicts(self, tmp_path):
+    def test_verify_emits_fourteen_verdicts(self, tmp_path):
         assert run_tiny("verify", tmp_path) == 0
         names = [v["name"] for v in strict_json(tmp_path / "verify.json")["verdicts"]]
-        assert len(names) == len(set(names)) == 13
-        assert {"ideal_student_gains", "entropy_gap_nonnegative"} <= set(names)
+        assert len(names) == len(set(names)) == 14
+        assert {"ideal_student_gains", "entropy_gap_nonnegative",
+                "risk_gap_identity"} <= set(names)
+
+    def test_risk_gap_identity_can_fail(self, tmp_path, capsys, monkeypatch):
+        from w2slab import harness
+
+        verify_risk_gap = harness.verify_risk_gap
+
+        # the product variant runs verify_risk_gap too, so both are shifted
+        def shifted_inner(scenario, geometry, direction):
+            rep = verify_risk_gap(scenario, geometry, direction)
+            return dataclasses.replace(rep, exact_inner=rep.exact_inner + 1e-6)
+
+        monkeypatch.setattr(harness, "verify_risk_gap", shifted_inner)
+        assert run_tiny("verify", tmp_path) == 1
+        assert "[FAIL] risk_gap_identity" in capsys.readouterr().out
+        assert (tmp_path / "verify.csv").exists()
+        report = strict_json(tmp_path / "verify.json")
+        failed = [v for v in report["verdicts"] if not v["passed"]]
+        assert [v["name"] for v in failed] == ["risk_gap_identity"]
+        assert failed[0]["measured"] == pytest.approx(1e-6)
 
     def test_nan_measurement_fails_its_verdict(self, tmp_path, capsys, monkeypatch):
         from w2slab import harness

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from w2slab import losses as L
 from w2slab.bregman import clamp_simplex
-from w2slab.losses import CompositeLossConfig, ProbVector
+from w2slab.losses import ProbVector
 
 
 def random_binary(rng, n, margin=1e-3):
@@ -81,9 +81,9 @@ def numeric_gradient(loss, y, yhat, step=1e-6):
     return (loss(y, yhat + shift) - loss(y, yhat - shift)) / (2 * step)
 
 
-def table_grad(name, y, yhat, cfg=CompositeLossConfig(), beta=0.0):
+def table_grad(name, y, yhat):
     """The loss table's tied gradient at one (label, prediction) row."""
-    return L.loss_grads(name, y[None], yhat[None], cfg, beta)[0]
+    return L.loss_grads(name, y[None], yhat[None])[0]
 
 
 class TestGradients:
@@ -133,7 +133,7 @@ class TestGradients:
     def test_multiclass_rejected(self):
         y = ProbVector([0.2, 0.3, 0.5])
         with pytest.raises(L.BinaryOnlyError):
-            L.loss_grads("ce", y, y, CompositeLossConfig())
+            L.loss_grads("ce", y, y)
 
 
 class TestGradientEngine:
@@ -144,7 +144,7 @@ class TestGradientEngine:
     def test_analytic_matches_numeric(self, name):
         """100 random (batch, parameter) points per loss, 1e-4 relative."""
         rng = np.random.default_rng(3)
-        cfg = CompositeLossConfig(cace_threshold=0.2, sl_weights=(0.7, 0.3))
+        cut = 0.2
         for _ in range(100):
             n = int(rng.integers(2, 12))
             y1 = rng.uniform(1e-3, 1 - 1e-3, size=n)
@@ -152,41 +152,39 @@ class TestGradientEngine:
             y = np.stack([y1, 1 - y1], axis=-1)
             p = np.stack([p1, 1 - p1], axis=-1)
             beta = float(rng.uniform(0, 1))
-            a = L.loss_grads(name, y, p, cfg, beta)
-            num = L.numeric_loss_grads(name, y, p, cfg, beta)
+            a = L.loss_grads(name, y, p, cut, beta)
+            num = L.numeric_loss_grads(name, y, p, cut, beta)
             np.testing.assert_allclose(a, num, rtol=1e-4, atol=1e-7)
 
     def test_values_match_scalar_losses(self):
         rng = np.random.default_rng(4)
-        cfg = CompositeLossConfig(cace_threshold=0.25)
+        cut = 0.25
         y1 = rng.uniform(0.05, 0.95, size=6)
         p1 = rng.uniform(0.05, 0.95, size=6)
         y = np.stack([y1, 1 - y1], axis=-1)
         p = np.stack([p1, 1 - p1], axis=-1)
-        np.testing.assert_allclose(L.loss_values("ce", y, p, cfg), L.ce(y, p))
-        np.testing.assert_allclose(L.loss_values("rce", y, p, cfg), L.rce(y, p))
-        np.testing.assert_allclose(L.loss_values("kl", y, p, cfg), L.kl(y, p))
-        np.testing.assert_allclose(L.loss_values("rkl", y, p, cfg), L.rkl(y, p))
+        np.testing.assert_allclose(L.loss_values("ce", y, p, cut), L.ce(y, p))
+        np.testing.assert_allclose(L.loss_values("rce", y, p, cut), L.rce(y, p))
+        np.testing.assert_allclose(L.loss_values("kl", y, p, cut), L.kl(y, p))
+        np.testing.assert_allclose(L.loss_values("rkl", y, p, cut), L.rkl(y, p))
         np.testing.assert_allclose(
-            L.loss_values("cace", y, p, cfg),
-            [L.rce(yy, pp) if abs(yy[0] - 0.5) < cfg.cace_threshold else L.ce(yy, pp)
+            L.loss_values("cace", y, p, cut),
+            [L.rce(yy, pp) if abs(yy[0] - 0.5) < cut else L.ce(yy, pp)
              for yy, pp in zip(y, p)],
         )
-        l1, l2 = cfg.sl_weights
         np.testing.assert_allclose(
-            L.loss_values("sl", y, p, cfg),
-            [l1 * L.rce(yy, pp) + l2 * L.ce(yy, pp) for yy, pp in zip(y, p)],
+            L.loss_values("sl", y, p, cut),
+            [L.rce(yy, pp) + L.ce(yy, pp) for yy, pp in zip(y, p)],
         )
         targets = L.harden(p, L.harden_threshold(p))
         np.testing.assert_allclose(
-            L.loss_values("aux", y, p, cfg, 0.4),
+            L.loss_values("aux", y, p, cut, 0.4),
             [0.4 * L.ce(yy, pp) + 0.6 * L.ce(tt, pp) for yy, pp, tt in zip(y, p, targets)],
         )
 
     def test_aux_hardens_once_per_table_call(self, monkeypatch):
         rng = np.random.default_rng(6)
         y, p = random_binary(rng, 8), random_binary(rng, 8)
-        cfg = CompositeLossConfig()
         cuts = []
         threshold = L.harden_threshold
 
@@ -195,44 +193,43 @@ class TestGradientEngine:
             return threshold(batch)
 
         monkeypatch.setattr(L, "harden_threshold", counted)
-        values, grads = L.loss_table("aux", y, p, cfg, 0.3)
+        values, grads = L.loss_table("aux", y, p, beta=0.3)
         assert len(cuts) == 1
         target = L.harden(p, threshold(p))
         np.testing.assert_array_equal(values, 0.3 * L.ce(y, p) + (1.0 - 0.3) * L.ce(target, p))
-        np.testing.assert_array_equal(grads, L.loss_grads("aux", y, p, cfg, 0.3))
+        np.testing.assert_array_equal(grads, L.loss_grads("aux", y, p, beta=0.3))
         with pytest.raises(ValueError, match="beta"):
-            L.loss_table("aux", y, p, cfg, 1.5)
+            L.loss_table("aux", y, p, beta=1.5)
 
-    @pytest.mark.parametrize("name", ["ce", "rce", "kl", "rkl"])
+    @pytest.mark.parametrize("name", L.ROW_LOSSES)
     def test_row_losses_on_a_block_equal_each_batch(self, name):
         # the trainer runs one table call over the (cells, batch, 2) block
         # of a row-wise loss; each cell must get exactly its lone result
         rng = np.random.default_rng(7)
         y = np.stack([random_binary(rng, 5) for _ in range(3)])
         p = np.stack([random_binary(rng, 5) for _ in range(3)])
-        cfg = CompositeLossConfig()
-        values, grads = L.loss_table(name, y, p, cfg)
+        values, grads = L.loss_table(name, y, p)
         for j in range(3):
-            lone_values, lone_grads = L.loss_table(name, y[j], p[j], cfg)
+            lone_values, lone_grads = L.loss_table(name, y[j], p[j])
             np.testing.assert_array_equal(values[j], lone_values)
             np.testing.assert_array_equal(grads[j], lone_grads)
-            np.testing.assert_array_equal(lone_values, L.loss_values(name, y[j], p[j], cfg))
-            np.testing.assert_array_equal(lone_grads, L.loss_grads(name, y[j], p[j], cfg))
+            np.testing.assert_array_equal(lone_values, L.loss_values(name, y[j], p[j]))
+            np.testing.assert_array_equal(lone_grads, L.loss_grads(name, y[j], p[j]))
 
     @pytest.mark.parametrize("name", L.LOSS_NAMES)
     def test_multiclass_rows_rejected(self, name):
         y = p = np.full((4, 3), 1 / 3)
         with pytest.raises(L.BinaryOnlyError):
-            L.loss_table(name, y, p, CompositeLossConfig(), 0.5)
+            L.loss_table(name, y, p, beta=0.5)
 
     def test_unknown_loss_rejected(self):
         y = p = np.full((2, 2), 0.5)
         with pytest.raises(ValueError):
-            L.loss_table("mse", y, p, CompositeLossConfig())
+            L.loss_table("mse", y, p)
         with pytest.raises(ValueError):
-            L.loss_values("mse", y, p, CompositeLossConfig())
+            L.loss_values("mse", y, p)
         with pytest.raises(ValueError):
-            L.loss_grads("mse", y, p, CompositeLossConfig())
+            L.loss_grads("mse", y, p)
 
 
 class TestSmoothing:
@@ -281,63 +278,34 @@ class TestSmoothing:
 
 class TestCompositeLosses:
     def test_cace_branch_selection(self):
-        cfg = CompositeLossConfig(cace_threshold=0.3)
         yhat = ProbVector([0.6, 0.4])
         confident = ProbVector([0.99, 0.01])
         uncertain = ProbVector([0.52, 0.48])
-        assert float(L.loss_values("cace", confident, yhat, cfg)) == pytest.approx(
+        assert float(L.loss_values("cace", confident, yhat, cut=0.3)) == pytest.approx(
             float(L.ce(confident, yhat)))
-        assert float(L.loss_values("cace", uncertain, yhat, cfg)) == pytest.approx(
+        assert float(L.loss_values("cace", uncertain, yhat, cut=0.3)) == pytest.approx(
             float(L.rce(uncertain, yhat)))
 
     def test_cace_zero_threshold_is_ce(self):
-        cfg = CompositeLossConfig(cace_threshold=0.0)
         rng = np.random.default_rng(4)
         for _ in range(50):
             y, yhat = random_binary(rng, 2)
-            assert float(L.loss_values("cace", y, yhat, cfg)) == pytest.approx(float(L.ce(y, yhat)))
+            assert float(L.loss_values("cace", y, yhat, cut=0.0)) == pytest.approx(
+                float(L.ce(y, yhat)))
 
     def test_confidence_threshold_quantile(self):
         rng = np.random.default_rng(5)
         labels = random_binary(rng, 1000)
-        c = L.confidence_threshold(labels, 20)
+        c = L.confidence_threshold(labels)
         share = np.mean(L.confidence(labels) < c)
         assert share == pytest.approx(0.2, abs=0.02)
 
-    def test_sl_degenerate_weights(self):
-        y, yhat = ProbVector([0.8, 0.2]), ProbVector([0.55, 0.45])
-        ce_only = CompositeLossConfig(sl_weights=(0.0, 1.0))
-        rce_only = CompositeLossConfig(sl_weights=(1.0, 0.0))
-        assert float(L.loss_values("sl", y, yhat, ce_only)) == pytest.approx(float(L.ce(y, yhat)))
-        assert float(L.loss_values("sl", y, yhat, rce_only)) == pytest.approx(
-            float(L.rce(y, yhat)))
-
     def test_sl_uniform_label_offset(self):
-        cfg = CompositeLossConfig(sl_weights=(1.0, 1.0))
         y = ProbVector.uniform(2)
         yhat = ProbVector([0.7, 0.3])
-        assert float(L.loss_values("sl", y, yhat, cfg)) == pytest.approx(
+        assert float(L.loss_values("sl", y, yhat)) == pytest.approx(
             float(L.ce(y, yhat)) + np.log(2), abs=1e-12
         )
-
-    def test_invalid_configs_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeLossConfig(sl_weights=(0.0, 0.0))
-        with pytest.raises(ValueError):
-            CompositeLossConfig(aux_beta_max=1.5)
-        with pytest.raises(ValueError):
-            CompositeLossConfig(aux_warmup_fraction=0.0)
-        with pytest.raises(ValueError):
-            CompositeLossConfig(cace_quantile_pct=15)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"cace_threshold": np.nan}, {"cace_threshold": np.inf},
-        {"sl_weights": (np.nan, 1.0)}, {"sl_weights": (np.inf, 1.0)},
-        {"sl_weights": (1.0, np.nan)},
-    ])
-    def test_non_finite_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            CompositeLossConfig(**kwargs)
 
 
 class TestAux:
@@ -370,27 +338,27 @@ class TestAux:
         y_weak = ProbVector([0.7, 0.3])
         yhat = ProbVector([0.6, 0.4])
         y, batch = np.array([y_weak.probs, [0.5, 0.5]]), np.array([yhat.probs, [0.5, 0.5]])
-        assert L.loss_values("aux", y, batch, CompositeLossConfig(), 1.0)[0] == pytest.approx(
+        assert L.loss_values("aux", y, batch, beta=1.0)[0] == pytest.approx(
             float(L.ce(y_weak, yhat))
         )
 
     def test_beta_zero_with_confident_prediction(self):
         yhat = ProbVector([1.0, 0.0])  # clamps to (1 - eps, eps)
         y, batch = np.array([[0.6, 0.4], [0.5, 0.5]]), np.array([yhat.probs, [0.5, 0.5]])
-        val = L.loss_values("aux", y, batch, CompositeLossConfig(), 0.0)[0]
+        val = L.loss_values("aux", y, batch, beta=0.0)[0]
         assert val == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_batch_rejected(self):
         empty = np.empty((0, 2))
         with pytest.raises(ValueError, match="empty"):
-            L.loss_values("aux", empty, empty, CompositeLossConfig(), 0.5)
+            L.loss_values("aux", empty, empty, beta=0.5)
 
     def test_beta_schedule(self):
-        cfg = CompositeLossConfig(aux_beta_max=0.8, aux_warmup_fraction=0.5)
-        assert L.aux_beta(0, 100, cfg) == pytest.approx(0.0)
-        assert L.aux_beta(25, 100, cfg) == pytest.approx(0.4)
-        assert L.aux_beta(50, 100, cfg) == pytest.approx(0.8)
-        assert L.aux_beta(100, 100, cfg) == pytest.approx(0.8)
+        # a linear warm-up to 0.5 over the first 20% of the steps
+        assert L.aux_beta(0, 100) == pytest.approx(0.0)
+        assert L.aux_beta(10, 100) == pytest.approx(0.25)
+        assert L.aux_beta(20, 100) == pytest.approx(0.5)
+        assert L.aux_beta(100, 100) == pytest.approx(0.5)
 
 
 def enumerate_rce_risk(input_probs, labels, model, alpha):

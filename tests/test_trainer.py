@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from w2slab.losses import CompositeLossConfig, aux_beta, loss_table, smooth_labels
+from w2slab.losses import aux_beta, confidence_threshold, loss_table, smooth_labels
 from w2slab.trainer import (
     LOSS_NAMES,
     DirectionStream,
@@ -174,10 +174,8 @@ def replay_in_weight_space(model, data, cell, seed):
     drawing its batch order from ``seed`` and taking ``n // batch_size``
     full batches, for ``n`` of at least one batch.  Returns the final
     weights and bias and the ``(w, b)`` gradients of each epoch."""
-    name, labels, loss_cfg, _ = cell
-    loss_cfg = loss_cfg or CompositeLossConfig()
-    if name == "cace" and loss_cfg.cace_threshold == 0.0:
-        loss_cfg = loss_cfg.with_threshold_from(labels)
+    name, labels = cell
+    cut = confidence_threshold(labels) if name == "cace" else 0.0
     steps, lr, batch = model.cfg.steps, model.cfg.learning_rate, model.cfg.batch_size
     z = model.features(data.x)
     w, b = model.weights.copy(), model.bias
@@ -188,9 +186,9 @@ def replay_in_weight_space(model, data, cell, seed):
         for s in range(min(len(z) // batch, steps - done)):
             idx = order[batch * s: batch * (s + 1)]
             p1 = np.clip(1.0 / (1.0 + np.exp(-(z[idx] @ w + b))), 1e-12, 1.0 - 1e-12)
-            beta = aux_beta(done + s, steps, loss_cfg) if name == "aux" else 0.0
+            beta = aux_beta(done + s, steps) if name == "aux" else 0.0
             _, dldp = loss_table(name, labels[idx], np.stack([p1, 1.0 - p1], axis=-1),
-                                 loss_cfg, beta)
+                                 cut, beta)
             dldu = dldp * p1 * (1.0 - p1)
             grad = np.append(z[idx].T @ dldu / batch, dldu.mean())
             w, b = w - lr * grad[:-1], b - lr * grad[-1]
@@ -318,11 +316,10 @@ class TestTrain:
 
 
 def every_loss_cells(labels):
-    cfg = CompositeLossConfig(sl_weights=(0.7, 0.3))
-    cells = [(name, smooth_labels(labels, 0.3), cfg, 0.3) for name in LOSS_NAMES]
-    cells.append(("ce", labels, None, 1.0))
+    cells = [(name, smooth_labels(labels, 0.3)) for name in LOSS_NAMES]
+    cells.append(("ce", labels))
     # uniform labels give rce an exactly zero gradient at every step
-    cells.append(("rce", smooth_labels(labels, 0.0), None, 0.0))
+    cells.append(("rce", smooth_labels(labels, 0.0)))
     return cells
 
 
@@ -340,11 +337,11 @@ class TestTrainMany:
         cells = every_loss_cells(train_data.labels)
         reports = train_many(model, train_data, cells, seed=9, track_gdv=True)
         np.testing.assert_array_equal(model.theta, start)  # the start is shared, not moved
-        for (name, labels, cfg, alpha), rep in zip(cells, reports):
+        for (name, labels), rep in zip(cells, reports):
             lone = make_model(feature="projection", width=30, init_scale=0.1, seed=9,
                               steps=25, batch_size=batch)
             expected = train(lone, dataclasses.replace(train_data, labels=labels), name,
-                             seed=9, loss_cfg=cfg, alpha=alpha, track_gdv=True)
+                             seed=9, track_gdv=True)
             np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
             assert len(rep.gdv_trace) == len(rep.grad_norms) > 0
         frozen = reports[-1]
@@ -379,15 +376,15 @@ class TestTrainMany:
         # 64 rows in batches of 20: three full batches per epoch, the last
         # epoch cut short
         assert epochs == [3] * 7 + [2]
-        for (name, labels, cfg, alpha), rep in zip(cells, reports):
+        for (name, labels), rep in zip(cells, reports):
             expected = replay_in_weight_space(model, dataclasses.replace(
-                train_data, labels=labels), (name, labels, cfg, alpha), seed=10)
+                train_data, labels=labels), (name, labels), seed=10)
             # train_many leaves ``model`` as it was: the weights are read off
             # a lone fit, bit for bit the cell's (test_lockstep_equals_lone_fits)
             lone = make_model(feature=feature, width=width, seed=10, steps=23,
                               batch_size=20)
             train(lone, dataclasses.replace(train_data, labels=labels), name, seed=10,
-                  loss_cfg=cfg, alpha=alpha, track_gdv=True)
+                  track_gdv=True)
             assert_replayed(rep, lone, expected, tol)
         assert all(np.isnan(reports[-1].gdv_trace))
 
@@ -402,7 +399,7 @@ class TestTrainMany:
                                data.test_x, data.test_y)
         model = make_model(feature=feature, width=width, seed=11, steps=12, init_scale=0.1)
         expected = replay_in_weight_space(
-            model, train_data, ("ce", train_data.labels, None, 1.0), seed=11)
+            model, train_data, ("ce", train_data.labels), seed=11)
         assert [len(e) for e in expected[2]] == [3] * 4
         rep = train(model, train_data, "ce", seed=11, track_gdv=True)
         assert len(rep.grad_norms) == 4
@@ -418,8 +415,7 @@ class TestTrainMany:
         with pytest.raises(ValueError, match="cell"):
             train_many(make_model(), data, [])
         with pytest.raises(ValueError, match="loss"):
-            train_many(make_model(), data, [("ce", data.labels, None, 1.0),
-                                            ("mse", data.labels, None, 1.0)])
+            train_many(make_model(), data, [("ce", data.labels), ("mse", data.labels)])
 
     def test_only_reported_fits_track_gdv(self, monkeypatch):
         """Teacher fits and the bias-variance fits skip the GDV; the
@@ -508,7 +504,7 @@ class TestTrainFits:
         assert len(gathers) == 2 * 25
         assert reports[0] == reports[1]
         gathers.clear()
-        train_many(model, data, [("ce", data.labels, None, 1.0)] * 3, seed=5)
+        train_many(model, data, [("ce", data.labels)] * 3, seed=5)
         assert len(gathers) == 25
 
     def test_mismatched_fits_rejected_before_any_step(self):
@@ -532,7 +528,7 @@ class TestTrainFits:
             with pytest.raises(ValueError, match="ProbeConfig"):
                 train_fits(models, datas, [seed, other_seed])
         with pytest.raises(ValueError, match="ProbeConfig"):
-            train_many(model, data, [("ce", data.labels[:60], None, 1.0)])
+            train_many(model, data, [("ce", data.labels[:60])])
         # one data set and one seed per model
         for datas, seeds in (([data], [seed, other_seed]), ([data, other_data], [seed])):
             with pytest.raises(ValueError, match="one seed per model"):
@@ -545,8 +541,6 @@ class TestPipeline:
         task = small_task()
         t_rep, s_rep = w2s_pipeline(task, loss_name="ce", alpha=1.0, seed=0)
         assert 0.5 <= t_rep.accuracy <= 1.0
-        assert s_rep.loss_name == "ce"
-        assert s_rep.alpha == 1.0
 
     def test_uniform_targets_drive_predictions_to_half(self):
         task = small_task()
