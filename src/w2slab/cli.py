@@ -8,10 +8,12 @@ flat key=value text file with ``--set`` overrides.  Each command is a
 ``run_<command>(cfg) -> (rows, verdicts, stages)`` function; every verdict
 is a ``measured op bound`` record from ``_verdict``, and ``stages`` holds
 what the run reports about its own timing (``ridge``: the sweep's worker
-count and the wall time of its sweep and quadrature stages; empty for the
-others).  ``main`` alone prints the verdicts, writes a CSV of the rows and
-a JSON report, and picks the exit status: 0 all verdicts pass, 1 a verdict
-failed (artifacts written) or a program error (traceback), 2 bad config.
+count and the wall time of its sweep and quadrature stages;
+``bias-variance``: the wall time of its teacher fits, student fits and
+estimates; empty for the others).  ``main`` alone prints the verdicts,
+writes a CSV of the rows and a JSON report, and picks the exit status: 0
+all verdicts pass, 1 a verdict failed (artifacts written) or a program
+error (traceback), 2 bad config.
 Each command checks its config with the library's own checks before any
 work.
 """
@@ -484,11 +486,19 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     (teacher, pseudo) pairs; every pair trains one teacher-student chain
     plus an ensemble-supervised student whose pseudo-labels are the dual
     mean of all the round's teachers.  Every fit is an independent ce fit
-    from its own seed: a task seed's teachers train in one
-    ``trainer.train_fits`` call, then each round's ``2 * n_splits`` students
-    in one more.  A student is a projection probe trained in input space
-    (``v = P^T w``, stepped through ``M = P^T P``), so it holds no
-    chunk-by-width feature matrix.
+    from its own seed on row indices into the task's own splits: a task
+    seed's teachers train in one ``trainer.train_fits`` call on
+    ``train_x``, then all ``2 * k * n_splits`` students of its rounds in one
+    more on ``pseudo_x``.  A student is a projection probe trained in input
+    space (``v = P^T w``, stepped through ``M = P^T P``), so it holds no
+    chunk-by-width feature matrix, and the students are dropped once their
+    test predictions are taken.
+
+    Its stages record the wall time in seconds, summed over task seeds, of
+    the teacher fits (``teacher_fit_s``), of the students' pseudo-labels and
+    fits (``student_fit_s``) and of the per-point estimates
+    (``estimate_s``), each as ``"%.3e"`` text; each fit stage includes the
+    test predictions of its models.
     """
     for key in ("k", "n_splits", "task_seeds"):
         if cfg[key] < 1:
@@ -509,15 +519,19 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     probe_teacher = trainer.DEFAULT_TEACHER
     probe_student = trainer.default_student_config(base_task)
     n_splits = cfg["n_splits"]
+    elapsed = dict.fromkeys(("teacher_fit_s", "student_fit_s", "estimate_s"), 0.0)
 
-    def fit_probes(probe_cfg, fits):
-        # one (inputs, labels, seed) triple per fit; the reports are unused,
-        # predictions are read off the models
+    def fit_probes(probe_cfg, data, x, fits):
+        # one (rows of x, labels, seed) triple per fit; the reports are
+        # unused, predictions are read off the models
         models = [trainer.LinearProbeModel(cfg["dim"], probe_cfg, np.random.default_rng(s))
                   for _, _, s in fits]
-        trainer.train_fits(models, [trainer.TrainData(x, y, x[:2], np.array([1.0, -1.0]))
-                                    for x, y, _ in fits], [s for _, _, s in fits])
+        trainer.train_fits(models, x, fits, data.test_x, data.test_y)
         return models
+
+    def teacher_labels(teachers, chunk_x):
+        # each teacher's labels for one pseudo chunk, whose copy is freed on return
+        return [t.predict_proba(chunk_x) for t in teachers]
 
     for outer_seed in range(cfg["task_seeds"]):
         task = dataclasses.replace(base_task, seed=int(
@@ -536,25 +550,29 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                     pseudo_order[j * cfg["split_pseudo"]: (j + 1) * cfg["split_pseudo"]],
                     int(np.random.SeedSequence([task.seed, i, j]).generate_state(1)[0]),
                 ))
+        start = time.perf_counter()
         teachers = fit_probes(
-            probe_teacher,
-            [(data.train_x[idx], trainer.labels_to_soft(data.train_y[idx]), seed_ij)
+            probe_teacher, data, data.train_x,
+            [(idx, trainer.labels_to_soft(data.train_y[idx]), seed_ij)
              for idx, _, seed_ij in pairs])
         teacher_runs = [t.predict_proba(data.test_x) for t in teachers]
-        student_runs, ens_runs = [], []
+        split = time.perf_counter()
+        elapsed["teacher_fit_s"] += split - start
+        # per pair, its student (its own teacher's labels) and its
+        # ensemble-supervised student (the dual mean of its round's
+        # teachers' labels), both on the pair's pseudo rows
+        fits = []
         for first in range(0, len(pairs), n_splits):
             round_teachers = teachers[first: first + n_splits]
-            # per pair, its student (its own teacher's labels) and its
-            # ensemble-supervised student, both on the pair's pseudo chunk
-            fits = []
             for j, (_, pidx, seed_ij) in enumerate(pairs[first: first + n_splits]):
-                chunk_x = data.pseudo_x[pidx]
-                labels = [t.predict_proba(chunk_x) for t in round_teachers]
-                fits += [(chunk_x, labels[j], seed_ij + 1),
-                         (chunk_x, harness.ensemble_dual_mean(labels), seed_ij + 2)]
-            students = fit_probes(probe_student, fits)
-            student_runs += [s.predict_proba(data.test_x) for s in students[0::2]]
-            ens_runs += [s.predict_proba(data.test_x) for s in students[1::2]]
+                labels = teacher_labels(round_teachers, data.pseudo_x[pidx])
+                fits += [(pidx, labels[j], seed_ij + 1),
+                         (pidx, harness.ensemble_dual_mean(labels), seed_ij + 2)]
+        runs = [s.predict_proba(data.test_x)
+                for s in fit_probes(probe_student, data, data.pseudo_x, fits)]
+        student_runs, ens_runs = runs[0::2], runs[1::2]
+        estimate_start = time.perf_counter()
+        elapsed["student_fit_s"] += estimate_start - split
 
         # (runs, points, 2) test predictions per model
         stacks = [("teacher", np.stack(teacher_runs)), ("student", np.stack(student_runs)),
@@ -567,6 +585,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                     "task_seed": outer_seed, "point": point, "model": label,
                     "bias": bias, "variance": variance, "mean_ce": mean_ce,
                 })
+        elapsed["estimate_s"] += time.perf_counter() - estimate_start
 
     gaps = [abs(r["bias"] + r["variance"] - r["mean_ce"]) for r in rows]
     # rows come in (teacher, student, ens_student) triples, one per point
@@ -579,7 +598,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                  f"ensemble-supervised variance lower on {lower.sum()}/{lower.size} "
                  f"points, share",
                  np.mean(lower), ">", 0.5),
-    ], {}
+    ], {key: f"{seconds:.3e}" for key, seconds in elapsed.items()}
 
 
 # --- entry point ---------------------------------------------------------------
@@ -621,12 +640,12 @@ def main(argv: list[str] | None = None) -> int:
     run, columns = COMMANDS[args.command]
     try:
         cfg = load_config(args.command, args.config, args.overrides)
-        start = time.time()
+        start = time.perf_counter()
         rows, verdicts, stages = run(cfg)
         for v in verdicts:
             print(f"[{'PASS' if v['passed'] else 'FAIL'}] {v['name']}: {v['detail']}")
         write_outputs(args.out, args.command, cfg, columns, rows, verdicts,
-                      time.time() - start, stages)
+                      time.perf_counter() - start, stages)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -16,19 +16,23 @@ the step loop derives the two settings a fit supplies to the table, the
 adaptive loss's confidence cut from the cell's labels and the aux weight
 from the step.  ``train_many`` trains the fits that share inputs, start
 weights and batch order in lockstep, ``train_fits`` independent fits with
-their own; ``train`` is the one-fit case of both, and all three run the one
-step loop.
+their own rows of one input array and their own start weights and batch
+orders; ``train`` is the one-fit case of both, and all three run the one
+step loop.  A step of that loop gathers every fit's batch in one call and
+forms each product as one stacked ``np.matmul`` over the fits, whose
+slices are the products a lone fit makes, so its count of numpy calls does
+not grow with the number of fits and its arithmetic is a lone fit's.
 
 Every probe trains in input space.  A projection probe's features
 ``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
 with ``v = P^T w``, and a gradient step ``w -= lr P g`` on the weights, with
 ``g = x_b^T dl/du / B`` the input-space gradient of a batch, is the step
 ``v -= lr M g`` with ``M = P^T P``.  The step loop keeps ``v`` and forms
-``M`` once per projection, never an ``n x width`` feature matrix; the
-weights are ``w0 - lr P sum(g)`` at the end, and gradient norms and the
-gradient direction variance are those of the weight gradients ``(P g, g_b)``,
-read in the ``M`` metric.  An identity probe has ``P = I``: ``v`` is ``w``
-and ``M g`` is ``g`` itself.
+``M`` once per fit, or once for fits that share a projection, never an
+``n x width`` feature matrix; the weights are ``w0 - lr P sum(g)`` at the
+end, and gradient norms and the gradient direction variance are those of
+the weight gradients ``(P g, g_b)``, read in the ``M`` metric.  An identity
+probe has ``P = I``: ``v`` is ``w`` and ``M g`` is ``g`` itself.
 """
 
 from __future__ import annotations
@@ -370,8 +374,8 @@ def train(
 
     The one-fit case of ``train_many`` and of ``train_fits``.
     """
-    return _train_lockstep([model], [data], [(loss_name, data.labels)], [seed],
-                           track_gdv)[0]
+    return _train_lockstep([model], data.x, None, [(loss_name, data.labels)], [seed],
+                           data.test_x, data.test_y, track_gdv)[0]
 
 
 def train_many(
@@ -387,43 +391,54 @@ def train_many(
     stand in for ``data.labels``.  The cells share ``data.x``, the start
     weights, the batch order drawn from ``seed`` and, for a projection
     probe, the one ``M = P^T P``, so each step gathers its batch once; each
-    cell keeps its own input-space weight row ``v = P^T w`` and its own
-    matrix-vector products (``x_b v``, ``x_b^T dl/du`` and ``M g``), so its
-    report is bit for bit that of ``train`` on a copy of ``model`` with that
+    cell keeps its own input-space weight row ``v = P^T w``, and its report
+    is bit for bit that of ``train`` on a copy of ``model`` with that
     cell's labels.  ``model`` itself is not changed.
     """
     cells = list(cells)
     # the copies share the start arrays; training rebinds, never writes, them
-    return _train_lockstep([copy.copy(model) for _ in cells], [data] * len(cells),
-                           cells, [seed] * len(cells), track_gdv)
+    return _train_lockstep([copy.copy(model) for _ in cells], data.x, None, cells,
+                           [seed] * len(cells), data.test_x, data.test_y, track_gdv)
 
 
-def train_fits(models, datas, seeds) -> list[TrainReport]:
-    """Train each ``models[j]`` in place on ``datas[j]`` from ``seeds[j]``
-    under the ce loss, in lockstep, and report each.
+def train_fits(models, x, fits, test_x, test_y) -> list[TrainReport]:
+    """Train each ``models[j]`` in place under the ce loss on the rows of
+    ``x`` that ``fits[j]`` names, in lockstep, and report each on
+    ``(test_x, test_y)``.
 
-    The fits are independent: each has its own inputs, labels, start
-    weights and batch order, its own gather and its own matrix-vector
-    products per step (a projection probe's ``M = P^T P`` is formed once
-    per projection), so its report is bit for bit that of
-    ``train(models[j], datas[j], "ce", seed=seeds[j])``.  There must be one
-    data set and one seed per model, and the fits must share one
+    A fit is a ``(rows, labels, seed)`` triple: ``rows`` are its training
+    inputs' row indices into ``x``, one per ``(n, 2)`` label row, and
+    ``seed`` draws its batch order.  The fits are independent: each has its
+    own rows, labels, start weights and batch order, so its report is bit
+    for bit that of ``train(models[j], TrainData(x[rows], labels, test_x,
+    test_y), "ce", seed=seed)``, yet each step gathers the batches of all
+    fits from ``x`` at once.  There must be one fit per model, every row
+    index must lie in ``[0, len(x))``, and the fits must share one
     ``ProbeConfig``, input dimension and row count, or ``ValueError`` is
     raised before any step.
     """
-    models, datas, seeds = list(models), list(datas), list(seeds)
-    if not len(models) == len(datas) == len(seeds):
-        raise ValueError(f"train_fits needs one data set and one seed per model, got "
-                         f"{len(models)} models, {len(datas)} data sets, {len(seeds)} seeds")
-    cells = [("ce", data.labels) for data in datas]
-    return _train_lockstep(models, datas, cells, seeds, False)
+    models, fits = list(models), list(fits)
+    if len(models) != len(fits):
+        raise ValueError(f"train_fits needs one (rows, labels, seed) fit per model, got "
+                         f"{len(models)} models and {len(fits)} fits")
+    rows = [np.asarray(fit_rows) for fit_rows, _, _ in fits]
+    for j, (fit_rows, (_, labels, _)) in enumerate(zip(rows, fits)):
+        # a negative index would wrap around to a row from the end of x
+        if (fit_rows.ndim != 1 or fit_rows.dtype.kind not in "iu"
+                or len(fit_rows) != len(labels)
+                or (fit_rows.size and not 0 <= fit_rows.min() <= fit_rows.max() < len(x))):
+            raise ValueError(f"fit {j} needs one row index in [0, {len(x)}) per label row")
+    return _train_lockstep(models, x, rows, [("ce", labels) for _, labels, _ in fits],
+                           [seed for _, _, seed in fits], test_x, test_y, False)
 
 
-def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]:
-    """Train ``models[j]`` in place on ``datas[j]`` under ``cells[j]`` from
-    ``seeds[j]``, in input space (see the module docstring).  Fits on the
-    same input array with the same seed share one batch order and one
-    gather per step."""
+def _train_lockstep(models, x, rows, cells, seeds, test_x, test_y,
+                    track_gdv) -> list[TrainReport]:
+    """Train ``models[j]`` in place under ``cells[j]`` from ``seeds[j]`` on
+    the rows ``rows[j]`` of ``x`` (on ``x`` itself when ``rows`` is None),
+    in input space (see the module docstring), and report each on
+    ``(test_x, test_y)``.  The step loop is ``_descend``; its buffers are
+    freed before the reports gather each fit's rows."""
     if not cells:
         raise ValueError("lockstep training needs at least one cell")
     names, labels = [], []
@@ -432,90 +447,135 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
             raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
         names.append(loss_name)
         labels.append(np.asarray(cell_labels, dtype=float))
-    cfg, d, n = models[0].cfg, models[0].dim, len(datas[0].x)
-    if any(m.cfg != cfg or m.dim != d for m in models) \
-            or any(len(data.x) != n for data in datas) or any(len(y) != n for y in labels):
+    cfg, d = models[0].cfg, models[0].dim
+    n = len(x) if rows is None else len(rows[0])
+    if any(m.cfg != cfg or m.dim != d for m in models) or any(len(y) != n for y in labels):
         raise ValueError("fits trained in lockstep must share one ProbeConfig, "
                          "input dimension and row count")
-    # one table call per step for each row-wise loss over its fits' rows, and
-    # one per fit for the others: (rows, loss, labels, offset, cut); a
-    # row-wise block is flattened to (rows * n, 2) and read at its fits'
-    # batch indices plus ``offset``; a run of adjacent rows is a slice.  The
+    grad_norms, gdv_trace, final_loss = _descend(models, x, rows, names, labels, seeds,
+                                                 track_gdv)
+    truth = labels_to_soft(test_y)
+    reports = []
+    for j, model in enumerate(models):
+        reports.append(TrainReport(
+            accuracy=model.accuracy(test_x, test_y),
+            param_distance=model.distance_from_init(),
+            grad_norms=tuple(float(e[j]) for e in grad_norms),
+            gdv_trace=tuple(float(e[j]) for e in gdv_trace),
+            final_loss=float(final_loss[j]),
+            mean_prediction=float(model.predict_pos(x if rows is None else x[rows[j]]).mean()),
+            test_rce_risk=float(np.mean(rce(truth, model.predict_proba(test_x)))),
+        ))
+    return reports
+
+
+def _descend(models, x, rows, names, labels, seeds, track_gdv):
+    """The step loop of ``_train_lockstep``, on checked fits of ``n`` rows
+    each: sets each model's weights and bias and returns the per-epoch
+    gradient norms and GDVs, one ``(fits,)`` array per epoch, and the last
+    step's losses.
+
+    Each step makes one gather of every fit's batch and one stacked
+    ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du``, ``M g`` and the
+    norm ``g . M g``) over ``(fits, ...)`` arrays, so its number of numpy
+    calls does not grow with the fits.  Each slice of a stacked product is
+    the matrix-vector product or dot a lone fit makes, so each fit's
+    arithmetic is that of ``train``.  Fits with one seed share one batch
+    order; when they also read the same rows, the step gathers one batch
+    and every fit reads it through a broadcast view, as it does a shared
+    ``M``.  Otherwise the step gathers every fit's own batch into one
+    ``(fits, rows, d)`` buffer kept across steps."""
+    cfg, d, k, n = models[0].cfg, models[0].dim, len(models), len(labels[0])
+    # one table call per step for each row-wise loss over its fits, and one
+    # per fit for the others: (fits, loss, labels, offset, cut); a row-wise
+    # block is flattened to (fits * n, 2) and read at its fits' batch
+    # positions plus ``offset``; a run of adjacent fits is a slice.  The
     # adaptive loss's cut is fixed from the fit's full label set
     calls = []
     for name in ROW_LOSSES:
-        rows = [j for j, other in enumerate(names) if other == name]
-        if rows:
-            adjacent = rows[-1] - rows[0] == len(rows) - 1
-            calls.append((slice(rows[0], rows[-1] + 1) if adjacent else np.array(rows),
-                          name, np.concatenate([labels[j] for j in rows]),
-                          n * np.arange(len(rows))[:, None], 0.0))
+        fits = [j for j, other in enumerate(names) if other == name]
+        if fits:
+            adjacent = fits[-1] - fits[0] == len(fits) - 1
+            calls.append((slice(fits[0], fits[-1] + 1) if adjacent else np.array(fits),
+                          name, np.concatenate([labels[j] for j in fits]),
+                          n * np.arange(len(fits))[:, None], 0.0))
     calls += [(j, name, labels[j], 0,
                confidence_threshold(labels[j]) if name == "cace" else 0.0)
               for j, name in enumerate(names) if name not in ROW_LOSSES]
 
-    groups: dict[tuple, list[int]] = {}
-    for j, (data, seed) in enumerate(zip(datas, seeds)):
-        groups.setdefault((id(data.x), seed), []).append(j)
-    members = [np.array(fits) for fits in groups.values()]
-    xs = [datas[fits[0]].x for fits in groups.values()]
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0x7247]))
-            for _, seed in groups]
-    group_of = np.empty(len(models), dtype=int)
-    for g, fits in enumerate(members):
-        group_of[fits] = g
-
     steps, lr, batch = cfg.steps, cfg.learning_rate, cfg.batch_size
-    k = len(cells)
     steps_per_epoch = max(1, n // batch)
+    batch_rows = min(batch, n)
+
+    # one batch-order stream per seed
+    streams: dict[int, int] = {}
+    group_of = np.array([streams.setdefault(seed, len(streams)) for seed in seeds])
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, 0x7247])) for seed in streams]
+    if len(rngs) == 1 and (rows is None or all(r is rows[0] for r in rows)):
+        def new_order():
+            """Each fit's batch positions in ``range(n)`` for the next pass,
+            one row per fit, here one order for all of them."""
+            return np.broadcast_to(rngs[0].permutation(n), (k, n))
+
+        def gather(idx):
+            """One ``(rows, d)`` batch that every fit reads."""
+            return x[idx[0] if rows is None else rows[0][idx[0]]]
+    else:
+        fit_rows, fit_index = np.stack(rows), np.arange(k)[:, None]
+        batches = np.empty((k, batch_rows, d), dtype=x.dtype)
+
+        def new_order():
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            return order if len(rngs) == k else order[group_of]
+
+        def gather(idx):
+            """The ``(fits, rows, d)`` batches, each fit's from its own rows,
+            into one buffer kept across steps.  Every index is in range
+            (``train_fits`` checks the rows), so ``"clip"`` clips nothing;
+            it keeps ``np.take`` from allocating a copy of ``out``."""
+            return np.take(x, fit_rows[fit_index, idx], axis=0, out=batches, mode="clip")
 
     weights = np.stack([m.input_weights for m in models])  # v, one row per fit
     bias = np.array([[m.bias] for m in models], dtype=float)
-    batch_rows = min(batch, n)
     u = np.empty((k, batch_rows))
     vals, dldp, e = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     pb = np.empty((k, batch_rows, 2))  # the (p1, 1 - p1) batch, refilled in place each step
     p1, p0 = pb[..., 0], pb[..., 1]
-    idx_all = np.empty(u.shape, dtype=np.intp)  # each fit's batch rows
     grads = np.empty((k, d + 1))  # input-space gradient g, then the bias gradient
     grad_w, grad_b = grads[:, :d], grads[:, d:]
     # the step (M g, g_b); g itself for identity probes
     projected = cfg.feature == "projection"
     if projected:
-        projections = {id(m.projection): m.projection for m in models}
-        metrics = {key: p.T @ p for key, p in projections.items()}
+        first = models[0].projection
+        if all(m.projection is first for m in models):
+            metric = first.T @ first  # broadcast over the fits
+        else:
+            metric = np.empty((k, d, d))
+            for m, out in zip(models, metric):
+                np.matmul(m.projection.T, m.projection, out=out)
         moves = np.empty_like(grads)
-        metric_rows = list(zip([metrics[id(m.projection)] for m in models],
-                               grad_w, moves[:, :d]))
         grad_sum = np.zeros((k, d))
     else:
         moves = grads
     move_w, move_b = moves[:, :d], moves[:, d:]
-    # per-fit row views: each fit's products stay matrix-vector products
-    fit_rows = list(zip(weights, u, grad_w, group_of))
-    norm_rows = list(zip(grads, moves))
-    batches = [None] * len(xs)
     epoch_norms = np.empty((k, steps_per_epoch))
     stream = DirectionStream(k, d + 1) if track_gdv else None
     grad_norms: list[np.ndarray] = []
     gdv_trace: list[np.ndarray] = []
     in_epoch = 0
-    orders = [rng.permutation(n) for rng in rngs]
+    order = new_order()
     cursor = 0
     final_loss = np.full(k, np.nan)
 
     for step in range(steps):
         if cursor + batch > n:
-            orders = [rng.permutation(n) for rng in rngs]
+            order = new_order()
             cursor = 0
-        for g, (x, order, fits) in enumerate(zip(xs, orders, members)):
-            idx = order[cursor : cursor + batch]
-            idx_all[fits] = idx
-            batches[g] = x[idx]
+        idx = order[:, cursor : cursor + batch]  # each fit's batch positions
+        xb = gather(idx)  # one gather for all fits
         cursor += batch
 
-        for v, u_row, _, g in fit_rows:
-            np.matmul(batches[g], v, out=u_row)
+        np.matmul(xb, weights[..., None], out=u[..., None])
         u += bias
         # _sigmoid, then a clamp into the simplex interior so saturated
         # sigmoids keep the loss and the tied-coordinate gradients finite;
@@ -529,9 +589,9 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
         # run otherwise never touches, about 0.2 MB more peak RSS in classify
         np.clip(e, 1e-12, 1.0 - 1e-12, out=p1)
         np.subtract(1.0, p1, out=p0)
-        for rows, name, y, offset, cut in calls:
+        for fits, name, y, offset, cut in calls:
             beta = aux_beta(step, steps) if name == "aux" else 0.0
-            vals[rows], dldp[rows] = loss_table(name, y[offset + idx_all[rows]], pb[rows],
+            vals[fits], dldp[fits] = loss_table(name, y[offset + idx[fits]], pb[fits],
                                                 cut, beta)
         # np.mean's arithmetic (a sum, then a division by the count)
         # without its per-call overhead
@@ -539,21 +599,20 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
         if not np.isfinite(final_loss).all():
             raise TrainingDiverged(step, float(final_loss[~np.isfinite(final_loss)][0]))
         dldu = dldp * p1 * p0
-        for (_, _, g_row, g), dldu_row in zip(fit_rows, dldu):
-            np.matmul(batches[g].T, dldu_row, out=g_row)
-        grad_w /= batch_rows
-        grad_b[:, 0] = np.add.reduce(dldu, axis=1) / batch_rows
+        np.matmul(xb.swapaxes(-1, -2), dldu[..., None], out=grad_w[..., None])
+        del xb  # a fresh batch is freed before the next gather, not during it
+        grad_b[:, 0] = np.add.reduce(dldu, axis=1)
+        grads /= batch_rows
         if projected:
-            for metric, g_row, move_row in metric_rows:
-                np.matmul(metric, g_row, out=move_row)
+            np.matmul(metric, grad_w[..., None], out=move_w[..., None])
             move_b[:] = grad_b
             grad_sum += grad_w
         weights -= lr * move_w
         bias -= lr * move_b
 
         # |(P g, g_b)| = sqrt(g . M g + g_b^2)
-        norms = np.array([math.sqrt(g @ move) for g, move in norm_rows])
-        epoch_norms[:, in_epoch] = norms
+        norms = np.sqrt(np.matmul(grads[:, None], moves[..., None])[:, 0, 0],
+                        out=epoch_norms[:, in_epoch])
         in_epoch += 1
         if stream is not None:
             stream.add(grads, norms, moves)
@@ -563,24 +622,13 @@ def _train_lockstep(models, datas, cells, seeds, track_gdv) -> list[TrainReport]
                 gdv_trace.append(stream.close())
             in_epoch = 0
 
-    reports = []
-    for j, (model, data) in enumerate(zip(models, datas)):
+    for j, model in enumerate(models):
         if projected:
             model.weights = model.weights - lr * (model.projection @ grad_sum[j])
         else:
             model.weights = weights[j].copy()
         model.bias = float(bias[j, 0])
-        reports.append(TrainReport(
-            accuracy=model.accuracy(data.test_x, data.test_y),
-            param_distance=model.distance_from_init(),
-            grad_norms=tuple(float(e[j]) for e in grad_norms),
-            gdv_trace=tuple(float(e[j]) for e in gdv_trace),
-            final_loss=float(final_loss[j]),
-            mean_prediction=float(model.predict_pos(data.x).mean()),
-            test_rce_risk=float(np.mean(rce(labels_to_soft(data.test_y),
-                                            model.predict_proba(data.test_x)))),
-        ))
-    return reports
+    return grad_norms, gdv_trace, final_loss
 
 
 # --- pipeline -------------------------------------------------------------------

@@ -450,27 +450,57 @@ class TestBiasVarianceCommand:
         assert len(calls) == 3 * n_test * task_seeds
         assert set(calls) == {(6, 2)}
 
-    def test_one_student_call_per_round(self, monkeypatch):
-        """A task seed's teachers train in one ``train_fits`` call, then each
-        round's ``2 * n_splits`` students in one call of their own."""
+    def test_one_student_call_per_task_seed(self, monkeypatch):
+        """A task seed's teachers train in one ``train_fits`` call on the
+        task's own ``train_x``, then all its ``2 * k * n_splits`` students in
+        one call on its own ``pseudo_x``."""
         from w2slab import trainer
         from w2slab.cli import SCHEMAS, run_bias_variance
 
-        fit = trainer.train_fits
-        calls = []
+        fit, sample = trainer.train_fits, trainer.SyntheticTask.sample
+        calls, samples = [], []
 
-        def counted(models, datas, seeds):
+        def counted(models, x, fits, test_x, test_y):
             models = list(models)
-            calls.append((models[0].cfg.feature, len(models)))
-            return fit(models, datas, seeds)
+            calls.append((models[0].cfg.feature, len(models), x))
+            return fit(models, x, fits, test_x, test_y)
+
+        def recorded(task):
+            samples.append(sample(task))
+            return samples[-1]
 
         monkeypatch.setattr(trainer, "train_fits", counted)
+        monkeypatch.setattr(trainer.SyntheticTask, "sample", recorded)
         cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
         cfg.update(task_seeds=2, k=3, n_splits=2, dim=5, n_test=20, split_train=16,
                    split_pseudo=64)
         run_bias_variance(cfg)
-        per_seed = [("identity", 3 * 2)] + [("projection", 2 * 2)] * 3
-        assert calls == per_seed * 2
+        assert [call[:2] for call in calls] == [("identity", 3 * 2),
+                                                ("projection", 2 * 3 * 2)] * 2
+        assert len(samples) == 2
+        for (teachers, students), data in zip(zip(calls[0::2], calls[1::2]), samples):
+            assert teachers[2] is data.train_x and students[2] is data.pseudo_x
+
+    def test_stages_time_fits_and_estimates(self, tmp_path, monkeypatch):
+        """The report's stages are the fit and estimate wall times, each
+        fixed-width ``"%.3e"`` text of a nonnegative float, read like the
+        run's duration off ``time.perf_counter``, never the settable wall
+        clock."""
+        import time
+        import types
+
+        from w2slab import cli
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=time.perf_counter))
+        assert run(["bias-variance", "--set", "task_seeds=2", "--set", "n_test=20",
+                    "--set", "dim=5", "--set", "split_train=16",
+                    "--set", "split_pseudo=64", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "bias_variance.json").read_text())
+        stages = report["stages"]
+        assert set(stages) == {"teacher_fit_s", "student_fit_s", "estimate_s"}
+        for text in stages.values():
+            assert text == f"{float(text):.3e}" and float(text) >= 0.0
+        assert sum(map(float, stages.values())) <= 1.001 * report["duration_seconds"]
 
     def test_rows_equal_lone_fits(self):
         """The lockstep fits give the rows of a reference that trains every

@@ -453,86 +453,135 @@ class TestTrainMany:
 class TestTrainFits:
     @staticmethod
     def independent_fits(rows, batch, feature="projection", width=30):
-        """Three fits with their own inputs, labels, start weights and seeds."""
+        """The task data and three fits with their own models, rows of the
+        pseudo inputs, labels and seeds."""
         data = small_task(n_pseudo=256).sample()
-        fits = []
+        models, fits = [], []
         for j in range(3):
-            x = data.pseudo_x[j * 64: j * 64 + rows]
             p1 = np.random.default_rng([rows, j]).uniform(0.05, 0.95, size=rows)
-            model = make_model(feature=feature, width=width, init_scale=0.1,
-                               seed=20 + j, steps=25, batch_size=batch)
-            fits.append((model, TrainData(x, np.stack([p1, 1.0 - p1], axis=-1),
-                                          data.test_x, data.test_y), 30 + j))
-        return fits
+            models.append(make_model(feature=feature, width=width, init_scale=0.1,
+                                     seed=20 + j, steps=25, batch_size=batch))
+            fits.append((np.arange(j * 64, j * 64 + rows),
+                         np.stack([p1, 1.0 - p1], axis=-1), 30 + j))
+        return data, models, fits
+
+    @staticmethod
+    def assert_lone_fits(data, make, fits):
+        """``train_fits`` on the fits' rows of ``data.pseudo_x``, one model
+        ``make(j)`` per fit, equals a lone ``train`` of each on the gathered
+        copy of its rows, report and weights bit for bit."""
+        x = data.pseudo_x
+        models = [make(j) for j in range(len(fits))]
+        reports = train_fits(models, x, fits, data.test_x, data.test_y)
+        for j, (rep, model, (rows, labels, seed)) in enumerate(zip(reports, models, fits)):
+            lone = make(j)
+            expected = train(lone, TrainData(x[rows], labels, data.test_x, data.test_y),
+                             "ce", seed=seed)
+            np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
+            np.testing.assert_array_equal(model.weights, lone.weights)
+            assert model.bias == lone.bias
+        return reports
 
     @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 30)])
     @pytest.mark.parametrize("rows,batch", [(64, 16), (40, 32), (12, 32)])
     def test_lockstep_equals_lone_fits(self, rows, batch, feature, width):
-        fits = self.independent_fits(rows, batch, feature, width)
-        lone = self.independent_fits(rows, batch, feature, width)
-        models, datas, seeds = zip(*fits)
-        reports = train_fits(models, datas, seeds)
-        for (model, data, seed), rep, (l_model, l_data, l_seed) in zip(fits, reports, lone):
-            expected = train(l_model, l_data, "ce", seed=l_seed)
-            np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
-            np.testing.assert_array_equal(model.weights, l_model.weights)
-            assert model.bias == l_model.bias
+        data, _, fits = self.independent_fits(rows, batch, feature, width)
+
+        def make(j):
+            return make_model(feature=feature, width=width, init_scale=0.1, seed=20 + j,
+                              steps=25, batch_size=batch)
+
+        reports = self.assert_lone_fits(data, make, fits)
         # the fits differ, so none trained another's weights
         assert len({rep.param_distance for rep in reports}) == 3
+        # overlapping rows of one array: the first two fits read the same
+        # rows from two seeds, the third other rows from the first seed, and
+        # the fourth reads the first's rows array from its seed; four fits
+        # from two seeds
+        (_, other_labels, _), (first, labels, _) = fits[:2]
+        shifted = first + rows // 2
+        overlapping = [(first, labels, 40), (first, other_labels, 41),
+                       (shifted, other_labels, 40), (first, labels, 40)]
+        self.assert_lone_fits(data, make, overlapping)
+        # one seed: other rows, then the same rows, which share one gather
+        self.assert_lone_fits(data, make, [overlapping[0], overlapping[2]])
+        self.assert_lone_fits(data, make, [overlapping[0], overlapping[3]])
 
     @staticmethod
-    def counting_gathers(data, gathers):
-        """``data`` with inputs that record each batch gather in ``gathers``."""
+    def counting_gathers(x, gathers):
+        """``x`` as inputs that record each row gather in ``gathers``, by
+        indexing or by ``np.take``."""
 
         class Counted(np.ndarray):
             def __getitem__(self, item):
                 if isinstance(item, np.ndarray) and item.dtype.kind == "i":
-                    gathers.append(item)  # a batch gather, not a view
+                    gathers.append(item)  # a row gather, not a view
                 return np.asarray(self)[item]
 
-        return dataclasses.replace(data, x=data.x.view(Counted))
+            def take(self, indices, *args, **kwargs):
+                gathers.append(indices)
+                return np.asarray(self).take(indices, *args, **kwargs)
+
+        return x.view(Counted)
 
     def test_shared_inputs_and_seed_share_one_gather(self):
         gathers = []
-        (model, data, _), (other, other_data, _), _ = self.independent_fits(64, 16)
-        data = self.counting_gathers(data, gathers)
-        other_data = self.counting_gathers(other_data, gathers)
-        # two fits on one input array and one seed, and one fit on other
-        # inputs: two gathers per step
-        twin = copy.copy(model)
-        reports = train_fits([model, twin, other], [data, data, other_data], [5, 5, 6])
-        assert len(gathers) == 2 * 25
+        data, (model, other, third), fits = self.independent_fits(64, 16)
+        x = self.counting_gathers(data.pseudo_x, gathers)
+        # one gather per step for all fits, whatever the number of seeds and
+        # rows, then one per fit for its mean prediction on its own rows
+        train_fits([model, other, third], x, fits, data.test_x, data.test_y)
+        assert len(gathers) == 25 + 3
+        # two fits of one model on one row array and one seed, and one fit
+        # on other rows from another seed
+        gathers.clear()
+        fresh = make_model(feature="projection", width=30, init_scale=0.1, seed=20,
+                           steps=25, batch_size=16)
+        twin = copy.copy(fresh)
+        reports = train_fits([fresh, twin, other], x, [fits[0], fits[0], fits[1]],
+                             data.test_x, data.test_y)
+        assert len(gathers) == 25 + 3
         assert reports[0] == reports[1]
         gathers.clear()
-        train_many(model, data, [("ce", data.labels)] * 3, seed=5)
+        labels = labels_to_soft(data.pseudo_y)
+        train_many(model, TrainData(x, labels, data.test_x, data.test_y),
+                   [("ce", labels)] * 3, seed=5)
         assert len(gathers) == 25
 
     def test_mismatched_fits_rejected_before_any_step(self):
         gathers = []
-        (model, data, seed), (other, other_data, other_seed), _ = self.independent_fits(64, 16)
-        data = self.counting_gathers(data, gathers)
-        other_data = self.counting_gathers(other_data, gathers)
+        data, (model, other, _), (fit, other_fit, _) = self.independent_fits(64, 16)
+        x = self.counting_gathers(data.pseudo_x, gathers)
+        test = (data.test_x, data.test_y)
         longer = make_model(feature="projection", width=30, seed=2, steps=26, batch_size=16)
-        short = dataclasses.replace(other_data, x=other_data.x[:60],
-                                    labels=other_data.labels[:60])
+        rows, labels, seed = other_fit
+        short = (rows[:60], labels[:60], seed)
         # one config, but identity probes over 20 and 19 inputs, and
         # projection probes of one width over 20 and 19 inputs
         wide, narrow = (make_model(dim=dim, seed=2, steps=25, batch_size=16)
                         for dim in (20, 19))
         wide_p, narrow_p = (make_model(dim=dim, feature="projection", width=30, seed=2,
                                        steps=25, batch_size=16) for dim in (20, 19))
-        for models, datas in (([model, longer], [data, other_data]),
-                              ([model, other], [data, short]),
-                              ([wide, narrow], [data, other_data]),
-                              ([wide_p, narrow_p], [data, other_data])):
+        for models, fits in (([model, longer], [fit, other_fit]),
+                             ([model, other], [fit, short]),
+                             ([wide, narrow], [fit, other_fit]),
+                             ([wide_p, narrow_p], [fit, other_fit])):
             with pytest.raises(ValueError, match="ProbeConfig"):
-                train_fits(models, datas, [seed, other_seed])
+                train_fits(models, x, fits, *test)
         with pytest.raises(ValueError, match="ProbeConfig"):
-            train_many(model, data, [("ce", data.labels[:60])])
-        # one data set and one seed per model
-        for datas, seeds in (([data], [seed, other_seed]), ([data, other_data], [seed])):
-            with pytest.raises(ValueError, match="one seed per model"):
-                train_fits([model, other], datas, seeds)
+            train_many(model, TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
+                                        *test), [("ce", labels[:60])])
+        # one fit per model
+        for fits in ([fit], [fit, other_fit, fit]):
+            with pytest.raises(ValueError, match="one .* fit per model"):
+                train_fits([model, other], x, fits, *test)
+        # row indices: a negative one (which numpy would wrap around to a
+        # row from the end), one past the last row, one fewer or one more
+        # than the labels, and indices that are not integers
+        for bad in (np.r_[-1, rows[1:]], np.r_[rows[:-1], len(x)],
+                    rows[:-1], np.r_[rows, 0], rows.astype(float), rows > 0):
+            with pytest.raises(ValueError, match="row index"):
+                train_fits([model, other], x, [fit, (bad, labels, seed)], *test)
         assert gathers == []  # no batch was gathered
 
 
