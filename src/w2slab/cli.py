@@ -439,7 +439,8 @@ def run_classify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         raise ConfigError(str(err)) from err
     rows = trainer.alpha_sweep(
         task, cfg["losses"], cfg["alphas"], cfg["repeats"], student_cfg=student_cfg)
-    for cell in trainer.summarize_sweep(rows):
+    summary = trainer.summarize_sweep(rows)
+    for cell in summary:
         print(
             f"{cell['loss']:>5} alpha={cell['alpha']:<6g} "
             f"acc={cell['student_acc_mean']:.3f}+-{cell['student_acc_std']:.3f} "
@@ -448,21 +449,18 @@ def run_classify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
 
     verdicts: list[dict] = []
     band = cfg["accuracy_band"]
-
-    def cell_mean(loss, alpha):
-        return float(np.mean([r["student_acc"] for r in rows
-                              if r["loss"] == loss and r["alpha"] == alpha]))
+    acc_mean = {(cell["loss"], cell["alpha"]): cell["student_acc_mean"] for cell in summary}
 
     stable_alphas = [a for a in cfg["alphas"] if a >= 0.001]
     if "rce" in cfg["losses"] and len(stable_alphas) >= 2:
-        means = [cell_mean("rce", a) for a in stable_alphas]
+        means = [acc_mean["rce", a] for a in stable_alphas]
         verdicts.append(_verdict(
             "rce_accuracy_stable", "rce accuracy spread over alphas >= 0.001",
             np.max(means) - np.min(means), "<=", band))
     if "ce" in cfg["losses"] and {0.01, 1.0} <= set(cfg["alphas"]):
         verdicts.append(_verdict(
             "ce_degrades_at_low_alpha", "ce accuracy drop from alpha 1.0 to 0.01",
-            cell_mean("ce", 1.0) - cell_mean("ce", 0.01), ">=", band))
+            acc_mean["ce", 1.0] - acc_mean["ce", 0.01], ">=", band))
     if {"ce", "rce"} <= set(cfg["losses"]) and 1.0 in cfg["alphas"]:
         distance = {(r["loss"], r["repeat"]): r["param_distance"]
                     for r in rows if r["alpha"] == 1.0}
@@ -521,12 +519,12 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     n_splits = cfg["n_splits"]
     elapsed = dict.fromkeys(("teacher_fit_s", "student_fit_s", "estimate_s"), 0.0)
 
-    def fit_probes(probe_cfg, data, x, fits):
-        # one (rows of x, labels, seed) triple per fit; the reports are
-        # unused, predictions are read off the models
+    def fit_probes(probe_cfg, x, fits):
+        # one (rows of x, labels, seed) triple per fit; predictions are read
+        # off the trained models
         models = [trainer.LinearProbeModel(cfg["dim"], probe_cfg, np.random.default_rng(s))
                   for _, _, s in fits]
-        trainer.train_fits(models, x, fits, data.test_x, data.test_y)
+        trainer.train_fits(models, x, fits)
         return models
 
     def teacher_labels(teachers, chunk_x):
@@ -552,7 +550,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                 ))
         start = time.perf_counter()
         teachers = fit_probes(
-            probe_teacher, data, data.train_x,
+            probe_teacher, data.train_x,
             [(idx, trainer.labels_to_soft(data.train_y[idx]), seed_ij)
              for idx, _, seed_ij in pairs])
         teacher_runs = [t.predict_proba(data.test_x) for t in teachers]
@@ -569,7 +567,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                 fits += [(pidx, labels[j], seed_ij + 1),
                          (pidx, harness.ensemble_dual_mean(labels), seed_ij + 2)]
         runs = [s.predict_proba(data.test_x)
-                for s in fit_probes(probe_student, data, data.pseudo_x, fits)]
+                for s in fit_probes(probe_student, data.pseudo_x, fits)]
         student_runs, ens_runs = runs[0::2], runs[1::2]
         estimate_start = time.perf_counter()
         elapsed["student_fit_s"] += estimate_start - split

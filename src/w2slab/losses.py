@@ -5,15 +5,16 @@ entropy over K classes, proportional label smoothing, and the batch loss
 table the trainer uses.  ``loss_table`` is the one definition of every
 training loss in ``LOSS_NAMES``: for ``(n, 2)`` rows it gives each loss's
 per-row values and its analytic gradient along the first coordinate, with
-the second tied as its complement, in one call.  The composite losses (the
+the second tied as its complement, in one call, and on a ``(fits, n, 2)``
+block each fit's batch gets its lone result.  The composite losses (the
 confidence-adaptive CE/RCE switch, the symmetric cross-entropy and the
 confidence-regularized loss with hardened self-targets) are reached only
 through it.  Their settings are fixed, except for the two a fit supplies:
 the adaptive loss's confidence cut ``cut``, which the trainer derives from
-the fit's own labels (``confidence_threshold``), and the regularized loss's
-weight ``beta``, which follows the step (``aux_beta``).  ``loss_values``
-and ``loss_grads`` are its two halves and ``numeric_loss_grads`` is its
-central-difference oracle.
+each fit's own labels (``confidence_threshold``), and the regularized
+loss's weight ``beta``, which follows the step (``aux_beta``).
+``loss_values`` and ``loss_grads`` are its two halves and
+``numeric_loss_grads`` is its central-difference oracle.
 
 Probability rows are plain arrays whose trailing axis indexes classes;
 :class:`ProbVector` is a checked, clamped single point that every function
@@ -48,7 +49,6 @@ __all__ = [
     "aux_beta",
     "rce_ordering_gap",
     "LOSS_NAMES",
-    "ROW_LOSSES",
     "loss_table",
     "loss_values",
     "loss_grads",
@@ -195,23 +195,25 @@ def confidence_threshold(pseudo_labels) -> float:
     return float(np.quantile(confidence(_rows(pseudo_labels)), 0.2))
 
 
-def harden_threshold(batch_predictions) -> float:
+def harden_threshold(batch_predictions):
     """Confidence cut t such that exactly half the batch scores exceed it.
 
     The score of a prediction is its maximum class probability; t is the
     (n//2 + 1)-th largest score, so strictly more confident predictions are
-    hardened.  Ties at the cut are left soft.
+    hardened.  Ties at the cut are left soft.  A ``(..., n, 2)`` block gives
+    one cut per batch, an array of its leading shape.
     """
     batch = _rows(batch_predictions)
     if batch.size == 0:
         raise ValueError("empty prediction batch")
-    scores = np.sort(batch.max(axis=-1))[::-1]
-    return float(scores[len(scores) // 2])
+    scores = np.sort(batch.max(axis=-1), axis=-1)[..., ::-1]
+    return scores[..., scores.shape[-1] // 2]
 
 
-def harden(yhat, threshold: float) -> np.ndarray:
+def harden(yhat, threshold) -> np.ndarray:
     """Per row, the one-hot (clamped) argmax of yhat when its score exceeds
-    the cut, and yhat itself otherwise; argmax ties go to the first class."""
+    the cut, which broadcasts against the rows' scores, and yhat itself
+    otherwise; argmax ties go to the first class."""
     p = _p(yhat)
     hard = clamp_simplex(np.eye(p.shape[-1]))[np.argmax(p, axis=-1)]
     return np.where((p.max(axis=-1) > threshold)[..., None], hard, p)
@@ -239,13 +241,7 @@ def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
 # --- batch loss table ----------------------------------------------------------
 # y and p are (..., n, 2) blocks of rows.  Each gradient is taken along p_1
 # with p_2 = 1 - p_1: the kernels return it per coordinate over the full rows
-# (the second column is minus the first) and the table reads column 0.  The
-# aux entry needs a single (n, 2) batch, since its hardening cut is a batch
-# statistic.
-
-# entries that read no per-fit setting and no batch statistic, so the cells
-# of one such loss can share one table call over their (cells, batch, 2) block
-ROW_LOSSES = ("ce", "rce", "kl", "rkl", "sl")
+# (the second column is minus the first) and the table reads column 0.
 
 
 def _d_ce(y, p):
@@ -258,16 +254,18 @@ def _d_rce(y, p):
     return np.log((1.0 - y) / y) * np.ones_like(p)
 
 
-def loss_table(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
+def loss_table(name: str, y, p, cut=0.0, beta: float = 0.0):
     """Per-row loss values and d(loss)/d(p_1) of a batch, as one pair.
 
-    cace is RCE on rows whose label confidence is below ``cut`` and CE
-    elsewhere (so CE at the default cut 0); sl is the symmetric
+    ``y`` and ``p`` are an ``(n, 2)`` batch or a ``(fits, n, 2)`` block of
+    batches.  cace is RCE on rows whose label confidence is below ``cut``
+    and CE elsewhere (so CE at the default cut 0); on a block ``cut`` may be
+    a ``(fits, 1)`` column, one cut per batch.  sl is the symmetric
     cross-entropy with unit weights, ``RCE + CE``; aux is ``beta * CE(y, p)
     + (1 - beta) * CE(t, p)``, whose target ``t`` is ``p`` hardened at the
-    half-batch cut of ``p`` itself and is a constant under differentiation.
-    The other entries read neither ``cut`` nor ``beta``.  Rows with K != 2
-    classes raise ``BinaryOnlyError``.
+    half-batch cut of its own batch of ``p`` and is a constant under
+    differentiation.  The other entries read neither ``cut`` nor ``beta``.
+    Rows with K != 2 classes raise ``BinaryOnlyError``.
     """
     y, p = _pair(y, p)
     if y.shape[-1] != 2:
@@ -291,7 +289,7 @@ def loss_table(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
     if name == "aux":
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-        t = harden(p, harden_threshold(p))
+        t = harden(p, harden_threshold(p)[..., None])
         return (beta * ce(y, p) + (1.0 - beta) * ce(t, p),
                 beta * _d_ce(y, p)[..., 0] + (1.0 - beta) * _d_ce(t, p)[..., 0])
     raise ValueError(f"unknown loss {name!r}")

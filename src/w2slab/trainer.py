@@ -14,14 +14,15 @@ parameterization come from the batch loss table in :mod:`w2slab.losses`
 ``numeric_loss_grads``.  A training cell is a ``(loss_name, labels)`` pair;
 the step loop derives the two settings a fit supplies to the table, the
 adaptive loss's confidence cut from the cell's labels and the aux weight
-from the step.  ``train_many`` trains the fits that share inputs, start
-weights and batch order in lockstep, ``train_fits`` independent fits with
-their own rows of one input array and their own start weights and batch
-orders; ``train`` is the one-fit case of both, and all three run the one
-step loop.  A step of that loop gathers every fit's batch in one call and
-forms each product as one stacked ``np.matmul`` over the fits, whose
-slices are the products a lone fit makes, so its count of numpy calls does
-not grow with the number of fits and its arithmetic is a lone fit's.
+from the step.  ``train_many`` trains a list of models in place on one
+input array and batch order, one cell each, and reports each; ``train`` is
+its one-fit case.  ``train_fits`` trains independent ce fits in place, each
+on its own rows of one input array from its own seed, and reports nothing.
+Both run the one step loop, whose step gathers every fit's batch in one
+call, forms each product as one stacked ``np.matmul`` over the fits, whose
+slices are the products a lone fit makes, and makes one loss-table call
+per loss name, so its count of numpy calls does not grow with the number
+of fits and its arithmetic is a lone fit's.
 
 Every probe trains in input space.  A projection probe's features
 ``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
@@ -47,7 +48,6 @@ import numpy as np
 from .bregman import clamp_simplex
 from .losses import (
     LOSS_NAMES,
-    ROW_LOSSES,
     aux_beta,
     check_alpha,
     confidence_threshold,
@@ -372,55 +372,60 @@ def train(
     per-epoch gradient direction variance of that epoch's mini-batch
     gradients, streamed through a ``DirectionStream``.
 
-    The one-fit case of ``train_many`` and of ``train_fits``.
+    The one-fit case of ``train_many``.
     """
-    return _train_lockstep([model], data.x, None, [(loss_name, data.labels)], [seed],
-                           data.test_x, data.test_y, track_gdv)[0]
+    return train_many([model], data, [(loss_name, data.labels)], seed, track_gdv)[0]
 
 
 def train_many(
-    model: LinearProbeModel,
+    models,
     data: TrainData,
     cells,
     seed: int = 0,
     track_gdv: bool = False,
 ) -> list[TrainReport]:
-    """Train one copy of ``model`` per cell, in lockstep, and report each.
+    """Train each ``models[j]`` in place under ``cells[j]``, in lockstep,
+    and report each on ``(data.test_x, data.test_y)``.
 
     A cell is a ``(loss_name, labels)`` pair whose ``(n, 2)`` soft labels
-    stand in for ``data.labels``.  The cells share ``data.x``, the start
-    weights, the batch order drawn from ``seed`` and, for a projection
-    probe, the one ``M = P^T P``, so each step gathers its batch once; each
-    cell keeps its own input-space weight row ``v = P^T w``, and its report
-    is bit for bit that of ``train`` on a copy of ``model`` with that
-    cell's labels.  ``model`` itself is not changed.
+    stand in for ``data.labels``.  The fits share ``data.x`` and the batch
+    order drawn from ``seed``, so each step gathers its batch once, and
+    models that all hold one projection share one ``M = P^T P``; each keeps
+    its own input-space weight row ``v = P^T w``, and its report and final
+    weights are bit for bit those of ``train`` on it with its cell's labels.
+    ``_descend`` checks the models and cells before any step.
     """
-    cells = list(cells)
-    # the copies share the start arrays; training rebinds, never writes, them
-    return _train_lockstep([copy.copy(model) for _ in cells], data.x, None, cells,
-                           [seed] * len(cells), data.test_x, data.test_y, track_gdv)
+    grad_norms, gdv_trace, final_loss = _descend(models, data.x, None, cells,
+                                                 [seed] * len(models), track_gdv)
+    truth = labels_to_soft(data.test_y)
+    return [
+        TrainReport(
+            accuracy=model.accuracy(data.test_x, data.test_y),
+            param_distance=model.distance_from_init(),
+            grad_norms=tuple(float(e[j]) for e in grad_norms),
+            gdv_trace=tuple(float(e[j]) for e in gdv_trace),
+            final_loss=float(final_loss[j]),
+            mean_prediction=float(model.predict_pos(data.x).mean()),
+            test_rce_risk=float(np.mean(rce(truth, model.predict_proba(data.test_x)))),
+        )
+        for j, model in enumerate(models)
+    ]
 
 
-def train_fits(models, x, fits, test_x, test_y) -> list[TrainReport]:
+def train_fits(models, x, fits) -> None:
     """Train each ``models[j]`` in place under the ce loss on the rows of
-    ``x`` that ``fits[j]`` names, in lockstep, and report each on
-    ``(test_x, test_y)``.
+    ``x`` that ``fits[j]`` names, in lockstep.
 
     A fit is a ``(rows, labels, seed)`` triple: ``rows`` are its training
     inputs' row indices into ``x``, one per ``(n, 2)`` label row, and
     ``seed`` draws its batch order.  The fits are independent: each has its
-    own rows, labels, start weights and batch order, so its report is bit
-    for bit that of ``train(models[j], TrainData(x[rows], labels, test_x,
-    test_y), "ce", seed=seed)``, yet each step gathers the batches of all
-    fits from ``x`` at once.  There must be one fit per model, every row
-    index must lie in ``[0, len(x))``, and the fits must share one
-    ``ProbeConfig``, input dimension and row count, or ``ValueError`` is
-    raised before any step.
+    own rows, labels, start weights and batch order, so each model ends bit
+    for bit as ``train(models[j], TrainData(x[rows], labels, ...), "ce",
+    seed=seed)`` leaves it, yet each step gathers the batches of all fits
+    from ``x`` at once.  Every row index must lie in ``[0, len(x))``, or
+    ``ValueError`` is raised before any step; ``_descend`` checks the rest.
     """
-    models, fits = list(models), list(fits)
-    if len(models) != len(fits):
-        raise ValueError(f"train_fits needs one (rows, labels, seed) fit per model, got "
-                         f"{len(models)} models and {len(fits)} fits")
+    fits = list(fits)
     rows = [np.asarray(fit_rows) for fit_rows, _, _ in fits]
     for j, (fit_rows, (_, labels, _)) in enumerate(zip(rows, fits)):
         # a negative index would wrap around to a row from the end of x
@@ -428,80 +433,67 @@ def train_fits(models, x, fits, test_x, test_y) -> list[TrainReport]:
                 or len(fit_rows) != len(labels)
                 or (fit_rows.size and not 0 <= fit_rows.min() <= fit_rows.max() < len(x))):
             raise ValueError(f"fit {j} needs one row index in [0, {len(x)}) per label row")
-    return _train_lockstep(models, x, rows, [("ce", labels) for _, labels, _ in fits],
-                           [seed for _, _, seed in fits], test_x, test_y, False)
+    _descend(models, x, rows, [("ce", labels) for _, labels, _ in fits],
+             [seed for _, _, seed in fits], False)
 
 
-def _train_lockstep(models, x, rows, cells, seeds, test_x, test_y,
-                    track_gdv) -> list[TrainReport]:
-    """Train ``models[j]`` in place under ``cells[j]`` from ``seeds[j]`` on
-    the rows ``rows[j]`` of ``x`` (on ``x`` itself when ``rows`` is None),
-    in input space (see the module docstring), and report each on
-    ``(test_x, test_y)``.  The step loop is ``_descend``; its buffers are
-    freed before the reports gather each fit's rows."""
-    if not cells:
-        raise ValueError("lockstep training needs at least one cell")
+def _descend(models, x, rows, cells, seeds, track_gdv):
+    """The step loop: trains each ``models[j]`` in place under
+    ``cells[j]``, a ``(loss_name, labels)`` pair, from ``seeds[j]`` on the
+    rows ``rows[j]`` of ``x`` (on ``x`` itself when ``rows`` is None), and
+    returns the per-epoch gradient norms and GDVs, one ``(fits,)`` array per
+    epoch, and the last step's losses.  Before any step it raises
+    ``ValueError`` unless there is one cell per model and at least one,
+    every loss is in ``LOSS_NAMES``, every cell's labels are ``(n, 2)`` rows
+    for the same ``n >= 1`` rows, and the models share one ``ProbeConfig``
+    and input dimension.
+
+    Each step makes one gather of every fit's batch, one stacked
+    ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du``, ``M g`` and the
+    norm ``g . M g``) over ``(fits, ...)`` arrays and one loss-table call
+    per loss name over its fits' ``(fits, batch, 2)`` block, so its number
+    of numpy calls does not grow with the fits.  Each slice of a stacked
+    product is the matrix-vector product or dot a lone fit makes, and each
+    batch of a block gets its lone table result, so each fit's arithmetic
+    is that of ``train``.  Fits with one seed share one batch order; when
+    they also read the same rows, the step gathers one batch and every fit
+    reads it through a broadcast view, as it does a shared ``M``.
+    Otherwise the step gathers every fit's own batch into one ``(fits,
+    rows, d)`` buffer kept across steps."""
+    if not cells or len(models) != len(cells):
+        raise ValueError(f"lockstep training needs one fit per model and at least one, "
+                         f"got {len(models)} models and {len(cells)} fits")
     names, labels = [], []
     for loss_name, cell_labels in cells:
         if loss_name not in LOSS_NAMES:
             raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
+        cell_labels = np.asarray(cell_labels, dtype=float)
+        if cell_labels.ndim != 2 or cell_labels.shape[1] != 2:
+            raise ValueError(f"labels must be (n, 2) rows, got shape {cell_labels.shape}")
         names.append(loss_name)
-        labels.append(np.asarray(cell_labels, dtype=float))
+        labels.append(cell_labels)
     cfg, d = models[0].cfg, models[0].dim
     n = len(x) if rows is None else len(rows[0])
     if any(m.cfg != cfg or m.dim != d for m in models) or any(len(y) != n for y in labels):
         raise ValueError("fits trained in lockstep must share one ProbeConfig, "
                          "input dimension and row count")
-    grad_norms, gdv_trace, final_loss = _descend(models, x, rows, names, labels, seeds,
-                                                 track_gdv)
-    truth = labels_to_soft(test_y)
-    reports = []
-    for j, model in enumerate(models):
-        reports.append(TrainReport(
-            accuracy=model.accuracy(test_x, test_y),
-            param_distance=model.distance_from_init(),
-            grad_norms=tuple(float(e[j]) for e in grad_norms),
-            gdv_trace=tuple(float(e[j]) for e in gdv_trace),
-            final_loss=float(final_loss[j]),
-            mean_prediction=float(model.predict_pos(x if rows is None else x[rows[j]]).mean()),
-            test_rce_risk=float(np.mean(rce(truth, model.predict_proba(test_x)))),
-        ))
-    return reports
-
-
-def _descend(models, x, rows, names, labels, seeds, track_gdv):
-    """The step loop of ``_train_lockstep``, on checked fits of ``n`` rows
-    each: sets each model's weights and bias and returns the per-epoch
-    gradient norms and GDVs, one ``(fits,)`` array per epoch, and the last
-    step's losses.
-
-    Each step makes one gather of every fit's batch and one stacked
-    ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du``, ``M g`` and the
-    norm ``g . M g``) over ``(fits, ...)`` arrays, so its number of numpy
-    calls does not grow with the fits.  Each slice of a stacked product is
-    the matrix-vector product or dot a lone fit makes, so each fit's
-    arithmetic is that of ``train``.  Fits with one seed share one batch
-    order; when they also read the same rows, the step gathers one batch
-    and every fit reads it through a broadcast view, as it does a shared
-    ``M``.  Otherwise the step gathers every fit's own batch into one
-    ``(fits, rows, d)`` buffer kept across steps."""
-    cfg, d, k, n = models[0].cfg, models[0].dim, len(models), len(labels[0])
-    # one table call per step for each row-wise loss over its fits, and one
-    # per fit for the others: (fits, loss, labels, offset, cut); a row-wise
-    # block is flattened to (fits * n, 2) and read at its fits' batch
-    # positions plus ``offset``; a run of adjacent fits is a slice.  The
-    # adaptive loss's cut is fixed from the fit's full label set
+    if n == 0:
+        raise ValueError("lockstep training needs at least one training row")
+    k = len(models)
+    # one table call per step for each loss name, over its fits' block:
+    # (fits, loss, labels, offset, cut).  The block's labels are flattened to
+    # (fits * n, 2) and read at its fits' batch positions plus ``offset``; a
+    # run of adjacent fits is a slice.  The adaptive loss's cut is fixed
+    # from each fit's full label set, one (fits, 1) column
     calls = []
-    for name in ROW_LOSSES:
+    for name in dict.fromkeys(names):
         fits = [j for j, other in enumerate(names) if other == name]
-        if fits:
-            adjacent = fits[-1] - fits[0] == len(fits) - 1
-            calls.append((slice(fits[0], fits[-1] + 1) if adjacent else np.array(fits),
-                          name, np.concatenate([labels[j] for j in fits]),
-                          n * np.arange(len(fits))[:, None], 0.0))
-    calls += [(j, name, labels[j], 0,
-               confidence_threshold(labels[j]) if name == "cace" else 0.0)
-              for j, name in enumerate(names) if name not in ROW_LOSSES]
+        adjacent = fits[-1] - fits[0] == len(fits) - 1
+        cut = (np.array([[confidence_threshold(labels[j])] for j in fits])
+               if name == "cace" else 0.0)
+        calls.append((slice(fits[0], fits[-1] + 1) if adjacent else np.array(fits),
+                      name, np.concatenate([labels[j] for j in fits]),
+                      n * np.arange(len(fits))[:, None], cut))
 
     steps, lr, batch = cfg.steps, cfg.learning_rate, cfg.batch_size
     steps_per_epoch = max(1, n // batch)
@@ -678,8 +670,9 @@ def _repeat_stage(
                              data.test_x, data.test_y)
     specs = [(loss_name, smooth_labels(student_data.labels, alpha))
              for loss_name, alpha in cells]
-    return teacher_report, train_many(student, student_data, specs,
-                                      seed=s_seed, track_gdv=True)
+    # the copies share the start arrays; training rebinds, never writes, them
+    return teacher_report, train_many([copy.copy(student) for _ in specs], student_data,
+                                      specs, seed=s_seed, track_gdv=True)
 
 
 def w2s_pipeline(
@@ -726,8 +719,8 @@ def summarize_sweep(rows: list[dict]) -> list[dict]:
 def check_sweep(losses: list[str], alphas: list[float], repeats: int) -> None:
     """Raise ValueError unless ``alpha_sweep`` can run these arguments.
 
-    Losses and alphas must be nonempty, every loss a ``LOSS_NAMES`` entry,
-    every alpha in [0, 1], and repeats at least 1.
+    Losses and alphas must be nonempty and free of repeats, every loss a
+    ``LOSS_NAMES`` entry, every alpha in [0, 1], and repeats at least 1.
     """
     if not alphas:
         raise ValueError("alphas must be nonempty")
@@ -740,6 +733,10 @@ def check_sweep(losses: list[str], alphas: list[float], repeats: int) -> None:
     unknown = sorted(set(losses) - set(LOSS_NAMES))
     if unknown:
         raise ValueError(f"losses must be among {LOSS_NAMES}, got {unknown}")
+    # a repeated cell would be written twice and counted twice as a repeat
+    for name, values in (("losses", losses), ("alphas", alphas)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} has repeated values: {list(values)}")
 
 
 def alpha_sweep(

@@ -161,6 +161,9 @@ class TestExitCodes:
         ("classify", "seed=-1"),
         ("classify", "separation=inf"),
         ("classify", "noise=nan"),
+        ("classify", "alphas=0.01,0.01,1 losses=ce,rce,ce"),
+        ("classify", "losses=ce,rce,ce"),
+        ("classify", "alphas=1,0.01,1"),
         ("bias-variance", "task_seeds=0"),
         ("bias-variance", "k=-1 n_splits=-2"),
         ("bias-variance", "split_train=5"),
@@ -460,10 +463,10 @@ class TestBiasVarianceCommand:
         fit, sample = trainer.train_fits, trainer.SyntheticTask.sample
         calls, samples = [], []
 
-        def counted(models, x, fits, test_x, test_y):
+        def counted(models, x, fits):
             models = list(models)
             calls.append((models[0].cfg.feature, len(models), x))
-            return fit(models, x, fits, test_x, test_y)
+            return fit(models, x, fits)
 
         def recorded(task):
             samples.append(sample(task))

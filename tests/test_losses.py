@@ -201,20 +201,26 @@ class TestGradientEngine:
         with pytest.raises(ValueError, match="beta"):
             L.loss_table("aux", y, p, beta=1.5)
 
-    @pytest.mark.parametrize("name", L.ROW_LOSSES)
+    @pytest.mark.parametrize("name", L.LOSS_NAMES)
     def test_row_losses_on_a_block_equal_each_batch(self, name):
-        # the trainer runs one table call over the (cells, batch, 2) block
-        # of a row-wise loss; each cell must get exactly its lone result
+        # the trainer makes one table call per loss over the (fits, batch, 2)
+        # block of its fits; each fit must get exactly its lone result, cace
+        # at its own cut (all rce, a mix, all ce) and aux hardened at its own
+        # batch's half-batch cut
         rng = np.random.default_rng(7)
-        y = np.stack([random_binary(rng, 5) for _ in range(3)])
-        p = np.stack([random_binary(rng, 5) for _ in range(3)])
-        values, grads = L.loss_table(name, y, p)
+        y = np.stack([random_binary(rng, 6) for _ in range(3)])
+        p = np.stack([random_binary(rng, 6) for _ in range(3)])
+        p[1] = 0.5 + 0.1 * (p[1] - 0.5)  # one batch far less confident than the others
+        cut, beta = np.array([[0.5], [0.25], [0.0]]), 0.3
+        values, grads = L.loss_table(name, y, p, cut, beta)
         for j in range(3):
-            lone_values, lone_grads = L.loss_table(name, y[j], p[j])
+            lone_values, lone_grads = L.loss_table(name, y[j], p[j], cut[j, 0], beta)
             np.testing.assert_array_equal(values[j], lone_values)
             np.testing.assert_array_equal(grads[j], lone_grads)
-            np.testing.assert_array_equal(lone_values, L.loss_values(name, y[j], p[j]))
-            np.testing.assert_array_equal(lone_grads, L.loss_grads(name, y[j], p[j]))
+            np.testing.assert_array_equal(
+                lone_values, L.loss_values(name, y[j], p[j], cut[j, 0], beta))
+            np.testing.assert_array_equal(
+                lone_grads, L.loss_grads(name, y[j], p[j], cut[j, 0], beta))
 
     @pytest.mark.parametrize("name", L.LOSS_NAMES)
     def test_multiclass_rows_rejected(self, name):

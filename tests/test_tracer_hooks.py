@@ -42,6 +42,15 @@ def namespaces():
     return [*modules, *classes]
 
 
+def assert_restored(before, created=frozenset()):
+    """Every name of ``before``'s namespaces is bound as it was, and no
+    name was added but those in ``created``."""
+    for ns, attrs in before:
+        now = dict(vars(ns))
+        assert attrs.keys() <= now.keys() and now.keys() - attrs.keys() <= created, ns
+        assert [k for k in attrs if now[k] is not attrs[k]] == [], ns
+
+
 def test_install_wraps_every_layer_and_restore_puts_it_back():
     tracing = load_tracer()
     before = [(ns, dict(vars(ns))) for ns in namespaces()]
@@ -53,7 +62,35 @@ def test_install_wraps_every_layer_and_restore_puts_it_back():
         assert KEYS <= set(tracer.stats)
     finally:
         tracer.restore()
-    for ns, attrs in before:
-        now = dict(vars(ns))
-        assert now.keys() == attrs.keys(), ns
-        assert [k for k in attrs if now[k] is not attrs[k]] == [], ns
+    assert_restored(before)
+
+
+def test_observers_run_on_tiny_commands_and_restore(tmp_path):
+    """``install``'s observers run on in-process ``classify`` and
+    ``bias-variance`` runs: each completes with an exit status (an observer
+    that raised would propagate out of ``main``), ``trainer.train`` counts
+    one teacher fit per classify repeat, and ``restore`` puts every name
+    back."""
+    tracing = load_tracer()
+    before = [(ns, dict(vars(ns))) for ns in namespaces()]
+    repeats = 2
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, w2slab)
+        classify = ["classify", "--out", str(tmp_path), "--set", "losses=ce,cace,aux",
+                    "--set", "alphas=0.01,1", "--set", f"repeats={repeats}",
+                    "--set", "dim=20", "--set", "n_pseudo=256", "--set", "n_test=100"]
+        assert cli.main(classify) in (0, 1)
+        assert tracer.calls("trainer.train") == repeats
+        bias_variance = ["bias-variance", "--out", str(tmp_path), "--set", "task_seeds=1",
+                         "--set", "k=1", "--set", "n_splits=2", "--set", "n_test=20",
+                         "--set", "split_pseudo=128", "--set", "dim=20"]
+        assert cli.main(bias_variance) in (0, 1)
+        metrics = tracing.layer_metrics(tracer)
+    finally:
+        tracer.restore()
+    assert metrics["trainer.train.calls"] == (repeats, "count")
+    assert metrics["trainer.steps"][0] > 0
+    assert tracer.calls("cli.main") == 2
+    # copy.copy caches the slot names of a class it copies
+    assert_restored(before, created={"__slotnames__"})

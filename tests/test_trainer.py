@@ -317,6 +317,9 @@ class TestTrain:
 
 def every_loss_cells(labels):
     cells = [(name, smooth_labels(labels, 0.3)) for name in LOSS_NAMES]
+    # a second cace and aux fit, at its own confidence cut and its own
+    # batch's hardening cut, beside the first in one table call
+    cells += [("cace", labels), ("aux", labels)]
     cells.append(("ce", labels))
     # uniform labels give rce an exactly zero gradient at every step
     cells.append(("rce", smooth_labels(labels, 0.0)))
@@ -326,24 +329,35 @@ def every_loss_cells(labels):
 class TestTrainMany:
     @pytest.mark.parametrize("rows,batch", [(64, 16), (40, 32), (12, 32)])
     def test_lockstep_equals_lone_fits(self, rows, batch):
+        """Copies of one model, which share its start arrays and projection
+        (a classify repeat), then models of their own seeds, each train bit
+        for bit as a lone ``train`` of that model on its cell."""
         data = small_task().sample()
         # soft labels of mixed confidence, so the adaptive loss uses both sides
         p1 = np.random.default_rng(rows).uniform(0.05, 0.95, size=rows)
         train_data = TrainData(data.pseudo_x[:rows], np.stack([p1, 1.0 - p1], axis=-1),
                                data.test_x, data.test_y)
-        model = make_model(feature="projection", width=30, init_scale=0.1, seed=9,
-                           steps=25, batch_size=batch)
-        start = model.theta.copy()
         cells = every_loss_cells(train_data.labels)
-        reports = train_many(model, train_data, cells, seed=9, track_gdv=True)
-        np.testing.assert_array_equal(model.theta, start)  # the start is shared, not moved
-        for (name, labels), rep in zip(cells, reports):
-            lone = make_model(feature="projection", width=30, init_scale=0.1, seed=9,
-                              steps=25, batch_size=batch)
-            expected = train(lone, dataclasses.replace(train_data, labels=labels), name,
-                             seed=9, track_gdv=True)
-            np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
-            assert len(rep.gdv_trace) == len(rep.grad_norms) > 0
+        for shared in (True, False):
+            def make(j):
+                return make_model(feature="projection", width=30, init_scale=0.1,
+                                  seed=9 if shared else 9 + j, steps=25, batch_size=batch)
+
+            model = make(0)
+            start = model.theta.copy()
+            models = ([copy.copy(model) for _ in cells] if shared
+                      else [make(j) for j in range(len(cells))])
+            reports = train_many(models, train_data, cells, seed=9, track_gdv=True)
+            # training rebinds the copies' arrays and never writes the shared start
+            np.testing.assert_array_equal(model.theta, start)
+            for j, ((name, labels), rep, trained) in enumerate(zip(cells, reports, models)):
+                lone = make(j)
+                expected = train(lone, dataclasses.replace(train_data, labels=labels), name,
+                                 seed=9, track_gdv=True)
+                np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
+                np.testing.assert_array_equal(trained.weights, lone.weights)
+                assert trained.bias == lone.bias
+                assert len(rep.gdv_trace) == len(rep.grad_norms) > 0
         frozen = reports[-1]
         assert frozen.param_distance == 0.0
         assert all(np.isnan(g) for g in frozen.gdv_trace)
@@ -372,15 +386,16 @@ class TestTrainMany:
                                data.test_x, data.test_y)
         model = make_model(feature=feature, width=width, seed=10, steps=23, batch_size=20)
         cells = every_loss_cells(train_data.labels)
-        reports = train_many(model, train_data, cells, seed=10, track_gdv=True)
+        reports = train_many([copy.copy(model) for _ in cells], train_data, cells, seed=10,
+                             track_gdv=True)
         # 64 rows in batches of 20: three full batches per epoch, the last
         # epoch cut short
         assert epochs == [3] * 7 + [2]
         for (name, labels), rep in zip(cells, reports):
             expected = replay_in_weight_space(model, dataclasses.replace(
                 train_data, labels=labels), (name, labels), seed=10)
-            # train_many leaves ``model`` as it was: the weights are read off
-            # a lone fit, bit for bit the cell's (test_lockstep_equals_lone_fits)
+            # the copies leave ``model`` as it was: the weights are read off a
+            # lone fit, bit for bit the cell's (test_lockstep_equals_lone_fits)
             lone = make_model(feature=feature, width=width, seed=10, steps=23,
                               batch_size=20)
             train(lone, dataclasses.replace(train_data, labels=labels), name, seed=10,
@@ -412,10 +427,13 @@ class TestTrainMany:
 
     def test_bad_cells_rejected(self):
         data = gt_train_data(small_task())
-        with pytest.raises(ValueError, match="cell"):
-            train_many(make_model(), data, [])
+        for models, cells in (([], []), ([make_model()], []),
+                              ([make_model()], [("ce", data.labels)] * 2)):
+            with pytest.raises(ValueError, match="one fit per model"):
+                train_many(models, data, cells)
         with pytest.raises(ValueError, match="loss"):
-            train_many(make_model(), data, [("ce", data.labels), ("mse", data.labels)])
+            train_many([make_model(), make_model()], data,
+                       [("ce", data.labels), ("mse", data.labels)])
 
     def test_only_reported_fits_track_gdv(self, monkeypatch):
         """Teacher fits and the bias-variance fits skip the GDV; the
@@ -468,19 +486,18 @@ class TestTrainFits:
     @staticmethod
     def assert_lone_fits(data, make, fits):
         """``train_fits`` on the fits' rows of ``data.pseudo_x``, one model
-        ``make(j)`` per fit, equals a lone ``train`` of each on the gathered
-        copy of its rows, report and weights bit for bit."""
+        ``make(j)`` per fit, leaves each model's final weights and bias bit
+        for bit those of a lone ``train`` on the gathered copy of its rows.
+        Returns the trained models."""
         x = data.pseudo_x
         models = [make(j) for j in range(len(fits))]
-        reports = train_fits(models, x, fits, data.test_x, data.test_y)
-        for j, (rep, model, (rows, labels, seed)) in enumerate(zip(reports, models, fits)):
+        assert train_fits(models, x, fits) is None
+        for j, (model, (rows, labels, seed)) in enumerate(zip(models, fits)):
             lone = make(j)
-            expected = train(lone, TrainData(x[rows], labels, data.test_x, data.test_y),
-                             "ce", seed=seed)
-            np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
+            train(lone, TrainData(x[rows], labels, data.test_x, data.test_y), "ce", seed=seed)
             np.testing.assert_array_equal(model.weights, lone.weights)
             assert model.bias == lone.bias
-        return reports
+        return models
 
     @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 30)])
     @pytest.mark.parametrize("rows,batch", [(64, 16), (40, 32), (12, 32)])
@@ -491,9 +508,9 @@ class TestTrainFits:
             return make_model(feature=feature, width=width, init_scale=0.1, seed=20 + j,
                               steps=25, batch_size=batch)
 
-        reports = self.assert_lone_fits(data, make, fits)
+        models = self.assert_lone_fits(data, make, fits)
         # the fits differ, so none trained another's weights
-        assert len({rep.param_distance for rep in reports}) == 3
+        assert len({model.distance_from_init() for model in models}) == 3
         # overlapping rows of one array: the first two fits read the same
         # rows from two seeds, the third other rows from the first seed, and
         # the fourth reads the first's rows array from its seed; four fits
@@ -529,30 +546,30 @@ class TestTrainFits:
         data, (model, other, third), fits = self.independent_fits(64, 16)
         x = self.counting_gathers(data.pseudo_x, gathers)
         # one gather per step for all fits, whatever the number of seeds and
-        # rows, then one per fit for its mean prediction on its own rows
-        train_fits([model, other, third], x, fits, data.test_x, data.test_y)
-        assert len(gathers) == 25 + 3
+        # rows, and none after the last step
+        train_fits([model, other, third], x, fits)
+        assert len(gathers) == 25
         # two fits of one model on one row array and one seed, and one fit
         # on other rows from another seed
         gathers.clear()
         fresh = make_model(feature="projection", width=30, init_scale=0.1, seed=20,
                            steps=25, batch_size=16)
         twin = copy.copy(fresh)
-        reports = train_fits([fresh, twin, other], x, [fits[0], fits[0], fits[1]],
-                             data.test_x, data.test_y)
-        assert len(gathers) == 25 + 3
-        assert reports[0] == reports[1]
+        train_fits([fresh, twin, other], x, [fits[0], fits[0], fits[1]])
+        assert len(gathers) == 25
+        np.testing.assert_array_equal(fresh.weights, twin.weights)
+        assert fresh.bias == twin.bias
         gathers.clear()
         labels = labels_to_soft(data.pseudo_y)
-        train_many(model, TrainData(x, labels, data.test_x, data.test_y),
-                   [("ce", labels)] * 3, seed=5)
+        train_many([copy.copy(model) for _ in range(3)],
+                   TrainData(x, labels, data.test_x, data.test_y), [("ce", labels)] * 3,
+                   seed=5)
         assert len(gathers) == 25
 
     def test_mismatched_fits_rejected_before_any_step(self):
         gathers = []
         data, (model, other, _), (fit, other_fit, _) = self.independent_fits(64, 16)
         x = self.counting_gathers(data.pseudo_x, gathers)
-        test = (data.test_x, data.test_y)
         longer = make_model(feature="projection", width=30, seed=2, steps=26, batch_size=16)
         rows, labels, seed = other_fit
         short = (rows[:60], labels[:60], seed)
@@ -567,22 +584,45 @@ class TestTrainFits:
                              ([wide, narrow], [fit, other_fit]),
                              ([wide_p, narrow_p], [fit, other_fit])):
             with pytest.raises(ValueError, match="ProbeConfig"):
-                train_fits(models, x, fits, *test)
+                train_fits(models, x, fits)
         with pytest.raises(ValueError, match="ProbeConfig"):
-            train_many(model, TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
-                                        *test), [("ce", labels[:60])])
+            train_many([model], TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
+                                          data.test_x, data.test_y), [("ce", labels[:60])])
         # one fit per model
         for fits in ([fit], [fit, other_fit, fit]):
-            with pytest.raises(ValueError, match="one .* fit per model"):
-                train_fits([model, other], x, fits, *test)
+            with pytest.raises(ValueError, match="one fit per model"):
+                train_fits([model, other], x, fits)
         # row indices: a negative one (which numpy would wrap around to a
         # row from the end), one past the last row, one fewer or one more
         # than the labels, and indices that are not integers
         for bad in (np.r_[-1, rows[1:]], np.r_[rows[:-1], len(x)],
                     rows[:-1], np.r_[rows, 0], rows.astype(float), rows > 0):
             with pytest.raises(ValueError, match="row index"):
-                train_fits([model, other], x, [fit, (bad, labels, seed)], *test)
+                train_fits([model, other], x, [fit, (bad, labels, seed)])
         assert gathers == []  # no batch was gathered
+
+    def test_empty_fits_and_bad_labels_rejected_before_any_step(self):
+        """A fit of zero rows, or labels that are not ``(n, 2)`` rows beside
+        a cell whose labels are, raise ``ValueError`` before any batch is
+        gathered, through ``train``, ``train_many`` and ``train_fits``."""
+        gathers = []
+        data, (model, other, _), (fit, (rows, _, seed), _) = self.independent_fits(64, 16)
+        x = self.counting_gathers(data.pseudo_x, gathers)
+        no_rows, no_labels = np.arange(0), np.empty((0, 2))
+        with pytest.raises(ValueError, match="at least one training row"):
+            train_fits([model, other], x, [(no_rows, no_labels, 1), (no_rows, no_labels, 2)])
+        empty = TrainData(self.counting_gathers(data.pseudo_x[:0], gathers), no_labels,
+                          data.test_x, data.test_y)
+        with pytest.raises(ValueError, match="at least one training row"):
+            train(model, empty, "ce")
+        three = np.full((len(rows), 3), 1 / 3)
+        with pytest.raises(ValueError, match=r"labels must be \(n, 2\) rows"):
+            train_fits([model, other], x, [fit, (rows, three, seed)])
+        labels = labels_to_soft(data.pseudo_y)
+        with pytest.raises(ValueError, match=r"labels must be \(n, 2\) rows"):
+            train_many([model, other], TrainData(x, labels, data.test_x, data.test_y),
+                       [("ce", labels), ("rce", np.full((len(x), 3), 1 / 3))])
+        assert gathers == []
 
 
 class TestPipeline:
