@@ -494,9 +494,12 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
 
     Its stages record the wall time in seconds, summed over task seeds, of
     the teacher fits (``teacher_fit_s``), of the students' pseudo-labels and
-    fits (``student_fit_s``) and of the per-point estimates
-    (``estimate_s``), each as ``"%.3e"`` text; each fit stage includes the
-    test predictions of its models.
+    fits (``student_fit_s``) and of the estimates (``estimate_s``), each as
+    ``"%.3e"`` text; each fit stage includes the test predictions of its
+    models.  A task seed makes one ``harness.bias_variance_estimate`` call
+    per model, on its ``(k * n_splits, n_test, 2)`` stack of test
+    predictions against the ``(n_test, 2)`` truth rows, and its rows are
+    read off the returned columns point by point.
     """
     for key in ("k", "n_splits", "task_seeds"):
         if cfg[key] < 1:
@@ -572,16 +575,21 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         estimate_start = time.perf_counter()
         elapsed["student_fit_s"] += estimate_start - split
 
-        # (runs, points, 2) test predictions per model
-        stacks = [("teacher", np.stack(teacher_runs)), ("student", np.stack(student_runs)),
-                  ("ens_student", np.stack(ens_runs))]
+        # per model, one estimate over its (runs, points, 2) test predictions,
+        # as (bias, variance, mean_ce) columns of one float per point
+        columns = {}
+        for label, model_runs in (("teacher", teacher_runs), ("student", student_runs),
+                                  ("ens_student", ens_runs)):
+            stack = np.stack(model_runs)
+            bias, variance = harness.bias_variance_estimate(stack, truth)
+            mean_ce = np.mean(losses.ce(truth, stack), axis=0)
+            columns[label] = bias.tolist(), variance.tolist(), mean_ce.tolist()
         for point in range(task.n_test):
-            for label, stack in stacks:
-                bias, variance = harness.bias_variance_estimate(stack[:, point], truth[point])
-                mean_ce = float(np.mean(losses.ce(truth[point], stack[:, point])))
+            for label, (bias, variance, mean_ce) in columns.items():
                 rows.append({
                     "task_seed": outer_seed, "point": point, "model": label,
-                    "bias": bias, "variance": variance, "mean_ce": mean_ce,
+                    "bias": bias[point], "variance": variance[point],
+                    "mean_ce": mean_ce[point],
                 })
         elapsed["estimate_s"] += time.perf_counter() - estimate_start
 

@@ -21,6 +21,7 @@ verifiers return what they measure; the ``verify`` suite judges it):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -374,25 +375,39 @@ def ensemble_dual_mean(predictions) -> np.ndarray:
     return NegativeEntropy(log_mean.shape[-1]).from_dual(log_mean)
 
 
-def bias_variance_estimate(runs, truth) -> tuple[float, float]:
+def bias_variance_estimate(runs, truth) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Split the mean one-hot CE risk of repeated runs into bias and variance.
 
-    ``runs`` is an ``(r, K)`` array of run predictions (or a sequence of
-    rows) and ``truth`` a ``K`` row; both are checked once and must lie in
-    the simplex interior, so a one-hot truth must be clamped first.
+    ``runs`` is an ``(r, ..., K)`` array of run predictions (or a sequence of
+    ``r`` rows) and ``truth`` one run's shape, ``(..., K)``: a ``K`` row
+    against ``(r, K)`` runs, or one row per point against ``(r, P, K)``
+    runs; any other truth shape raises ``ValueError``.  The whole block is
+    checked once: at least two runs, and every run and truth value in the
+    simplex interior, so a one-hot truth must be clamped first.  Per point,
     bias = KL(truth, pi_hat) against the clamped dual-mean ensemble
-    prediction pi_hat; variance = mean KL(pi_hat, run).  For one-hot
+    prediction pi_hat, and variance = mean KL(pi_hat, run); for one-hot
     (clamped) truth their sum reconstructs the mean cross-entropy of the
-    runs.
+    runs.  Both come back shaped like ``truth`` without its last axis, as
+    two floats for a single row.
     """
     runs = _rows(runs)
     if len(runs) < 2:
         raise ValueError("need at least two runs")
+    truth = _p(truth)
+    if truth.shape != runs.shape[1:]:
+        raise ValueError(f"truth has shape {truth.shape}, one run has {runs.shape[1:]}")
     geometry = NegativeEntropy(runs.shape[-1])
     geometry.check_point(runs, interior=True)
-    truth = geometry.check_point(_p(truth), interior=True)
+    geometry.check_point(truth, interior=True)
     pi_hat = clamp_simplex(ensemble_dual_mean(runs))
-    return float(kl(truth, pi_hat)), float(np.mean(kl(pi_hat, runs)))
+    # the variance adds the runs in order: numpy sums eight or more values
+    # along a lone axis pairwise, so np.mean would give a point other last
+    # bits alone than beside other points
+    variance = functools.reduce(np.add, kl(pi_hat, runs)) / len(runs)
+    bias = kl(truth, pi_hat)
+    if truth.ndim == 1:
+        return float(bias), float(variance)
+    return bias, variance
 
 
 def random_scenario(

@@ -432,7 +432,7 @@ class TestBiasVarianceCommand:
         assert {r["model"] for r in report["rows"]} == {
             "teacher", "student", "ens_student"}
 
-    def test_one_estimator_call_per_point_and_model(self, tmp_path, monkeypatch):
+    def test_one_estimator_call_per_task_seed_and_model(self, tmp_path, monkeypatch):
         from w2slab import harness
 
         estimate = harness.bias_variance_estimate
@@ -449,9 +449,9 @@ class TestBiasVarianceCommand:
                     "--set", "split_train=16", "--set", "split_pseudo=64",
                     "--out", str(tmp_path)]) == 0
         # 3 models (teacher, student, ens_student); each call gets the
-        # k * n_splits = 6 runs of one point as one (runs, 2) array
-        assert len(calls) == 3 * n_test * task_seeds
-        assert set(calls) == {(6, 2)}
+        # k * n_splits = 6 runs of every test point as one (runs, points, 2) array
+        assert len(calls) == 3 * task_seeds
+        assert set(calls) == {(6, n_test, 2)}
 
     def test_one_student_call_per_task_seed(self, monkeypatch):
         """A task seed's teachers train in one ``train_fits`` call on the

@@ -452,8 +452,10 @@ class TestEnsembleAndBiasVariance:
     def test_probvector_rows_give_the_array_result(self):
         rows = np.array([[0.8, 0.2], [0.6, 0.4], [0.3, 0.7]])
         truth = ProbVector.one_hot(0, 2)
-        got = bias_variance_estimate([ProbVector(r) for r in rows], truth)
-        assert got == bias_variance_estimate(rows, truth.probs)
+        want = bias_variance_estimate(rows, truth.probs)
+        assert [type(value) for value in want] == [float, float]
+        assert bias_variance_estimate([ProbVector(r) for r in rows], truth) == want
+        assert bias_variance_estimate(list(rows), truth) == want
 
     def test_identity_on_random_runs(self):
         from w2slab.losses import ce as ce_loss
@@ -472,9 +474,64 @@ class TestEnsembleAndBiasVariance:
         assert variance == pytest.approx(0.0, abs=1e-12)
         assert bias == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def block(rng, r, points, k):
+        """(r, points, k) interior runs and (points, k) clamped one-hot truth."""
+        runs = clamp_simplex(rng.dirichlet(np.ones(k), size=(r, points)))
+        return runs, clamp_simplex(np.eye(k)[rng.integers(k, size=points)])
+
+    @pytest.mark.parametrize("points", [1, 7])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("r", [2, 6, 9])
+    def test_batched_equals_one_point_calls(self, r, k, points):
+        # bit for bit, also at r >= 8, where numpy's lone-axis mean would
+        # sum pairwise
+        runs, truth = self.block(np.random.default_rng([r, k, points]), r, points, k)
+        bias, variance = bias_variance_estimate(runs, truth)
+        assert bias.shape == variance.shape == (points,)
+        for point in range(points):
+            one = bias_variance_estimate(runs[:, point], truth[point])
+            assert (bias[point], variance[point]) == one
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("r", [2, 6, 9])
+    def test_batched_matches_direct_formula(self, r, k):
+        rng = np.random.default_rng([r, k])
+        runs, _ = self.block(rng, r, 7, k)
+        for truth in (self.block(rng, r, 7, k)[1],
+                      clamp_simplex(rng.dirichlet(np.ones(k), size=7))):
+            geometric = np.exp(np.log(runs).mean(axis=0))
+            pi_hat = clamp_simplex(geometric / geometric.sum(axis=-1, keepdims=True))
+            bias, variance = bias_variance_estimate(runs, truth)
+            np.testing.assert_allclose(
+                bias, np.sum(truth * np.log(truth / pi_hat), axis=-1), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                variance, np.sum(pi_hat * np.log(pi_hat / runs), axis=-1).mean(axis=0),
+                rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("entry", [[np.nan, 0.5, 0.5], [0.0, 0.5, 0.5],
+                                       [0.51, 0.3, 0.2]], ids=["nan", "zero", "sum-1.01"])
+    @pytest.mark.parametrize("where", ["runs", "truth"])
+    def test_bad_entry_at_last_point_rejected(self, where, entry):
+        runs, truth = self.block(np.random.default_rng(5), 6, 7, 3)
+        (runs[-1] if where == "runs" else truth)[-1] = entry
+        with pytest.raises(DomainError):
+            bias_variance_estimate(runs, truth)
+
+    @pytest.mark.parametrize("runs_shape, truth_shape", [
+        ((6, 2), (1, 2)), ((6, 2), (2, 2)), ((6, 7, 2), (2,)), ((6, 7, 2), (1, 2)),
+        ((6, 7, 2), (7, 3))])
+    def test_truth_shape_must_be_one_runs_shape(self, runs_shape, truth_shape):
+        runs = np.full(runs_shape, 1 / runs_shape[-1])
+        with pytest.raises(ValueError, match="shape"):
+            bias_variance_estimate(runs, np.full(truth_shape, 1 / truth_shape[-1]))
+
     def test_one_run_rejected(self):
         with pytest.raises(ValueError):
             bias_variance_estimate(np.array([[0.6, 0.4]]), clamp_simplex([1.0, 0.0]))
+        runs, truth = self.block(np.random.default_rng(2), 1, 7, 2)
+        with pytest.raises(ValueError, match="two runs"):
+            bias_variance_estimate(runs, truth)
 
     def test_nan_run_rejected(self):
         runs = np.array([[0.6, 0.4], [np.nan, 0.5]])

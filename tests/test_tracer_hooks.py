@@ -69,7 +69,8 @@ def test_observers_run_on_tiny_commands_and_restore(tmp_path):
     """``install``'s observers run on in-process ``classify`` and
     ``bias-variance`` runs: each completes with an exit status (an observer
     that raised would propagate out of ``main``), ``trainer.train`` counts
-    one teacher fit per classify repeat, and ``restore`` puts every name
+    one teacher fit per classify repeat, ``harness.bias_variance`` counts
+    one estimate per bias-variance model, and ``restore`` puts every name
     back."""
     tracing = load_tracer()
     before = [(ns, dict(vars(ns))) for ns in namespaces()]
@@ -86,6 +87,8 @@ def test_observers_run_on_tiny_commands_and_restore(tmp_path):
                          "--set", "k=1", "--set", "n_splits=2", "--set", "n_test=20",
                          "--set", "split_pseudo=128", "--set", "dim=20"]
         assert cli.main(bias_variance) in (0, 1)
+        # one estimate per model (teacher, student, ens_student) and task seed
+        assert tracer.calls("harness.bias_variance") == 3
         metrics = tracing.layer_metrics(tracer)
     finally:
         tracer.restore()
