@@ -7,10 +7,11 @@ bound, ``classify`` runs the label-smoothing loss comparison, and
 flat key=value text file with ``--set`` overrides.  Each command is a
 ``run_<command>(cfg) -> (rows, verdicts, stages)`` function; every verdict
 is a ``measured op bound`` record from ``_verdict``, and ``stages`` holds
-what the run reports about its own timing (``ridge``: the sweep's worker
-count and the wall time of its sweep and quadrature stages;
-``bias-variance``: the wall time of its teacher fits, student fits and
-estimates; empty for the others).  ``main`` alone prints the verdicts,
+what the run reports about its own timing (``verify``: the wall time of
+its identity suites, scenario draws and block verifiers; ``ridge``: the
+sweep's worker count and the wall time of its sweep and quadrature
+stages; ``bias-variance``: the wall time of its teacher fits, student fits
+and estimates; empty for ``classify``).  ``main`` alone prints the verdicts,
 writes a CSV of the rows and a JSON report, and picks the exit status: 0
 all verdicts pass, 1 a verdict failed (artifacts written) or a program
 error (traceback), 2 bad config.
@@ -208,17 +209,10 @@ def _verify_geometries(rng):
     return [SquaredNorm(int(rng.integers(1, 5))), NegativeEntropy(int(rng.integers(2, 9)))]
 
 
-def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
-    """Identity, inequality and equality suites; one row per risk-gap report."""
-    for key in ("scenarios", "pairs", "triples"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
-    if not 0.0 < cfg["grid_step"] < 1.0:
-        raise ConfigError(f"grid_step must lie in (0, 1), got {cfg['grid_step']}")
-    rng = np.random.default_rng(cfg["seed"])
-    rows: list[dict] = []
-    # every measurement of each verdict, reduced once when judged
-    found: dict[str, list] = defaultdict(list)
+def _identity_suites(cfg: dict, rng, found: dict) -> None:
+    """Bregman identity suites per geometry family and the
+    expectation-minimizer grid oracle; their point tables are freed on
+    return, before the scenarios are drawn."""
 
     def points(geometry, n):
         if geometry.kind == "negative-entropy":
@@ -270,48 +264,39 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
             abs(grid1[np.argmin(fwd)] - mean_minimizer(sample)[0]),
             abs(grid1[np.argmin(rev)] - geometry.dual_mean(sample)[0])]
 
-    # inequality and equality suites on random scenarios
-    # the largest risk-gap identity gap so far (np.maximum keeps a NaN); a
-    # list of every report's gap read about 0.2 MB more peak RSS
-    identity_gap = 0.0
+
+def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
+    """Identity, inequality and equality suites; one row per risk-gap report.
+
+    Its stages record the wall time in seconds of the identity and
+    minimizer-grid suites (``identity_s``), of drawing the scenarios
+    (``draw_s``) and of the scenario verifiers, run once per block of
+    scenarios of one geometry kind and K (``blocks_s``), each as ``"%.3e"``
+    text.
+    """
+    for key in ("scenarios", "pairs", "triples"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+    if not 0.0 < cfg["grid_step"] < 1.0:
+        raise ConfigError(f"grid_step must lie in (0, 1), got {cfg['grid_step']}")
+    start = time.perf_counter()
+    rng = np.random.default_rng(cfg["seed"])
+    # every measurement of each verdict, reduced once when judged
+    found: dict[str, list] = defaultdict(list)
+    _identity_suites(cfg, rng, found)
+    identity_s = time.perf_counter() - start
+
+    # inequality and equality suites on random scenarios.  Every scenario is
+    # drawn first, in the rng order of one scenario at a time (the
+    # estimator's runs are drawn beside its scenario), into one block per
+    # (geometry kind, K)
+    blocks: dict[tuple[str, int], tuple] = {}
     for index in range(cfg["scenarios"]):
         for geometry in _verify_geometries(rng):
             scenario = harness.random_scenario(geometry, rng, seed=index)
-            conditional = {}  # direction -> the conditional risk-gap report
-            for direction in ("forward", "reverse"):
-                for verifier, label in ((harness.verify_risk_gap, "conditional"),
-                                        (harness.verify_risk_gap_product, "product")):
-                    rep = verifier(scenario, geometry, direction)
-                    if label == "conditional":
-                        conditional[direction] = rep
-                    identity_gap = np.maximum(identity_gap, abs(
-                        rep.lhs - (rep.teacher_risk - rep.misfit + rep.exact_inner)))
-                    found["residual_dominates_inner_product"].append(
-                        rep.epsilon - abs(rep.exact_inner))
-                    rows.append({
-                        "scenario": index, "geometry": geometry.kind,
-                        "variant": label, "direction": direction,
-                        "lhs": rep.lhs, "rhs": rep.rhs, "misfit": rep.misfit,
-                        "epsilon": rep.epsilon, "slack": rep.slack,
-                    })
-                dual = direction == "forward"
-                ideal = harness.with_posterior_mean_students(scenario, geometry, dual)
-                rep = harness.verify_posterior_mean_equality(ideal, geometry, direction)
-                found["posterior_mean_equality"].append(
-                    abs(rep.lhs - (rep.teacher_risk - rep.misfit)))
-            if geometry.kind == "squared-norm":
-                *_, split_gap = harness.misfit_variance_split(scenario)
-                found["misfit_variance_split"].append(split_gap)
-            else:
-                gains = harness.verify_ideal_student_gains(scenario)
-                found["ideal_student_gains"] += [
-                    abs(gains.ce_gain - gains.ce_misfit),
-                    abs(gains.rce_misfit - gains.rce_gain - gains.entropy_gap)]
-                found["entropy_gap_nonnegative"].append(gains.entropy_gap)
-                for direction in ("forward", "reverse"):
-                    ce_form = harness.cross_entropy_form_report(scenario, direction)
-                    found["cross_entropy_form_slack"].append(
-                        abs(ce_form.slack - conditional[direction].slack))
+            key = (geometry.kind, geometry.dimension)
+            blocks.setdefault(key, (geometry, []))[1].append(scenario)
+            if geometry.kind == "negative-entropy":
                 k = geometry.dimension
                 runs = clamp_simplex(np.array([rng.dirichlet(np.ones(k))
                                                for _ in range(int(rng.integers(2, 6)))]))
@@ -319,8 +304,56 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                 bias, variance = harness.bias_variance_estimate(runs, truth)
                 mean_ce = float(np.mean(losses.ce(truth, runs)))
                 found["bias_variance_identity"].append(abs(bias + variance - mean_ce))
+    draw_s = time.perf_counter() - start - identity_s
+
+    # one call per block and verifier; each scenario's four rows, in
+    # (direction, variant) order, wait under (scenario, kind) for the rest
+    cells: dict[tuple[int, str], list[dict]] = {}
+    fields = ("lhs", "rhs", "misfit", "epsilon", "slack")
+    while blocks:
+        # popping frees each block's scenarios once its verifiers have run
+        (kind, _), (geometry, members) = blocks.popitem()
+        block = harness.stack_scenarios(members, geometry)
+        conditional = {}  # direction -> the conditional risk-gap report
+        for direction in ("forward", "reverse"):
+            for verifier, label in ((harness.verify_risk_gap, "conditional"),
+                                    (harness.verify_risk_gap_product, "product")):
+                rep = verifier(block, geometry, direction)
+                if label == "conditional":
+                    conditional[direction] = rep
+                found["risk_gap_identity"].append(np.abs(
+                    rep.lhs - (rep.teacher_risk - rep.misfit + rep.exact_inner)))
+                found["residual_dominates_inner_product"].append(
+                    rep.epsilon - np.abs(rep.exact_inner))
+                columns = zip(*(getattr(rep, name).tolist() for name in fields))
+                for sc, values in zip(members, columns):
+                    cells.setdefault((sc.seed, kind), []).append({
+                        "scenario": sc.seed, "geometry": kind, "variant": label,
+                        "direction": direction, **dict(zip(fields, values))})
+            dual = direction == "forward"
+            ideal = harness.with_posterior_mean_students(block, geometry, dual)
+            rep = harness.verify_posterior_mean_equality(ideal, geometry, direction)
+            found["posterior_mean_equality"].append(
+                np.abs(rep.lhs - (rep.teacher_risk - rep.misfit)))
+        if kind == "squared-norm":
+            *_, split_gap = harness.misfit_variance_split(block)
+            found["misfit_variance_split"].append(split_gap)
+        else:
+            gains = harness.verify_ideal_student_gains(block)
+            found["ideal_student_gains"] += [
+                np.abs(gains.ce_gain - gains.ce_misfit),
+                np.abs(gains.rce_misfit - gains.rce_gain - gains.entropy_gap)]
+            found["entropy_gap_nonnegative"].append(gains.entropy_gap)
+            for direction in ("forward", "reverse"):
+                ce_form = harness.cross_entropy_form_report(block, direction)
+                found["cross_entropy_form_slack"].append(
+                    np.abs(ce_form.slack - conditional[direction].slack))
+    rows = [row for index in range(cfg["scenarios"])
+            for kind in ("squared-norm", "negative-entropy")
+            for row in cells[index, kind]]
     found["risk_gap_inequality"] = [row["slack"] for row in rows]
-    found["risk_gap_identity"].append(identity_gap)
+    stages = {"identity_s": f"{identity_s:.3e}", "draw_s": f"{draw_s:.3e}",
+              "blocks_s": f"{time.perf_counter() - start - identity_s - draw_s:.3e}"}
 
     tol_eq = cfg["tol_equality"]
     # (name, what is measured, op, bound): "<=" judges the largest
@@ -338,7 +371,7 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         ("divergence_nonnegative",
          f"min generator-form divergence over {cfg['pairs']} pairs per geometry",
          ">=", -cfg["tol_identity"]),
-        ("expectation_minimizer_grid", "max |argmin offset|", "<=", step),
+        ("expectation_minimizer_grid", "max |argmin offset|", "<=", cfg["grid_step"]),
         ("risk_gap_identity", "max |student risk - (teacher risk - misfit + inner)|",
          "<=", cfg["tol_identity"]),
         ("risk_gap_inequality", "min slack", ">=", -cfg["tol_slack"]),
@@ -355,7 +388,7 @@ def run_verify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                  op, bound)
         for name, what, op, bound in checks
     ]
-    return rows, verdicts, {}
+    return rows, verdicts, stages
 
 
 # --- ridge ------------------------------------------------------------------

@@ -252,14 +252,18 @@ class TestVerdicts:
         from w2slab import harness
 
         verify_risk_gap = harness.verify_risk_gap
+        shapes = []
 
         # the product variant runs verify_risk_gap too, so both are shifted
         def shifted_inner(scenario, geometry, direction):
             rep = verify_risk_gap(scenario, geometry, direction)
+            shapes.append(np.shape(rep.exact_inner))
             return dataclasses.replace(rep, exact_inner=rep.exact_inner + 1e-6)
 
         monkeypatch.setattr(harness, "verify_risk_gap", shifted_inner)
         assert run_tiny("verify", tmp_path) == 1
+        # every call is on a block, whose report holds one value per scenario
+        assert shapes and all(len(shape) == 1 for shape in shapes)
         assert "[FAIL] risk_gap_identity" in capsys.readouterr().out
         assert (tmp_path / "verify.csv").exists()
         report = strict_json(tmp_path / "verify.json")
@@ -273,14 +277,18 @@ class TestVerdicts:
         split = harness.misfit_variance_split
         calls = []
 
-        def nan_on_second_call(scenario):
-            calls.append(scenario)
-            *sides, gap = split(scenario)
-            return (*sides, float("nan") if len(calls) == 2 else gap)
+        def nan_in_one_scenario(block):
+            calls.append(block)
+            *sides, gap = split(block)
+            if len(calls) == 1:
+                gap = gap.copy()
+                gap[-1] = np.nan
+            return (*sides, gap)
 
-        monkeypatch.setattr(harness, "misfit_variance_split", nan_on_second_call)
+        monkeypatch.setattr(harness, "misfit_variance_split", nan_in_one_scenario)
         code = run_tiny("verify", tmp_path)
-        assert len(calls) == 3 and code == 1
+        # one call per squared-norm block; together they hold the 3 scenarios
+        assert sum(len(block.input_probs) for block in calls) == 3 and code == 1
         assert "[FAIL] misfit_variance_split" in capsys.readouterr().out
         assert (tmp_path / "verify.csv").exists()
         report = strict_json(tmp_path / "verify.json")
@@ -317,6 +325,52 @@ class TestVerifyCommand:
         # rows alone re-establish the inequality verdict
         assert all(row["slack"] >= -1e-9 for row in report["rows"])
 
+    def test_report_records_its_stages(self, tmp_path):
+        assert run_tiny("verify", tmp_path) == 0
+        report = strict_json(tmp_path / "verify.json")
+        stages = report["stages"]
+        assert list(stages) == ["identity_s", "draw_s", "blocks_s"]
+        # fixed-width text, as in the ridge report
+        assert [len(text) for text in stages.values()] == [9, 9, 9]
+        seconds = [float(text) for text in stages.values()]
+        assert all(s > 0 for s in seconds)
+        assert sum(seconds) <= 1.001 * report["duration_seconds"]
+
+    def test_rows_come_in_scenario_geometry_direction_variant_order(self, tmp_path,
+                                                                    monkeypatch):
+        from w2slab import harness
+
+        # with 6 scenarios two share a squared-norm K (it takes 4 values), so
+        # at least one block holds several scenarios
+        scenarios = 6
+        drawn = []
+        random_scenario = harness.random_scenario
+
+        def recording(geometry, rng, **kwargs):
+            drawn.append((geometry, random_scenario(geometry, rng, **kwargs)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(harness, "random_scenario", recording)
+        assert run(["verify", "--set", f"scenarios={scenarios}", "--set", "pairs=100",
+                    "--set", "triples=20", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "verify.csv").read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        keys = [(int(row[0]), row[1], row[3], row[2]) for row in rows]
+        assert keys == [(index, kind, direction, variant)
+                        for index in range(scenarios)
+                        for kind in ("squared-norm", "negative-entropy")
+                        for direction in ("forward", "reverse")
+                        for variant in ("conditional", "product")]
+        # each row holds its own scenario's report: a lone call gives its cells
+        by_key = dict(zip(keys, rows))
+        for geometry, scenario in drawn:
+            for direction in ("forward", "reverse"):
+                for variant, verifier in (("conditional", harness.verify_risk_gap),
+                                          ("product", harness.verify_risk_gap_product)):
+                    rep = verifier(scenario, geometry, direction)
+                    row = by_key[scenario.seed, geometry.kind, direction, variant]
+                    assert row[4:] == [repr(getattr(rep, name)) for name in header[4:]]
+
     def test_seed_override_changes_rows_not_verdicts(self, tmp_path):
         args = ["verify", "--set", "scenarios=3", "--set", "pairs=100",
                 "--set", "triples=20"]
@@ -349,8 +403,6 @@ class TestRidgeCommand:
         sweep_s, quadrature_s = float(stages["sweep_s"]), float(stages["quadrature_s"])
         assert sweep_s > 0 and quadrature_s > 0
         assert sweep_s + quadrature_s <= 1.001 * report["duration_seconds"]
-        run_tiny("verify", tmp_path)
-        assert "stages" not in strict_json(tmp_path / "verify.json")
 
     def test_stage_reports_the_workers_the_sweep_ran(self, tmp_path, monkeypatch):
         # 4 cores and a one-thread BLAS, but one trial is one job: one worker

@@ -26,6 +26,7 @@ from w2slab.harness import (
     ensemble_dual_mean,
     misfit_variance_split,
     random_scenario,
+    stack_scenarios,
     verify_posterior_mean_equality,
     verify_ideal_student_gains,
     verify_risk_gap,
@@ -35,10 +36,23 @@ from w2slab.harness import (
 from w2slab.losses import ProbVector
 
 
+DIRECTIONS = ("forward", "reverse")
+
+
 def make_geometry(kind, rng):
     if kind == "negative-entropy":
         return NegativeEntropy(int(rng.integers(2, 9)))
     return SquaredNorm(int(rng.integers(1, 5)))
+
+
+def one_scenario_arrays():
+    return dict(
+        input_probs=np.array([0.5, 0.5]),
+        truth=np.zeros((2, 2)),
+        teacher_preds=np.zeros((1, 2, 2)),
+        student_preds=np.zeros((1, 2, 2)),
+        joint=np.array([[1.0]]),
+    )
 
 
 class TestScenarioTables:
@@ -80,6 +94,28 @@ class TestScenarioTables:
                 student_preds=np.zeros((1, 1, 2)),
                 joint=np.array([[np.nan], [0.5]]),
             )
+
+    @pytest.mark.parametrize("name, shape", [
+        ("input_probs", ()), ("input_probs", (1, 1, 2)), ("truth", (2,)),
+        ("teacher_preds", (2, 2)), ("student_preds", (1, 1, 1, 2, 2)), ("joint", (1,))])
+    def test_malformed_rank_names_the_array(self, name, shape):
+        arrays = one_scenario_arrays()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=name):
+            FiniteScenario(**arrays)
+
+    @pytest.mark.parametrize("name", ["truth", "teacher_preds", "student_preds", "joint"])
+    def test_block_arrays_must_all_carry_the_block_axis(self, name):
+        arrays = {key: value[None] for key, value in one_scenario_arrays().items()}
+        arrays[name] = arrays[name][0]
+        with pytest.raises(ValueError, match=name):
+            FiniteScenario(**arrays)
+
+    def test_block_arrays_must_agree_on_scenarios(self):
+        arrays = {key: value[None] for key, value in one_scenario_arrays().items()}
+        arrays["joint"] = np.ones((2, 1, 1))
+        with pytest.raises(ValueError, match="number of scenarios"):
+            FiniteScenario(**arrays)
 
     def test_marginals_and_posterior(self):
         rng = np.random.default_rng(0)
@@ -262,6 +298,26 @@ class TestPosteriorMeanEquality:
         with pytest.raises(PreconditionError):
             verify_posterior_mean_equality(sc, g, "forward")
 
+    @pytest.mark.parametrize("geometry", [SquaredNorm(3), NegativeEntropy(3)],
+                             ids=["squared-norm", "negative-entropy"])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_massless_student_keeps_its_prediction(self, geometry, direction):
+        # student 1 has no joint mass, hence no posterior: its mean would be
+        # the zero row, which is no simplex point
+        sc = random_scenario(geometry, np.random.default_rng(3),
+                             n_teachers=2, n_students=2, n_inputs=3)
+        joint = sc.joint.copy()
+        joint[:, 1] = 0.0
+        sc = dataclasses.replace(sc, joint=joint / joint.sum())
+        ideal = with_posterior_mean_students(sc, geometry, dual=direction == "forward")
+        np.testing.assert_array_equal(ideal.student_preds[1], sc.student_preds[1])
+        rep = verify_posterior_mean_equality(ideal, geometry, direction)
+        assert abs(rep.lhs - (rep.teacher_risk - rep.misfit)) <= 1e-12
+        if geometry.kind == "negative-entropy":
+            gains = verify_ideal_student_gains(sc)
+            assert np.all(np.isfinite(dataclasses.astuple(gains)))
+            assert gains.ce_gain == pytest.approx(gains.ce_misfit, abs=1e-12)
+
 
 class TestCheckedOnce:
     @pytest.mark.parametrize("kind", ["squared-norm", "negative-entropy"])
@@ -281,6 +337,13 @@ class TestCheckedOnce:
         monkeypatch.setattr(BregmanGeometry, "check_point", counting_check)
         verify_risk_gap(sc, g, direction)
         expected = (sc.truth, sc.teacher_preds, sc.student_preds)
+        assert len(checked) == 3
+        assert all(a is b for a, b in zip(checked, expected))
+
+        block = stack_scenarios([random_scenario(g, rng) for _ in range(5)], g)
+        checked.clear()
+        verify_risk_gap(block, g, direction)
+        expected = (block.truth, block.teacher_preds, block.student_preds)
         assert len(checked) == 3
         assert all(a is b for a, b in zip(checked, expected))
 
@@ -309,6 +372,120 @@ class TestCheckedOnce:
         T[0, 0] = [1.5, -0.25, -0.25]
         with pytest.raises(DomainError):
             verifier(dataclasses.replace(sc, teacher_preds=T), g)
+
+
+# every scenario verifier, as one list of measurements for a scenario or block
+BLOCK_VERIFIERS = {
+    "risk_gap": lambda sc, g: [verify_risk_gap(sc, g, d) for d in DIRECTIONS],
+    "product": lambda sc, g: [verify_risk_gap_product(sc, g, d) for d in DIRECTIONS],
+    "posterior_mean_students": lambda sc, g: [
+        with_posterior_mean_students(sc, g, dual).student_preds for dual in (True, False)],
+    "equality": lambda sc, g: [
+        verify_posterior_mean_equality(with_posterior_mean_students(sc, g, d == "forward"),
+                                       g, d) for d in DIRECTIONS],
+    "ce_form": lambda sc, g: [cross_entropy_form_report(sc, d) for d in DIRECTIONS],
+    "split": lambda sc, g: [misfit_variance_split(sc)],
+    "ideal_gains": lambda sc, g: [verify_ideal_student_gains(sc)],
+}
+SIMPLEX_ONLY = {"ce_form", "ideal_gains"}
+
+
+def scenario_row(result, row, sc):
+    """One scenario's measurement out of a block result, as bytes."""
+    if isinstance(result, np.ndarray):  # student predictions, unpadded
+        return result[row, :sc.n_students, :sc.n_inputs].tobytes()
+    values = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+    return np.array([v[row] for v in values]).tobytes()
+
+
+def lone(result):
+    """A one-scenario measurement, as bytes."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    values = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+    assert all(type(v) is float for v in values)
+    return np.array(values).tobytes()
+
+
+class TestScenarioBlocks:
+    # (teachers, students, inputs): mixed, so every scenario but the largest
+    # is padded on some axis
+    SIZES = [(1, 1, 2), (5, 4, 6), (3, 2, 4), (2, 4, 3), (4, 1, 5)]
+
+    @staticmethod
+    def draw(g, sizes, seed):
+        rng = np.random.default_rng(seed)
+        return [random_scenario(g, rng, *size, seed=i) for i, size in enumerate(sizes)]
+
+    @pytest.mark.parametrize("g, verifier", [
+        (g, verifier)
+        for g in (SquaredNorm(1), SquaredNorm(3), NegativeEntropy(2), NegativeEntropy(5),
+                  NegativeEntropy(8))
+        for verifier in sorted(BLOCK_VERIFIERS)
+        if g.kind == "negative-entropy" or verifier not in SIMPLEX_ONLY],
+        ids=lambda value: f"{value.kind}-{value.dimension}" if hasattr(value, "kind") else value)
+    def test_block_equals_one_scenario_calls(self, g, verifier):
+        measure = BLOCK_VERIFIERS[verifier]
+        scenarios = self.draw(g, self.SIZES, g.dimension)
+        block = stack_scenarios(scenarios, g)
+        assert block.seed == tuple(range(len(self.SIZES)))
+        for result, lone_results in zip(measure(block, g),
+                                        zip(*(measure(sc, g) for sc in scenarios))):
+            for row, (sc, one) in enumerate(zip(scenarios, lone_results)):
+                assert scenario_row(result, row, sc) == lone(one)
+
+    @pytest.mark.parametrize("g", [SquaredNorm(3), NegativeEntropy(4)],
+                             ids=["squared-norm", "negative-entropy"])
+    def test_padding_does_not_change_results(self, g):
+        target, small, large = self.draw(g, [(3, 2, 4), (1, 1, 2), (5, 4, 6)], 9)
+        for verifier, measure in BLOCK_VERIFIERS.items():
+            if verifier in SIMPLEX_ONLY and g.kind != "negative-entropy":
+                continue
+            want = [lone(one) for one in measure(target, g)]
+            for mates, row in (([target, small], 0), ([small, target], 1),
+                               ([target, large], 0), ([large, small, target], 2)):
+                got = measure(stack_scenarios(mates, g), g)
+                assert [scenario_row(r, row, target) for r in got] == want, verifier
+
+    @pytest.mark.parametrize("verifier", sorted(BLOCK_VERIFIERS.keys() - {"split"}))
+    def test_non_simplex_row_in_last_scenario_raises(self, verifier):
+        g = NegativeEntropy(3)
+        block = stack_scenarios(self.draw(g, self.SIZES, 51), g)
+        T = block.teacher_preds.copy()
+        T[-1, 0, 0] = [1.5, -0.25, -0.25]
+        with pytest.raises(DomainError):
+            BLOCK_VERIFIERS[verifier](dataclasses.replace(block, teacher_preds=T), g)
+
+    def test_joint_off_one_in_second_scenario_rejected(self):
+        g = SquaredNorm(2)
+        block = stack_scenarios(self.draw(g, self.SIZES, 52), g)
+        joint = block.joint.copy()
+        joint[1] *= 1.01
+        with pytest.raises(ValueError, match="joint of block scenario 1 sums to 1.01"):
+            dataclasses.replace(block, joint=joint)
+
+    @pytest.mark.parametrize("g", [SquaredNorm(3), NegativeEntropy(3)],
+                             ids=["squared-norm", "negative-entropy"])
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_mismatched_student_in_one_member_rejected(self, g, direction):
+        block = stack_scenarios(self.draw(g, self.SIZES, 53), g)
+        ideal = with_posterior_mean_students(block, g, dual=direction == "forward")
+        verify_posterior_mean_equality(ideal, g, direction)
+        S = ideal.student_preds.copy()
+        S[2, 0, 0] = S[2, 0, 0, ::-1]  # another point of the domain
+        with pytest.raises(PreconditionError):
+            verify_posterior_mean_equality(dataclasses.replace(ideal, student_preds=S),
+                                           g, direction)
+
+    def test_stack_rejects_other_dimensions_and_blocks(self):
+        g = NegativeEntropy(3)
+        scenarios = self.draw(g, self.SIZES[:2], 54)
+        with pytest.raises(ValueError, match="dimension 4"):
+            stack_scenarios(scenarios, NegativeEntropy(4))
+        with pytest.raises(ValueError):
+            stack_scenarios([stack_scenarios(scenarios, g)], g)
+        with pytest.raises(ValueError):
+            stack_scenarios([], g)
 
 
 class TestCrossEntropyForm:
