@@ -650,7 +650,7 @@ COMMANDS = {
     "ridge": (run_ridge, ["d_w", "gamma", "n_ratio", "eta0", "trial",
                           "misfit", "bound", "h", "mp_integral"]),
     "classify": (run_classify, ["loss", "alpha", "repeat", "teacher_acc", "student_acc",
-                                "param_distance", "mean_gdv"]),
+                                "param_distance"]),
     "bias-variance": (run_bias_variance, ["task_seed", "point", "model",
                                           "bias", "variance", "mean_ce"]),
 }

@@ -31,9 +31,8 @@ with ``v = P^T w``, and a gradient step ``w -= lr P g`` on the weights, with
 ``v -= lr M g`` with ``M = P^T P``.  The step loop keeps ``v`` and forms
 ``M`` once per fit, or once for fits that share a projection, never an
 ``n x width`` feature matrix; the weights are ``w0 - lr P sum(g)`` at the
-end, and gradient norms and the gradient direction variance are those of
-the weight gradients ``(P g, g_b)``, read in the ``M`` metric.  An identity
-probe has ``P = I``: ``v`` is ``w`` and ``M g`` is ``g`` itself.
+end.  An identity probe has ``P = I``: ``v`` is ``w`` and ``M g`` is ``g``
+itself.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ __all__ = [
     "train_many",
     "train_fits",
     "w2s_pipeline",
-    "DirectionStream",
     "gdv",
     "param_distance",
     "alpha_sweep",
@@ -266,62 +264,8 @@ class TrainReport:
 
     accuracy: float
     param_distance: float
-    grad_norms: tuple[float, ...]  # per epoch
-    gdv_trace: tuple[float, ...]  # per epoch, nan when undefined; empty if not tracked
-    final_loss: float
     mean_prediction: float
     test_rce_risk: float
-
-    @property
-    def mean_gdv(self) -> float:
-        finite = [g for g in self.gdv_trace if not math.isnan(g)]
-        return float(np.mean(finite)) if finite else float("nan")
-
-
-class DirectionStream:
-    """Running sums from which the gradient direction variance is read.
-
-    Holds, per fit, the sum of the unit gradients ``u`` seen so far, the sum
-    of the unit gradients with the metric applied, ``M u``, the sum of their
-    squared norms ``u . M u`` and their count ``m``; zero gradients have no
-    direction and are not counted.  The average pairwise ``1 - cos`` over
-    the ``m (m - 1)`` ordered pairs is then
-    ``1 - (sum u . sum M u - sum u . M u) / (m (m - 1))``, so no gradient is
-    held.  The metric is the Euclidean one unless ``add`` is given the
-    metric-applied gradients.
-    """
-
-    def __init__(self, fits: int, dim: int) -> None:
-        self.unit_sum = np.zeros((fits, dim))
-        self.metric_sum = np.zeros((fits, dim))
-        self.square_sum = np.zeros(fits)
-        self.kept = np.zeros(fits, dtype=int)
-
-    def add(self, grads: np.ndarray, norms: np.ndarray,
-            metric_grads: np.ndarray | None = None) -> None:
-        """Count one ``(fits, dim)`` block of gradients ``g`` with their norms
-        ``sqrt(g . M g)``; ``metric_grads`` is the block ``M g``, and ``g``
-        itself when omitted."""
-        live = norms > 0.0
-        unit = grads[live] / norms[live, None]
-        metric = unit if metric_grads is None else metric_grads[live] / norms[live, None]
-        self.unit_sum[live] += unit
-        self.metric_sum[live] += metric
-        self.square_sum[live] += (unit * metric).sum(axis=1)
-        self.kept += live
-
-    def close(self) -> np.ndarray:
-        """Per-fit value over what was added since the last close, nan where
-        fewer than two gradients were kept; then start over."""
-        m = self.kept
-        pairs = (self.unit_sum * self.metric_sum).sum(axis=1) - self.square_sum
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(m >= 2, 1.0 - pairs / (m * (m - 1)), np.nan)
-        self.unit_sum[:] = 0.0
-        self.metric_sum[:] = 0.0
-        self.square_sum[:] = 0.0
-        self.kept[:] = 0
-        return value
 
 
 def gdv(gradient_batches) -> float:
@@ -329,19 +273,19 @@ def gdv(gradient_batches) -> float:
 
     Zero-norm gradients have no direction and are dropped with a warning;
     at least two usable gradients are required.  The value lies in [0, 2]
-    and does not depend on the ordering of the inputs.  It is read off a
-    ``DirectionStream``, the one the trainer keeps per epoch.
+    and does not depend on the ordering of the inputs.
     """
     grads = [np.asarray(g, dtype=float).ravel() for g in gradient_batches]
-    stream = DirectionStream(1, grads[0].size if grads else 0)
-    for g in grads:
-        stream.add(g[None], np.array([math.sqrt(g @ g)]))
-    dropped = len(grads) - int(stream.kept[0])
+    units = np.array([g / norm for g in grads if (norm := math.sqrt(g @ g)) > 0.0])
+    dropped = len(grads) - len(units)
     if dropped:
         warnings.warn(f"gdv: dropped {dropped} zero-norm gradient(s)", stacklevel=2)
-    if stream.kept[0] < 2:
+    m = len(units)
+    if m < 2:
         raise ValueError("gdv needs at least two nonzero gradients")
-    return float(stream.close()[0])
+    cos = units @ units.T
+    # the mean of 1 - cos over the m (m - 1) ordered pairs of distinct gradients
+    return float(1.0 - (cos.sum() - np.trace(cos)) / (m * (m - 1)))
 
 
 def param_distance(theta: np.ndarray, theta0: np.ndarray) -> float:
@@ -358,7 +302,6 @@ def train(
     data: TrainData,
     loss_name: str,
     seed: int = 0,
-    track_gdv: bool = False,
 ) -> TrainReport:
     """Run mini-batch gradient descent on ``model`` in place and report the outcome.
 
@@ -368,13 +311,11 @@ def train(
     from ``seed`` and takes ``n // batch_size`` batches (at least one), so
     a last partial batch is dropped; an epoch is one such pass.  The
     confidence cut for the adaptive loss is fixed from the full label set
-    before the first step.  With ``track_gdv`` the report carries the
-    per-epoch gradient direction variance of that epoch's mini-batch
-    gradients, streamed through a ``DirectionStream``.
+    before the first step.
 
     The one-fit case of ``train_many``.
     """
-    return train_many([model], data, [(loss_name, data.labels)], seed, track_gdv)[0]
+    return train_many([model], data, [(loss_name, data.labels)], seed)[0]
 
 
 def train_many(
@@ -382,7 +323,6 @@ def train_many(
     data: TrainData,
     cells,
     seed: int = 0,
-    track_gdv: bool = False,
 ) -> list[TrainReport]:
     """Train each ``models[j]`` in place under ``cells[j]``, in lockstep,
     and report each on ``(data.test_x, data.test_y)``.
@@ -395,20 +335,16 @@ def train_many(
     weights are bit for bit those of ``train`` on it with its cell's labels.
     ``_descend`` checks the models and cells before any step.
     """
-    grad_norms, gdv_trace, final_loss = _descend(models, data.x, None, cells,
-                                                 [seed] * len(models), track_gdv)
+    _descend(models, data.x, None, cells, [seed] * len(models))
     truth = labels_to_soft(data.test_y)
     return [
         TrainReport(
             accuracy=model.accuracy(data.test_x, data.test_y),
             param_distance=model.distance_from_init(),
-            grad_norms=tuple(float(e[j]) for e in grad_norms),
-            gdv_trace=tuple(float(e[j]) for e in gdv_trace),
-            final_loss=float(final_loss[j]),
             mean_prediction=float(model.predict_pos(data.x).mean()),
             test_rce_risk=float(np.mean(rce(truth, model.predict_proba(data.test_x)))),
         )
-        for j, model in enumerate(models)
+        for model in models
     ]
 
 
@@ -434,32 +370,31 @@ def train_fits(models, x, fits) -> None:
                 or (fit_rows.size and not 0 <= fit_rows.min() <= fit_rows.max() < len(x))):
             raise ValueError(f"fit {j} needs one row index in [0, {len(x)}) per label row")
     _descend(models, x, rows, [("ce", labels) for _, labels, _ in fits],
-             [seed for _, _, seed in fits], False)
+             [seed for _, _, seed in fits])
 
 
-def _descend(models, x, rows, cells, seeds, track_gdv):
+def _descend(models, x, rows, cells, seeds) -> None:
     """The step loop: trains each ``models[j]`` in place under
     ``cells[j]``, a ``(loss_name, labels)`` pair, from ``seeds[j]`` on the
-    rows ``rows[j]`` of ``x`` (on ``x`` itself when ``rows`` is None), and
-    returns the per-epoch gradient norms and GDVs, one ``(fits,)`` array per
-    epoch, and the last step's losses.  Before any step it raises
-    ``ValueError`` unless there is one cell per model and at least one,
-    every loss is in ``LOSS_NAMES``, every cell's labels are ``(n, 2)`` rows
-    for the same ``n >= 1`` rows, and the models share one ``ProbeConfig``
-    and input dimension.
+    rows ``rows[j]`` of ``x`` (on ``x`` itself when ``rows`` is None).
+    Before any step it raises ``ValueError`` unless there is one cell per
+    model and at least one, every loss is in ``LOSS_NAMES``, every cell's
+    labels are ``(n, 2)`` rows for the same ``n >= 1`` rows, the models
+    share one ``ProbeConfig`` and input dimension ``d``, and ``x`` is an
+    array of ``d``-column rows.
 
     Each step makes one gather of every fit's batch, one stacked
-    ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du``, ``M g`` and the
-    norm ``g . M g``) over ``(fits, ...)`` arrays and one loss-table call
-    per loss name over its fits' ``(fits, batch, 2)`` block, so its number
-    of numpy calls does not grow with the fits.  Each slice of a stacked
-    product is the matrix-vector product or dot a lone fit makes, and each
-    batch of a block gets its lone table result, so each fit's arithmetic
-    is that of ``train``.  Fits with one seed share one batch order; when
-    they also read the same rows, the step gathers one batch and every fit
-    reads it through a broadcast view, as it does a shared ``M``.
-    Otherwise the step gathers every fit's own batch into one ``(fits,
-    rows, d)`` buffer kept across steps."""
+    ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du`` and ``M g``) over
+    ``(fits, ...)`` arrays and one loss-table call per loss name over its
+    fits' ``(fits, batch, 2)`` block, so its number of numpy calls does not
+    grow with the fits.  Each slice of a stacked product is the
+    matrix-vector product a lone fit makes, and each batch of a block gets
+    its lone table result, so each fit's arithmetic is that of ``train``.
+    Fits with one seed share one batch order; when they also read the same
+    rows, the step gathers one batch and every fit reads it through a
+    broadcast view, as it does a shared ``M``.  Otherwise the step gathers
+    every fit's own batch into one ``(fits, rows, d)`` buffer kept across
+    steps."""
     if not cells or len(models) != len(cells):
         raise ValueError(f"lockstep training needs one fit per model and at least one, "
                          f"got {len(models)} models and {len(cells)} fits")
@@ -479,6 +414,9 @@ def _descend(models, x, rows, cells, seeds, track_gdv):
                          "input dimension and row count")
     if n == 0:
         raise ValueError("lockstep training needs at least one training row")
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"inputs must be rows of {d} columns, the models' input "
+                         f"dimension, got an array of shape {x.shape}")
     k = len(models)
     # one table call per step for each loss name, over its fits' block:
     # (fits, loss, labels, offset, cut).  The block's labels are flattened to
@@ -496,7 +434,6 @@ def _descend(models, x, rows, cells, seeds, track_gdv):
                       n * np.arange(len(fits))[:, None], cut))
 
     steps, lr, batch = cfg.steps, cfg.learning_rate, cfg.batch_size
-    steps_per_epoch = max(1, n // batch)
     batch_rows = min(batch, n)
 
     # one batch-order stream per seed
@@ -550,14 +487,8 @@ def _descend(models, x, rows, cells, seeds, track_gdv):
     else:
         moves = grads
     move_w, move_b = moves[:, :d], moves[:, d:]
-    epoch_norms = np.empty((k, steps_per_epoch))
-    stream = DirectionStream(k, d + 1) if track_gdv else None
-    grad_norms: list[np.ndarray] = []
-    gdv_trace: list[np.ndarray] = []
-    in_epoch = 0
     order = new_order()
     cursor = 0
-    final_loss = np.full(k, np.nan)
 
     for step in range(steps):
         if cursor + batch > n:
@@ -587,9 +518,9 @@ def _descend(models, x, rows, cells, seeds, track_gdv):
                                                 cut, beta)
         # np.mean's arithmetic (a sum, then a division by the count)
         # without its per-call overhead
-        final_loss = np.add.reduce(vals, axis=1) / batch_rows
-        if not np.isfinite(final_loss).all():
-            raise TrainingDiverged(step, float(final_loss[~np.isfinite(final_loss)][0]))
+        loss = np.add.reduce(vals, axis=1) / batch_rows
+        if not np.isfinite(loss).all():
+            raise TrainingDiverged(step, float(loss[~np.isfinite(loss)][0]))
         dldu = dldp * p1 * p0
         np.matmul(xb.swapaxes(-1, -2), dldu[..., None], out=grad_w[..., None])
         del xb  # a fresh batch is freed before the next gather, not during it
@@ -602,25 +533,12 @@ def _descend(models, x, rows, cells, seeds, track_gdv):
         weights -= lr * move_w
         bias -= lr * move_b
 
-        # |(P g, g_b)| = sqrt(g . M g + g_b^2)
-        norms = np.sqrt(np.matmul(grads[:, None], moves[..., None])[:, 0, 0],
-                        out=epoch_norms[:, in_epoch])
-        in_epoch += 1
-        if stream is not None:
-            stream.add(grads, norms, moves)
-        if in_epoch == steps_per_epoch or step == steps - 1:
-            grad_norms.append(epoch_norms[:, :in_epoch].mean(axis=1))
-            if stream is not None:
-                gdv_trace.append(stream.close())
-            in_epoch = 0
-
     for j, model in enumerate(models):
         if projected:
             model.weights = model.weights - lr * (model.projection @ grad_sum[j])
         else:
             model.weights = weights[j].copy()
         model.bias = float(bias[j, 0])
-    return grad_norms, gdv_trace, final_loss
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -647,9 +565,9 @@ def _repeat_stage(
     Draws the task, fits the teacher on ground truth, labels the pseudo
     split with the teacher's probabilities and draws an untrained student.
     Each cell then smooths the labels and trains one copy of that untrained
-    student on the raw pseudo split, all in one ``train_many`` call with GDV
-    tracked; the copies train ``v = P^T w`` in input space and share the
-    one ``M = P^T P``, so no student feature matrix is formed.  Returns the
+    student on the raw pseudo split, all in one ``train_many`` call; the
+    copies train ``v = P^T w`` in input space and share the one
+    ``M = P^T P``, so no student feature matrix is formed.  Returns the
     teacher's report and one student report per cell.
     """
     teacher_cfg = teacher_cfg or DEFAULT_TEACHER
@@ -672,7 +590,7 @@ def _repeat_stage(
              for loss_name, alpha in cells]
     # the copies share the start arrays; training rebinds, never writes, them
     return teacher_report, train_many([copy.copy(student) for _ in specs], student_data,
-                                      specs, seed=s_seed, track_gdv=True)
+                                      specs, seed=s_seed)
 
 
 def w2s_pipeline(
@@ -776,7 +694,6 @@ def alpha_sweep(
                 "teacher_acc": teacher_report.accuracy,
                 "student_acc": s_rep.accuracy,
                 "param_distance": s_rep.param_distance,
-                "mean_gdv": s_rep.mean_gdv,
             }
             for (loss_name, alpha), s_rep in zip(cells, reports)
         ]

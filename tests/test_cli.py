@@ -461,8 +461,7 @@ class TestClassifyCommand:
             "--set", "n_test=100", "--out", str(tmp_path),
         ])
         header = (tmp_path / "classify.csv").read_text().splitlines()[0]
-        assert header == (
-            "loss,alpha,repeat,teacher_acc,student_acc,param_distance,mean_gdv")
+        assert header == "loss,alpha,repeat,teacher_acc,student_acc,param_distance"
 
 
 class TestBiasVarianceCommand:

@@ -1,5 +1,5 @@
-"""Trainer tests: determinism, saturated predictions, direction-variance
-bookkeeping, and the weak-to-strong pipeline behaviors.  The loss table the
+"""Trainer tests: determinism, saturated predictions, the gradient direction
+variance, and the weak-to-strong pipeline behaviors.  The loss table the
 trainer uses is tested in test_losses.py."""
 
 import copy
@@ -12,7 +12,6 @@ import pytest
 from w2slab.losses import aux_beta, confidence_threshold, loss_table, smooth_labels
 from w2slab.trainer import (
     LOSS_NAMES,
-    DirectionStream,
     LinearProbeModel,
     ProbeConfig,
     SyntheticTask,
@@ -106,6 +105,11 @@ class TestGdv:
         with pytest.raises(ValueError), pytest.warns(UserWarning):
             gdv([np.zeros(2), np.ones(2)])
 
+    def test_gdv_is_the_streamed_value(self):
+        rng = np.random.default_rng(12)
+        grads = [rng.normal(size=5) for _ in range(7)]
+        assert gdv(grads) == pytest.approx(pairwise_gdv(grads), abs=1e-12)
+
 
 def pairwise_gdv(grads):
     """Oracle: mean of 1 - cos over ordered pairs of nonzero gradients."""
@@ -120,33 +124,6 @@ def pairwise_gdv(grads):
                 cos = kept[i] @ kept[j] / (np.linalg.norm(kept[i]) * np.linalg.norm(kept[j]))
                 total += 1.0 - cos
     return total / (m * (m - 1))
-
-
-class TestDirectionStream:
-    def test_matches_pairwise_oracle_per_fit(self):
-        rng = np.random.default_rng(11)
-        fits, dim, steps = 3, 6, 9
-        blocks = rng.normal(size=(steps, fits, dim))
-        blocks[2, 0] = 0.0  # a zero gradient drops out of fit 0 only
-        blocks[5, 0] = 0.0
-        blocks[:, 2] = 0.0  # fit 2 keeps one gradient: nan
-        blocks[4, 2] = rng.normal(size=dim)
-        blocks[:, 1] *= rng.uniform(0.1, 10.0, size=(steps, 1))
-        stream = DirectionStream(fits, dim)
-        for block in blocks:
-            stream.add(block, np.linalg.norm(block, axis=1))
-        values = stream.close()
-        expected = [pairwise_gdv(blocks[:, j]) for j in range(fits)]
-        # nan matches nan: fit 2 has too few gradients for a pair
-        np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
-        assert np.isnan(values[2])
-        assert stream.kept[0] == 0  # close starts over
-        assert np.isnan(stream.close()).all()
-
-    def test_gdv_is_the_streamed_value(self):
-        rng = np.random.default_rng(12)
-        grads = [rng.normal(size=5) for _ in range(7)]
-        assert gdv(grads) == pytest.approx(pairwise_gdv(grads), abs=1e-12)
 
 
 class TestParamDistance:
@@ -198,18 +175,12 @@ def replay_in_weight_space(model, data, cell, seed):
     return w, b, epochs
 
 
-def assert_replayed(rep, model, expected, tol):
-    """``rep`` and the trained ``model`` agree with a weight-space replay
+def assert_replayed(model, expected, tol):
+    """The trained ``model`` agrees with a weight-space replay
     (``replay_in_weight_space``) to ``tol``."""
-    w, b, epochs = expected
+    w, b, _ = expected
     np.testing.assert_allclose(model.weights, w, rtol=0, atol=tol)
     assert abs(model.bias - b) <= tol
-    np.testing.assert_allclose(
-        rep.grad_norms, [np.mean(np.linalg.norm(e, axis=1)) for e in epochs],
-        rtol=0, atol=tol)
-    # nan matches nan: an epoch without two nonzero gradients
-    np.testing.assert_allclose(rep.gdv_trace, [pairwise_gdv(e) for e in epochs],
-                               rtol=0, atol=tol)
 
 
 # identity probes repeat the replay's arithmetic; projection probes train
@@ -254,10 +225,8 @@ class TestTrain:
             TrainData(data.train_x, uniform, data.test_x, data.test_y),
             "rce",
             seed=3,
-            track_gdv=True,
         )
         assert rep.param_distance == 0.0
-        assert rep.gdv_trace and all(np.isnan(g) for g in rep.gdv_trace)
 
     def test_determinism_bit_identical(self):
         task = small_task()
@@ -310,8 +279,8 @@ class TestTrain:
     def test_every_loss_trains(self, name):
         task = small_task()
         model = make_model(seed=6, steps=40)
+        # a step whose loss is not finite raises TrainingDiverged
         rep = train(model, gt_train_data(task), name, seed=6)
-        assert np.isfinite(rep.final_loss)
         assert rep.accuracy >= 0.0
 
 
@@ -347,68 +316,42 @@ class TestTrainMany:
             start = model.theta.copy()
             models = ([copy.copy(model) for _ in cells] if shared
                       else [make(j) for j in range(len(cells))])
-            reports = train_many(models, train_data, cells, seed=9, track_gdv=True)
+            reports = train_many(models, train_data, cells, seed=9)
             # training rebinds the copies' arrays and never writes the shared start
             np.testing.assert_array_equal(model.theta, start)
             for j, ((name, labels), rep, trained) in enumerate(zip(cells, reports, models)):
                 lone = make(j)
                 expected = train(lone, dataclasses.replace(train_data, labels=labels), name,
-                                 seed=9, track_gdv=True)
+                                 seed=9)
                 np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
                 np.testing.assert_array_equal(trained.weights, lone.weights)
                 assert trained.bias == lone.bias
-                assert len(rep.gdv_trace) == len(rep.grad_norms) > 0
-        frozen = reports[-1]
-        assert frozen.param_distance == 0.0
-        assert all(np.isnan(g) for g in frozen.gdv_trace)
-        # an epoch of one step has no pair of gradients to compare
-        assert np.isnan(reports[0].mean_gdv) == (rows // batch < 2)
+        assert reports[-1].param_distance == 0.0  # the rce fit on uniform labels
 
     @pytest.mark.parametrize("feature,width,tol", PROBES)
-    def test_gdv_trace_matches_pairwise_oracle(self, monkeypatch, feature, width, tol):
-        from w2slab import trainer
-
-        epochs, current = [], []
-
-        class Recording(DirectionStream):
-            def add(self, grads, norms, metric_grads=None):
-                current.append(len(grads))
-                super().add(grads, norms, metric_grads)
-
-            def close(self):
-                epochs.append(len(current))
-                current.clear()
-                return super().close()
-
-        monkeypatch.setattr(trainer, "DirectionStream", Recording)
+    def test_gdv_trace_matches_pairwise_oracle(self, feature, width, tol):
+        """Every loss's fit, trained beside the others in one call, ends at
+        the weights and bias of its weight-space replay."""
         data = small_task().sample()
         train_data = TrainData(data.train_x, labels_to_soft(data.train_y),
                                data.test_x, data.test_y)
         model = make_model(feature=feature, width=width, seed=10, steps=23, batch_size=20)
         cells = every_loss_cells(train_data.labels)
-        reports = train_many([copy.copy(model) for _ in cells], train_data, cells, seed=10,
-                             track_gdv=True)
-        # 64 rows in batches of 20: three full batches per epoch, the last
-        # epoch cut short
-        assert epochs == [3] * 7 + [2]
-        for (name, labels), rep in zip(cells, reports):
+        models = [copy.copy(model) for _ in cells]
+        train_many(models, train_data, cells, seed=10)
+        for (name, labels), trained in zip(cells, models):
             expected = replay_in_weight_space(model, dataclasses.replace(
                 train_data, labels=labels), (name, labels), seed=10)
-            # the copies leave ``model`` as it was: the weights are read off a
-            # lone fit, bit for bit the cell's (test_lockstep_equals_lone_fits)
-            lone = make_model(feature=feature, width=width, seed=10, steps=23,
-                              batch_size=20)
-            train(lone, dataclasses.replace(train_data, labels=labels), name, seed=10,
-                  track_gdv=True)
-            assert_replayed(rep, lone, expected, tol)
-        assert all(np.isnan(reports[-1].gdv_trace))
+            # 64 rows in batches of 20: three full batches per epoch, the
+            # last epoch cut short
+            assert [len(e) for e in expected[2]] == [3] * 7 + [2]
+            assert_replayed(trained, expected, tol)
 
     @pytest.mark.parametrize("feature,width,tol", PROBES)
     def test_epoch_is_one_pass_of_full_batches(self, feature, width, tol):
         """100 rows in batches of 32: each pass takes three batches and drops
-        the last four rows, so 12 steps are four epochs, and each epoch's
-        gradient norm and GDV are those of its pass's three gradients,
-        replayed here in weight space."""
+        the last four rows, so 12 steps are four epochs, replayed here in
+        weight space."""
         data = small_task(n_pseudo=100).sample()
         train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
                                data.test_x, data.test_y)
@@ -416,14 +359,8 @@ class TestTrainMany:
         expected = replay_in_weight_space(
             model, train_data, ("ce", train_data.labels), seed=11)
         assert [len(e) for e in expected[2]] == [3] * 4
-        rep = train(model, train_data, "ce", seed=11, track_gdv=True)
-        assert len(rep.grad_norms) == 4
-        assert_replayed(rep, model, expected, tol)
-
-    def test_gdv_off_by_default(self):
-        rep = train(make_model(seed=1, steps=10), gt_train_data(small_task()), "ce", seed=1)
-        assert rep.gdv_trace == () and np.isnan(rep.mean_gdv)
-        assert len(rep.grad_norms) == 5  # 64 rows in batches of 32, 10 steps
+        train(model, train_data, "ce", seed=11)
+        assert_replayed(model, expected, tol)
 
     def test_bad_cells_rejected(self):
         data = gt_train_data(small_task())
@@ -434,38 +371,6 @@ class TestTrainMany:
         with pytest.raises(ValueError, match="loss"):
             train_many([make_model(), make_model()], data,
                        [("ce", data.labels), ("mse", data.labels)])
-
-    def test_only_reported_fits_track_gdv(self, monkeypatch):
-        """Teacher fits and the bias-variance fits skip the GDV; the
-        classify students, whose mean_gdv is written out, keep it."""
-        from w2slab import cli, trainer
-
-        streams, gdv_calls = [], []
-
-        class Counting(DirectionStream):
-            def add(self, grads, *rest):
-                streams.append(grads.shape[0])
-                super().add(grads, *rest)
-
-        def counted_gdv(*args, **kwargs):
-            gdv_calls.append(args)
-            return gdv(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "DirectionStream", Counting)
-        monkeypatch.setattr(trainer, "gdv", counted_gdv)
-        cfg = {key: default for key, (_, default) in cli.SCHEMAS["bias-variance"].items()}
-        # split_train below the batch size: the teachers train on short batches
-        cfg.update(task_seeds=1, dim=5, n_test=20, split_train=16, split_pseudo=64)
-        rows, _, _ = cli.run_bias_variance(cfg)
-        assert len(rows) == 3 * 20
-        assert streams == [] and gdv_calls == []
-
-        student = ProbeConfig(feature="projection", width=40, steps=30)
-        _, s_rep = w2s_pipeline(small_task(), student_cfg=student,
-                                teacher_cfg=ProbeConfig(steps=30), loss_name="ce")
-        # one stream step per student step, none for the teacher
-        assert streams == [1] * 30 and gdv_calls == []
-        assert len(s_rep.gdv_trace) > 0
 
 
 class TestTrainFits:
@@ -599,6 +504,19 @@ class TestTrainFits:
                     rows[:-1], np.r_[rows, 0], rows.astype(float), rows > 0):
             with pytest.raises(ValueError, match="row index"):
                 train_fits([model, other], x, [fit, (bad, labels, seed)])
+        # inputs of one column fewer or more than the probes' input dimension
+        counted = TrainData(x, labels_to_soft(data.pseudo_y), data.test_x, data.test_y)
+        for feature, width in (("identity", 0), ("projection", 30)):
+            for dim in (19, 21):
+                probes = [make_model(dim=dim, feature=feature, width=width, seed=2,
+                                     steps=25, batch_size=16) for _ in range(2)]
+                sizes = rf"rows of {dim} columns.*shape \(256, 20\)"
+                with pytest.raises(ValueError, match=sizes):
+                    train(probes[0], counted, "ce")
+                with pytest.raises(ValueError, match=sizes):
+                    train_many(probes, counted, [("ce", counted.labels)] * 2)
+                with pytest.raises(ValueError, match=sizes):
+                    train_fits(probes, x, [fit, other_fit])
         assert gathers == []  # no batch was gathered
 
     def test_empty_fits_and_bad_labels_rejected_before_any_step(self):
@@ -672,7 +590,6 @@ class TestPipeline:
                         "teacher_acc": t_rep.accuracy,
                         "student_acc": s_rep.accuracy,
                         "param_distance": s_rep.param_distance,
-                        "mean_gdv": s_rep.mean_gdv,
                     })
         assert rows == expected
         # the cells differ, so no cell's training leaked into another's start
