@@ -76,11 +76,20 @@ def _check_range(eta0: float, gamma: float) -> None:
 
 
 def h_closed_form(eta0: float, gamma: float) -> float:
-    """Closed form of the normalized asymptotic misfit bound, in (0, 1)."""
+    """Closed form of the normalized asymptotic misfit bound, in (0, 1).
+
+    With ``num`` and ``s`` the bracket and the square root of the module's
+    formula, ``h = (num - (gamma-1) s) / (2 s)``.  The two terms agree to
+    all but a few digits at small eta0, so ``h`` is formed as
+    ``2 gamma eta0^2 / (s (num + (gamma-1) s))``, the same value with the
+    difference of squares ``num^2 - (gamma-1)^2 s^2 = 4 gamma eta0^2``
+    taken exactly: nothing cancels.  Below eta0 of about 1e-160 it leaves
+    the normal range, and it underflows to 0 where eta0^2 does.
+    """
     _check_range(eta0, gamma)
     num = eta0 * (gamma + 1.0) + (gamma - 1.0) ** 2
-    den = 2.0 * np.sqrt(gamma**2 - 2.0 * (1.0 - eta0) * gamma + (eta0 + 1.0) ** 2)
-    return float(num / den - (gamma - 1.0) / 2.0)
+    s = np.sqrt(gamma**2 - 2.0 * (1.0 - eta0) * gamma + (eta0 + 1.0) ** 2)
+    return float(2.0 * gamma * eta0**2 / (s * (num + (gamma - 1.0) * s)))
 
 
 def mp_density(lam, gamma: float):
@@ -317,7 +326,8 @@ def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
 
     Every cell takes d_w, n_ratio, B and seed from ``base``; the keys come
     in (eta0, gamma) order.  Raises ValueError for trials < 1, an empty or
-    repeated grid value, and any value ``RidgeConfig`` rejects.
+    repeated grid value, any value ``RidgeConfig`` rejects, and a cell whose
+    bound ``B h`` underflows to 0, against which no misfit can be judged.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -326,7 +336,11 @@ def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
             raise ValueError(f"{name} must be nonempty")
         if len(set(grid)) != len(grid):
             raise ValueError(f"{name} has repeated values: {list(grid)}")
-    return {(e, g): replace(base, gamma=g, eta0=e) for e in eta0s for g in gammas}
+    cells = {(e, g): replace(base, gamma=g, eta0=e) for e in eta0s for g in gammas}
+    for (e, g), cell in cells.items():
+        if cell.B * h_closed_form(e, g) == 0.0:
+            raise ValueError(f"the bound B h underflows to 0 at eta0={e!r}, gamma={g!r}")
+    return cells
 
 
 # what sets the BLAS thread count, in the order OpenBLAS and MKL read it

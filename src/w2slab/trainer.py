@@ -15,14 +15,15 @@ parameterization come from the batch loss table in :mod:`w2slab.losses`
 the step loop derives the two settings a fit supplies to the table, the
 adaptive loss's confidence cut from the cell's labels and the aux weight
 from the step.  ``train_many`` trains a list of models in place on one
-input array and batch order, one cell each, and reports each; ``train`` is
-its one-fit case.  ``train_fits`` trains independent ce fits in place, each
-on its own rows of one input array from its own seed, and reports nothing.
-Both run the one step loop, whose step gathers every fit's batch in one
-call, forms each product as one stacked ``np.matmul`` over the fits, whose
-slices are the products a lone fit makes, and makes one loss-table call
-per loss name, so its count of numpy calls does not grow with the number
-of fits and its arithmetic is a lone fit's.
+input array and batch order, one cell each; ``train`` is its one-fit case.
+``train_fits`` trains independent ce fits in place, each on its own rows of
+one input array from its own seed.  None of them returns anything: the
+caller reads what it needs off the trained models.  All run the one step
+loop, whose step gathers every fit's batch in one call, forms each product
+as one stacked ``np.matmul`` over the fits, whose slices are the products
+a lone fit makes, and makes one loss-table call per loss name, so its
+count of numpy calls does not grow with the number of fits and its
+arithmetic is a lone fit's.
 
 Every probe trains in input space.  A projection probe's features
 ``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
@@ -53,7 +54,6 @@ from .losses import (
     loss_grads,
     loss_table,
     loss_values,
-    rce,
     smooth_labels,
 )
 
@@ -63,7 +63,6 @@ __all__ = [
     "ProbeConfig",
     "LinearProbeModel",
     "TrainData",
-    "TrainReport",
     "TrainingDiverged",
     "LOSS_NAMES",
     "train",
@@ -71,7 +70,6 @@ __all__ = [
     "train_fits",
     "w2s_pipeline",
     "gdv",
-    "param_distance",
     "alpha_sweep",
     "check_sweep",
     "loss_values",
@@ -237,7 +235,8 @@ class LinearProbeModel:
         return np.concatenate([self.weights, [self.bias]])
 
     def distance_from_init(self) -> float:
-        return param_distance(self.theta, self._theta0)
+        """Euclidean distance of ``theta`` from its value at construction."""
+        return float(np.linalg.norm(self.theta - self._theta0))
 
 
 # --- training ------------------------------------------------------------------
@@ -245,27 +244,10 @@ class LinearProbeModel:
 
 @dataclass(frozen=True)
 class TrainData:
-    """Inputs and soft labels for training plus a held-out evaluation split."""
+    """Training inputs and their soft labels."""
 
     x: np.ndarray
     labels: np.ndarray  # (n, 2) soft rows
-    test_x: np.ndarray
-    test_y: np.ndarray  # {-1, +1}
-
-
-@dataclass(frozen=True)
-class TrainReport:
-    """Outcome of one gradient-descent run.
-
-    ``test_rce_risk`` is the reverse cross-entropy against the clamped
-    one-hot ground truth on the held-out split, the risk functional whose
-    minimizer proportional label smoothing leaves unchanged.
-    """
-
-    accuracy: float
-    param_distance: float
-    mean_prediction: float
-    test_rce_risk: float
 
 
 def gdv(gradient_batches) -> float:
@@ -288,22 +270,13 @@ def gdv(gradient_batches) -> float:
     return float(1.0 - (cos.sum() - np.trace(cos)) / (m * (m - 1)))
 
 
-def param_distance(theta: np.ndarray, theta0: np.ndarray) -> float:
-    """Euclidean distance between two parameter snapshots."""
-    theta = np.asarray(theta, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta.shape != theta0.shape:
-        raise ValueError(f"shape mismatch: {theta.shape} vs {theta0.shape}")
-    return float(np.linalg.norm(theta - theta0))
-
-
 def train(
     model: LinearProbeModel,
     data: TrainData,
     loss_name: str,
     seed: int = 0,
-) -> TrainReport:
-    """Run mini-batch gradient descent on ``model`` in place and report the outcome.
+) -> None:
+    """Run mini-batch gradient descent on ``model`` in place.
 
     Steps, learning rate and batch size are the probe's ``ProbeConfig``
     settings, validated when that config was built; a batch never holds
@@ -315,7 +288,7 @@ def train(
 
     The one-fit case of ``train_many``.
     """
-    return train_many([model], data, [(loss_name, data.labels)], seed)[0]
+    train_many([model], data, [(loss_name, data.labels)], seed)
 
 
 def train_many(
@@ -323,29 +296,18 @@ def train_many(
     data: TrainData,
     cells,
     seed: int = 0,
-) -> list[TrainReport]:
-    """Train each ``models[j]`` in place under ``cells[j]``, in lockstep,
-    and report each on ``(data.test_x, data.test_y)``.
+) -> None:
+    """Train each ``models[j]`` in place under ``cells[j]``, in lockstep.
 
     A cell is a ``(loss_name, labels)`` pair whose ``(n, 2)`` soft labels
     stand in for ``data.labels``.  The fits share ``data.x`` and the batch
     order drawn from ``seed``, so each step gathers its batch once, and
     models that all hold one projection share one ``M = P^T P``; each keeps
-    its own input-space weight row ``v = P^T w``, and its report and final
-    weights are bit for bit those of ``train`` on it with its cell's labels.
+    its own input-space weight row ``v = P^T w``, and its final weights and
+    bias are bit for bit those of ``train`` on it with its cell's labels.
     ``_descend`` checks the models and cells before any step.
     """
     _descend(models, data.x, None, cells, [seed] * len(models))
-    truth = labels_to_soft(data.test_y)
-    return [
-        TrainReport(
-            accuracy=model.accuracy(data.test_x, data.test_y),
-            param_distance=model.distance_from_init(),
-            mean_prediction=float(model.predict_pos(data.x).mean()),
-            test_rce_risk=float(np.mean(rce(truth, model.predict_proba(data.test_x)))),
-        )
-        for model in models
-    ]
 
 
 def train_fits(models, x, fits) -> None:
@@ -356,7 +318,7 @@ def train_fits(models, x, fits) -> None:
     inputs' row indices into ``x``, one per ``(n, 2)`` label row, and
     ``seed`` draws its batch order.  The fits are independent: each has its
     own rows, labels, start weights and batch order, so each model ends bit
-    for bit as ``train(models[j], TrainData(x[rows], labels, ...), "ce",
+    for bit as ``train(models[j], TrainData(x[rows], labels), "ce",
     seed=seed)`` leaves it, yet each step gathers the batches of all fits
     from ``x`` at once.  Every row index must lie in ``[0, len(x))``, or
     ``ValueError`` is raised before any step; ``_descend`` checks the rest.
@@ -559,7 +521,7 @@ def _repeat_stage(
     student_cfg: ProbeConfig | None,
     seed: int,
     cells: list[tuple[str, float]],
-) -> tuple[TrainReport, list[TrainReport]]:
+) -> tuple[TaskData, LinearProbeModel, list[LinearProbeModel]]:
     """One task draw and seed, shared by every ``(loss_name, alpha)`` cell.
 
     Draws the task, fits the teacher on ground truth, labels the pseudo
@@ -568,7 +530,7 @@ def _repeat_stage(
     student on the raw pseudo split, all in one ``train_many`` call; the
     copies train ``v = P^T w`` in input space and share the one
     ``M = P^T P``, so no student feature matrix is formed.  Returns the
-    teacher's report and one student report per cell.
+    task draw, the trained teacher and one trained student per cell.
     """
     teacher_cfg = teacher_cfg or DEFAULT_TEACHER
     student_cfg = student_cfg or default_student_config(task)
@@ -577,20 +539,15 @@ def _repeat_stage(
     t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
 
     teacher = LinearProbeModel(task.dim, teacher_cfg, np.random.default_rng(t_seed))
-    teacher_report = train(
-        teacher,
-        TrainData(data.train_x, labels_to_soft(data.train_y), data.test_x, data.test_y),
-        "ce",
-        seed=t_seed,
-    )
+    train(teacher, TrainData(data.train_x, labels_to_soft(data.train_y)), "ce", seed=t_seed)
     student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
-    student_data = TrainData(data.pseudo_x, teacher.predict_proba(data.pseudo_x),
-                             data.test_x, data.test_y)
+    student_data = TrainData(data.pseudo_x, teacher.predict_proba(data.pseudo_x))
     specs = [(loss_name, smooth_labels(student_data.labels, alpha))
              for loss_name, alpha in cells]
     # the copies share the start arrays; training rebinds, never writes, them
-    return teacher_report, train_many([copy.copy(student) for _ in specs], student_data,
-                                      specs, seed=s_seed)
+    students = [copy.copy(student) for _ in specs]
+    train_many(students, student_data, specs, seed=s_seed)
+    return data, teacher, students
 
 
 def w2s_pipeline(
@@ -600,16 +557,17 @@ def w2s_pipeline(
     loss_name: str = "ce",
     alpha: float = 1.0,
     seed: int = 0,
-) -> tuple[TrainReport, TrainReport]:
+) -> tuple[LinearProbeModel, LinearProbeModel]:
     """Teacher on ground truth, smoothed pseudo-labels, student under ``loss_name``.
 
     The one-cell case of ``alpha_sweep``, built from the same per-repeat
     stage and per-cell training; ``smooth_labels`` rejects an ``alpha``
-    outside [0, 1].
+    outside [0, 1].  Returns the trained teacher and student, to be read
+    on ``task.sample()``'s splits.
     """
-    teacher_report, (student_report,) = _repeat_stage(
+    _, teacher, (student,) = _repeat_stage(
         task, teacher_cfg, student_cfg, seed, [(loss_name, alpha)])
-    return teacher_report, student_report
+    return teacher, student
 
 
 def summarize_sweep(rows: list[dict]) -> list[dict]:
@@ -674,8 +632,10 @@ def alpha_sweep(
     projection and initial weights.  Each cell has its own label smoothing
     and student training, from those initial weights; the cells of a repeat
     train in lockstep in one ``train_many`` call, and the adaptive loss's
-    confidence cut comes from that cell's smoothed labels.  ``check_sweep``
-    checks the arguments before any training.
+    confidence cut comes from that cell's smoothed labels.  Accuracies are
+    on the repeat's test split and ``param_distance`` is the student's
+    ``distance_from_init``.  ``check_sweep`` checks the arguments before
+    any training.
     """
     check_sweep(losses, alphas, repeats)
     cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]
@@ -684,17 +644,20 @@ def alpha_sweep(
         repeat_task = replace(task, seed=int(
             np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
         ))
-        teacher_report, reports = _repeat_stage(
+        data, teacher, students = _repeat_stage(
             repeat_task, teacher_cfg, student_cfg, repeat, cells)
+        teacher_acc = teacher.accuracy(data.test_x, data.test_y)
         rows += [
             {
                 "loss": loss_name,
                 "alpha": alpha,
                 "repeat": repeat,
-                "teacher_acc": teacher_report.accuracy,
-                "student_acc": s_rep.accuracy,
-                "param_distance": s_rep.param_distance,
+                "teacher_acc": teacher_acc,
+                "student_acc": student.accuracy(data.test_x, data.test_y),
+                "param_distance": student.distance_from_init(),
             }
-            for (loss_name, alpha), s_rep in zip(cells, reports)
+            for (loss_name, alpha), student in zip(cells, students)
         ]
+        # freed before the next repeat draws its task
+        del data, teacher, students
     return rows

@@ -15,7 +15,7 @@ from w2slab.cli import ConfigError, load_config, main
 # a config per command small enough for a unit test
 TINY = {
     "verify": ["scenarios=3", "pairs=100", "triples=20"],
-    "ridge": ["gammas=1.5,2", "eta0s=1", "trials=2", "d_w=40", "n_ratio=5"],
+    "ridge": ["gammas=1.5,2", "eta0s=1,1e-12", "trials=2", "d_w=40", "n_ratio=5"],
     "classify": ["losses=ce,rce", "alphas=0.01,1", "repeats=2", "dim=20",
                  "n_pseudo=256", "n_test=100"],
     "bias-variance": ["task_seeds=1", "k=1", "n_splits=2", "n_test=20",
@@ -121,7 +121,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("override", [
         "gammas=", "eta0s=", "gammas=2,2", "eta0s=0.5,0.5", "gammas=1,2",
         "gammas=0.5", "eta0s=0,1", "eta0s=-1", "trials=0", "seed=-1",
-        "gammas=inf", "eta0s=inf", "n_ratio=nan", "B=inf",
+        "gammas=inf", "eta0s=inf", "n_ratio=nan", "B=inf", "eta0s=1,1e-200",
     ])
     def test_bad_ridge_grid_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                       override):
@@ -423,7 +423,7 @@ class TestRidgeCommand:
         assert strict_json(tmp_path / "ridge.json")["stages"]["sweep_workers"] == 1
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
-        args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5",
+        args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5,1e-12",
                 "--set", "trials=3", "--set", "d_w=40", "--set", "n_ratio=5"]
         run(args + ["--out", str(tmp_path / "a")])
         run(args + ["--out", str(tmp_path / "b")])
@@ -571,8 +571,7 @@ class TestBiasVarianceCommand:
         def fit_probe(feature_dim, probe_cfg, x, labels, seed):
             model = trainer.LinearProbeModel(feature_dim, probe_cfg,
                                              np.random.default_rng(seed))
-            data = trainer.TrainData(x, labels, x[:2], np.array([1.0, -1.0]))
-            trainer.train(model, data, "ce", seed=seed)
+            trainer.train(model, trainer.TrainData(x, labels), "ce", seed=seed)
             return model
 
         task = trainer.SyntheticTask(

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -42,6 +43,23 @@ class TestClosedForm:
         # substituting gamma -> 1 gives 2 eta0 / (2 sqrt(eta0^2 + 4 eta0))
         val = h_closed_form(1.0, 1.0 + 1e-9)
         assert val == pytest.approx(1 / np.sqrt(5), abs=1e-6)
+
+    def test_matches_decimal_oracle(self):
+        """Within 1e-13 relative of the module's formula in 60-digit
+        ``decimal`` arithmetic, down to eta0 = 1e-12, where that formula
+        in floats cancels to exactly 0."""
+        def oracle(eta0, gamma):
+            e, g = Decimal(eta0), Decimal(gamma)
+            num = e * (g + 1) + (g - 1) ** 2
+            return num / (2 * (g * g - 2 * (1 - e) * g + (e + 1) ** 2).sqrt()) - (g - 1) / 2
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for eta0 in np.logspace(-12, 3, 31).tolist():
+                for gamma in (1.1, 1.5, 2.0, 4.0, 16.0, 64.0):
+                    exact = oracle(eta0, gamma)
+                    error = abs(Decimal(h_closed_form(eta0, gamma)) - exact) / exact
+                    assert error <= Decimal("1e-13"), (eta0, gamma)
 
     def test_monotone_in_capacity(self):
         assert h_closed_form(1.0, 2.0) > h_closed_form(1.0, 4.0) > h_closed_form(1.0, 8.0)

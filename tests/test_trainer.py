@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from w2slab.losses import aux_beta, confidence_threshold, loss_table, smooth_labels
+from w2slab.losses import aux_beta, confidence_threshold, loss_table, rce, smooth_labels
 from w2slab.trainer import (
     LOSS_NAMES,
     LinearProbeModel,
@@ -18,7 +18,6 @@ from w2slab.trainer import (
     TrainData,
     gdv,
     labels_to_soft,
-    param_distance,
     train,
     train_fits,
     train_many,
@@ -105,7 +104,7 @@ class TestGdv:
         with pytest.raises(ValueError), pytest.warns(UserWarning):
             gdv([np.zeros(2), np.ones(2)])
 
-    def test_gdv_is_the_streamed_value(self):
+    def test_matches_pairwise_cosine_oracle(self):
         rng = np.random.default_rng(12)
         grads = [rng.normal(size=5) for _ in range(7)]
         assert gdv(grads) == pytest.approx(pairwise_gdv(grads), abs=1e-12)
@@ -127,22 +126,15 @@ def pairwise_gdv(grads):
 
 
 class TestParamDistance:
-    def test_zero_for_same(self):
-        t = np.arange(4.0)
-        assert param_distance(t, t) == 0.0
+    """``distance_from_init``, the ``param_distance`` column of a sweep."""
 
-    def test_unit_offset(self):
-        t = np.zeros(3)
-        u = t.copy()
-        u[0] = 1.0
-        assert param_distance(u, t) == pytest.approx(1.0)
+    def test_zero_for_same(self):
+        assert make_model(dim=4, init_scale=0.5).distance_from_init() == 0.0
 
     def test_pythagorean(self):
-        assert param_distance(np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(5.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            param_distance(np.zeros(2), np.zeros(3))
+        model = make_model(dim=1)  # init_scale 0: theta starts at (0, 0)
+        model.weights, model.bias = np.array([3.0]), 4.0
+        assert model.distance_from_init() == 5.0
 
 
 def replay_in_weight_space(model, data, cell, seed):
@@ -194,48 +186,68 @@ PROBES = [pytest.param("identity", 0, 1e-12, id="identity"),
 
 def gt_train_data(task):
     data = task.sample()
-    return TrainData(data.train_x, labels_to_soft(data.train_y),
-                     data.test_x, data.test_y)
+    return TrainData(data.train_x, labels_to_soft(data.train_y))
 
 
 class TestTrain:
     def test_zero_steps_is_identity(self):
-        task = small_task()
+        data = small_task().sample()
         model = make_model(steps=0)
-        before = model.accuracy(task.sample().test_x, task.sample().test_y)
-        rep = train(model, gt_train_data(task), "ce")
-        assert rep.param_distance == 0.0
-        assert rep.accuracy == pytest.approx(before)
+        before = model.accuracy(data.test_x, data.test_y)
+        assert train(model, gt_train_data(small_task()), "ce") is None
+        assert model.distance_from_init() == 0.0
+        assert model.accuracy(data.test_x, data.test_y) == before
 
     def test_separable_task_reaches_bayes_level(self):
         # margin of two noise units: optimal accuracy is at least 0.977
         task = small_task(separation=2.0, noise=1.0, n_train=400)
         assert task.bayes_accuracy() >= 0.97
         model = make_model(seed=2, steps=500)
-        rep = train(model, gt_train_data(task), "ce", seed=2)
-        assert rep.accuracy >= 0.95
+        train(model, gt_train_data(task), "ce", seed=2)
+        data = task.sample()
+        assert model.accuracy(data.test_x, data.test_y) >= 0.95
 
     def test_rce_uniform_labels_is_frozen(self):
         task = small_task()
         data = task.sample()
         uniform = np.full((task.n_train, 2), 0.5)
         model = make_model(seed=3, steps=100)
-        rep = train(
-            model,
-            TrainData(data.train_x, uniform, data.test_x, data.test_y),
-            "rce",
-            seed=3,
-        )
-        assert rep.param_distance == 0.0
+        train(model, TrainData(data.train_x, uniform), "rce", seed=3)
+        assert model.distance_from_init() == 0.0
 
     def test_determinism_bit_identical(self):
         task = small_task()
-        reports = []
+        models = []
         for _ in range(2):
-            model = make_model(seed=4, steps=60)
-            reports.append(train(model, gt_train_data(task), "sl", seed=4))
-        a, b = reports
-        assert a == b
+            models.append(make_model(seed=4, steps=60))
+            train(models[-1], gt_train_data(task), "sl", seed=4)
+        a, b = models
+        assert a.distance_from_init() > 0.0
+        np.testing.assert_array_equal(a.weights, b.weights)
+        assert a.bias == b.bias
+
+    def test_training_calls_no_prediction(self, monkeypatch):
+        """``train``, ``train_many`` and ``train_fits`` step the models and
+        make no prediction: the caller reads what it needs off them."""
+        calls = []
+        predict_pos = LinearProbeModel.predict_pos
+
+        def counted(self, x):
+            calls.append(len(x))
+            return predict_pos(self, x)
+
+        monkeypatch.setattr(LinearProbeModel, "predict_pos", counted)
+        data = gt_train_data(small_task())
+        labels = data.labels
+        for feature, width in (("identity", 0), ("projection", 30)):
+            def make(seed):
+                return make_model(feature=feature, width=width, seed=seed, steps=10)
+
+            train(make(1), data, "ce", seed=1)
+            train_many([make(2), make(3)], data, [("ce", labels), ("rce", labels)], seed=2)
+            rows = np.arange(len(labels))
+            train_fits([make(4), make(5)], data.x, [(rows, labels, 4), (rows[::-1], labels, 5)])
+        assert calls == []
 
     def test_divergence_reported_with_step(self):
         # ProbeConfig rejects a non-finite step, so start from non-finite
@@ -264,24 +276,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             make_model(**bad)
 
-    @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 40)])
-    def test_mean_prediction_is_final_prediction_on_training_inputs(
-            self, feature, width):
-        task = small_task()
-        data = task.sample()
-        train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
-                               data.test_x, data.test_y)
-        model = make_model(feature=feature, width=width, init_scale=0.1, seed=7, steps=40)
-        rep = train(model, train_data, "ce", seed=7)
-        assert rep.mean_prediction == model.predict_pos(data.pseudo_x).mean()
-
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_every_loss_trains(self, name):
         task = small_task()
         model = make_model(seed=6, steps=40)
         # a step whose loss is not finite raises TrainingDiverged
-        rep = train(model, gt_train_data(task), name, seed=6)
-        assert rep.accuracy >= 0.0
+        train(model, gt_train_data(task), name, seed=6)
+        assert np.isfinite(model.theta).all()
 
 
 def every_loss_cells(labels):
@@ -304,8 +305,7 @@ class TestTrainMany:
         data = small_task().sample()
         # soft labels of mixed confidence, so the adaptive loss uses both sides
         p1 = np.random.default_rng(rows).uniform(0.05, 0.95, size=rows)
-        train_data = TrainData(data.pseudo_x[:rows], np.stack([p1, 1.0 - p1], axis=-1),
-                               data.test_x, data.test_y)
+        train_data = TrainData(data.pseudo_x[:rows], np.stack([p1, 1.0 - p1], axis=-1))
         cells = every_loss_cells(train_data.labels)
         for shared in (True, False):
             def make(j):
@@ -316,25 +316,21 @@ class TestTrainMany:
             start = model.theta.copy()
             models = ([copy.copy(model) for _ in cells] if shared
                       else [make(j) for j in range(len(cells))])
-            reports = train_many(models, train_data, cells, seed=9)
+            assert train_many(models, train_data, cells, seed=9) is None
             # training rebinds the copies' arrays and never writes the shared start
             np.testing.assert_array_equal(model.theta, start)
-            for j, ((name, labels), rep, trained) in enumerate(zip(cells, reports, models)):
+            for j, ((name, labels), trained) in enumerate(zip(cells, models)):
                 lone = make(j)
-                expected = train(lone, dataclasses.replace(train_data, labels=labels), name,
-                                 seed=9)
-                np.testing.assert_equal(dataclasses.asdict(rep), dataclasses.asdict(expected))
+                train(lone, dataclasses.replace(train_data, labels=labels), name, seed=9)
                 np.testing.assert_array_equal(trained.weights, lone.weights)
                 assert trained.bias == lone.bias
-        assert reports[-1].param_distance == 0.0  # the rce fit on uniform labels
+        assert models[-1].distance_from_init() == 0.0  # the rce fit on uniform labels
 
     @pytest.mark.parametrize("feature,width,tol", PROBES)
-    def test_gdv_trace_matches_pairwise_oracle(self, feature, width, tol):
+    def test_every_loss_matches_weight_space_replay(self, feature, width, tol):
         """Every loss's fit, trained beside the others in one call, ends at
         the weights and bias of its weight-space replay."""
-        data = small_task().sample()
-        train_data = TrainData(data.train_x, labels_to_soft(data.train_y),
-                               data.test_x, data.test_y)
+        train_data = gt_train_data(small_task())
         model = make_model(feature=feature, width=width, seed=10, steps=23, batch_size=20)
         cells = every_loss_cells(train_data.labels)
         models = [copy.copy(model) for _ in cells]
@@ -353,8 +349,7 @@ class TestTrainMany:
         the last four rows, so 12 steps are four epochs, replayed here in
         weight space."""
         data = small_task(n_pseudo=100).sample()
-        train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
-                               data.test_x, data.test_y)
+        train_data = TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y))
         model = make_model(feature=feature, width=width, seed=11, steps=12, init_scale=0.1)
         expected = replay_in_weight_space(
             model, train_data, ("ce", train_data.labels), seed=11)
@@ -399,7 +394,7 @@ class TestTrainFits:
         assert train_fits(models, x, fits) is None
         for j, (model, (rows, labels, seed)) in enumerate(zip(models, fits)):
             lone = make(j)
-            train(lone, TrainData(x[rows], labels, data.test_x, data.test_y), "ce", seed=seed)
+            train(lone, TrainData(x[rows], labels), "ce", seed=seed)
             np.testing.assert_array_equal(model.weights, lone.weights)
             assert model.bias == lone.bias
         return models
@@ -467,8 +462,7 @@ class TestTrainFits:
         gathers.clear()
         labels = labels_to_soft(data.pseudo_y)
         train_many([copy.copy(model) for _ in range(3)],
-                   TrainData(x, labels, data.test_x, data.test_y), [("ce", labels)] * 3,
-                   seed=5)
+                   TrainData(x, labels), [("ce", labels)] * 3, seed=5)
         assert len(gathers) == 25
 
     def test_mismatched_fits_rejected_before_any_step(self):
@@ -491,8 +485,8 @@ class TestTrainFits:
             with pytest.raises(ValueError, match="ProbeConfig"):
                 train_fits(models, x, fits)
         with pytest.raises(ValueError, match="ProbeConfig"):
-            train_many([model], TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y),
-                                          data.test_x, data.test_y), [("ce", labels[:60])])
+            train_many([model], TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y)),
+                       [("ce", labels[:60])])
         # one fit per model
         for fits in ([fit], [fit, other_fit, fit]):
             with pytest.raises(ValueError, match="one fit per model"):
@@ -505,7 +499,7 @@ class TestTrainFits:
             with pytest.raises(ValueError, match="row index"):
                 train_fits([model, other], x, [fit, (bad, labels, seed)])
         # inputs of one column fewer or more than the probes' input dimension
-        counted = TrainData(x, labels_to_soft(data.pseudo_y), data.test_x, data.test_y)
+        counted = TrainData(x, labels_to_soft(data.pseudo_y))
         for feature, width in (("identity", 0), ("projection", 30)):
             for dim in (19, 21):
                 probes = [make_model(dim=dim, feature=feature, width=width, seed=2,
@@ -529,8 +523,7 @@ class TestTrainFits:
         no_rows, no_labels = np.arange(0), np.empty((0, 2))
         with pytest.raises(ValueError, match="at least one training row"):
             train_fits([model, other], x, [(no_rows, no_labels, 1), (no_rows, no_labels, 2)])
-        empty = TrainData(self.counting_gathers(data.pseudo_x[:0], gathers), no_labels,
-                          data.test_x, data.test_y)
+        empty = TrainData(self.counting_gathers(data.pseudo_x[:0], gathers), no_labels)
         with pytest.raises(ValueError, match="at least one training row"):
             train(model, empty, "ce")
         three = np.full((len(rows), 3), 1 / 3)
@@ -538,7 +531,7 @@ class TestTrainFits:
             train_fits([model, other], x, [fit, (rows, three, seed)])
         labels = labels_to_soft(data.pseudo_y)
         with pytest.raises(ValueError, match=r"labels must be \(n, 2\) rows"):
-            train_many([model, other], TrainData(x, labels, data.test_x, data.test_y),
+            train_many([model, other], TrainData(x, labels),
                        [("ce", labels), ("rce", np.full((len(x), 3), 1 / 3))])
         assert gathers == []
 
@@ -546,20 +539,24 @@ class TestTrainFits:
 class TestPipeline:
     def test_baseline_wiring(self):
         task = small_task()
-        t_rep, s_rep = w2s_pipeline(task, loss_name="ce", alpha=1.0, seed=0)
-        assert 0.5 <= t_rep.accuracy <= 1.0
+        data = task.sample()
+        teacher, _ = w2s_pipeline(task, loss_name="ce", alpha=1.0, seed=0)
+        assert 0.5 <= teacher.accuracy(data.test_x, data.test_y) <= 1.0
 
     def test_uniform_targets_drive_predictions_to_half(self):
         task = small_task()
-        _, s_rep = w2s_pipeline(task, loss_name="ce", alpha=0.0, seed=0)
-        assert 0.45 <= s_rep.mean_prediction <= 0.55
+        _, student = w2s_pipeline(task, loss_name="ce", alpha=0.0, seed=0)
+        mean_prediction = float(student.predict_pos(task.sample().pseudo_x).mean())
+        assert 0.45 <= mean_prediction <= 0.55
 
     def test_rce_beats_ce_at_low_alpha(self):
         task = SyntheticTask(seed=11)
+        data = task.sample()
         accs = {}
         for loss in ("ce", "rce"):
             vals = [
-                w2s_pipeline(task, loss_name=loss, alpha=0.01, seed=rep)[1].accuracy
+                w2s_pipeline(task, loss_name=loss, alpha=0.01, seed=rep)[1].accuracy(
+                    data.test_x, data.test_y)
                 for rep in range(2)
             ]
             accs[loss] = np.mean(vals)
@@ -580,16 +577,17 @@ class TestPipeline:
         for repeat in range(2):
             repeat_task = dataclasses.replace(task, seed=int(
                 np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]))
+            test_x, test_y = repeat_task.sample().test_x, repeat_task.sample().test_y
             for loss in losses:
                 for alpha in alphas:
-                    t_rep, s_rep = w2s_pipeline(
+                    teacher, trained = w2s_pipeline(
                         repeat_task, student_cfg=student, loss_name=loss,
                         alpha=alpha, seed=repeat)
                     expected.append({
                         "loss": loss, "alpha": alpha, "repeat": repeat,
-                        "teacher_acc": t_rep.accuracy,
-                        "student_acc": s_rep.accuracy,
-                        "param_distance": s_rep.param_distance,
+                        "teacher_acc": teacher.accuracy(test_x, test_y),
+                        "student_acc": trained.accuracy(test_x, test_y),
+                        "param_distance": trained.distance_from_init(),
                     })
         assert rows == expected
         # the cells differ, so no cell's training leaked into another's start
@@ -657,9 +655,11 @@ class TestPipeline:
                 task,
                 seed=int(np.random.SeedSequence([task.seed, rep]).generate_state(1)[0]),
             )
+            data = t.sample()
+            truth = labels_to_soft(data.test_y)
             for a in (0.3, 1.0):
-                _, srep = w2s_pipeline(t, loss_name="rce", alpha=a, seed=rep)
-                risks[a].append(srep.test_rce_risk)
+                _, student = w2s_pipeline(t, loss_name="rce", alpha=a, seed=rep)
+                risks[a].append(float(np.mean(rce(truth, student.predict_proba(data.test_x)))))
         r3, r1 = np.array(risks[0.3]), np.array(risks[1.0])
         spread = 2.0 * np.sqrt(r3.std(ddof=1) ** 2 + r1.std(ddof=1) ** 2)
         assert abs(r3.mean() - r1.mean()) <= spread
