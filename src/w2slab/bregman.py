@@ -15,6 +15,13 @@ sample the weight-normalized geometric mean of its points.  Residual and
 dual-difference vectors are reduced to the simplex tangent space (centered)
 so that Cauchy-Schwarz residuals vanish exactly for dual-mean predictors.
 
+A ``SampleSet`` may also be a block of samples padded to one size by
+:func:`stack_samples`; the minimizers and decompositions then return one
+value per sample.  Every weighted sum adds its terms in index order
+(``_sum``, which the scenario verifiers of ``harness`` share), and padding
+only appends exact zeros, so a sample's values in a block are bit for bit
+those of its lone call.
+
 The negative-entropy generator and its divergence (KL) share one numpy
 kernel, ``_xlogy``: x log y, taken as 0 where x = 0, the convention of
 ``scipy.special.xlogy``.
@@ -22,6 +29,7 @@ kernel, ``_xlogy``: x log y, taken as 0 where x = 0, the convention of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +39,7 @@ __all__ = [
     "DomainError",
     "clamp_simplex",
     "SampleSet",
+    "stack_samples",
     "mean_minimizer",
     "BregmanGeometry",
     "SquaredNorm",
@@ -58,12 +67,33 @@ def clamp_simplex(p, eps: float = SIMPLEX_EPS) -> np.ndarray:
     return np.clip(q, eps, 1.0 - eps)
 
 
+def _sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over one axis, adding its entries in index order.
+
+    Padding appends exact zeros, which leave a running sum as it is, so a
+    sample's or a scenario's sums do not depend on its block-mates;
+    ``np.sum``, ``einsum`` and ``@`` may group or fuse the same terms
+    differently at another shape.
+    """
+    order = list(range(a.ndim))
+    order.insert(0, order.pop(axis))  # np.moveaxis, without its overhead
+    return functools.reduce(np.add, a.transpose(order))
+
+
+def _scalar(value):
+    """A one-sample or one-scenario measurement as a float; a block's stays an array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Finite weighted collection of points standing in for a random vector.
 
-    Weights must be nonnegative and sum to one within 1e-12; every
-    expectation over the set is then exact, with no sampling error.
+    ``points`` is ``(n, K)`` for one sample, or ``(b, n, K)`` for a block
+    of b samples (see :func:`stack_samples`), with ``weights`` ``([b,] n)``;
+    no weights means equal ones.  Each sample's weights must be nonnegative
+    and sum to one within 1e-12, so every expectation over it is exact,
+    with no sampling error.  In a block, a failed check names its sample.
     """
 
     points: np.ndarray
@@ -71,23 +101,54 @@ class SampleSet:
 
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.ndim > 3:
+            raise ValueError(
+                f"points have {pts.ndim} axes, expected 2 (one sample) or 3 (a block)")
         if pts.size == 0:
             raise ValueError("SampleSet requires at least one point")
         if self.weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
+            w = np.full(pts.shape[:-1], 1.0 / pts.shape[-2])
         else:
             w = np.asarray(self.weights, dtype=float)
-        if w.shape != (pts.shape[0],):
+        if w.shape != pts.shape[:-1]:
             raise ValueError("weights must be one per point")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
+        rows = w.reshape(-1, w.shape[-1])
+        sums = _sum(rows, -1)
+        negative = (rows < 0).any(axis=-1)
+        bad = negative | ~(abs(sums - 1.0) <= 1e-12)  # NaN fails too
+        if bad.any():
+            row = int(np.argmax(bad))
+            where = f" of block sample {row}" if pts.ndim == 3 else ""
+            if negative[row]:
+                raise ValueError(f"weights{where} must be nonnegative")
+            raise ValueError(
+                f"weights{where} sum to {float(sums[row])!r}, expected 1 within 1e-12")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
-        return self.points.shape[0]
+        """The number of points of a sample; a block's samples are padded to one."""
+        return self.points.shape[-2]
+
+
+def stack_samples(samples, geometry: BregmanGeometry) -> SampleSet:
+    """One block of same-dimension samples, padded to the largest size.
+
+    A padded point has zero weight and sits at the domain point of dual
+    coordinate zero: the simplex centre under negative entropy, the origin
+    under the squared norm.  It enters every weighted sum as an exact zero
+    after the sample's own terms, so each sample of the block measures
+    what it measures alone.
+    """
+    k = geometry.dimension
+    if not samples or any(s.points.ndim != 2 or s.points.shape[-1] != k for s in samples):
+        raise ValueError(f"stack_samples takes one or more single samples of dimension {k}")
+    n = max(len(s) for s in samples)
+    points = np.broadcast_to(geometry.from_dual(np.zeros(k)), (len(samples), n, k)).copy()
+    weights = np.zeros((len(samples), n))
+    for row, s in enumerate(samples):
+        points[row, :len(s)], weights[row, :len(s)] = s.points, s.weights
+    return SampleSet(points, weights)
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -107,9 +168,17 @@ def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.where(x == 0, 0.0, x * np.log(y))
 
 
+def _weighted_mean(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., i] values[..., i, :], added in index order."""
+    return _sum(weights[..., None] * values, -2)
+
+
 def mean_minimizer(sample: SampleSet) -> np.ndarray:
-    """Weighted arithmetic mean: the minimizer of E[D(X, y)] over y."""
-    return sample.weights @ sample.points
+    """Weighted arithmetic mean: the minimizer of E[D(X, y)] over y.
+
+    ``(K,)`` for one sample, ``(b, K)`` for a block.
+    """
+    return _weighted_mean(sample.weights, sample.points)
 
 
 class BregmanGeometry:
@@ -121,6 +190,12 @@ class BregmanGeometry:
     Public methods check each array argument once with ``check_point``.
     ``grad``, ``_divergence`` and ``from_dual`` do not check: callers that
     have already checked their arrays compute with these directly.
+
+    ``dual_mean`` and the decompositions take one :class:`SampleSet` or a
+    block of them.  A block's target ``y`` is ``(b, K)``, one per sample,
+    and each result holds one value per sample; a lone sample gives floats.
+    A block is checked once, and a point outside the domain is reported
+    with the sample it lies in.
     """
 
     kind: str = "abstract"
@@ -157,6 +232,22 @@ class BregmanGeometry:
             raise DomainError(f"point outside the {where} of {self.kind}")
         return x
 
+    def _check_rows(self, x, block: bool, interior: bool = False) -> np.ndarray:
+        """``check_point`` on a block's points or targets at once; on a
+        failure each sample is checked alone, and the error names the
+        first one that fails."""
+        try:
+            return self.check_point(x, interior=interior)
+        except DomainError as err:
+            if not block:
+                raise
+            for row, part in enumerate(np.asarray(x, dtype=float)):
+                try:
+                    self.check_point(part, interior=interior)
+                except DomainError as row_err:
+                    raise DomainError(f"block sample {row}: {row_err}") from err
+            raise
+
     def tangent_project(self, v: np.ndarray) -> np.ndarray:
         """Project a difference vector onto the feasible directions."""
         return v
@@ -189,27 +280,27 @@ class BregmanGeometry:
                 - self._divergence(y, z) + corr)
 
     def dual_mean(self, sample: SampleSet) -> np.ndarray:
-        """(E[X*])*: the minimizer of E[D(y, X)] over y."""
-        pts = self.check_point(sample.points, interior=True)
-        return self.from_dual(sample.weights @ self.grad(pts))
+        """(E[X*])*: the minimizer of E[D(y, X)] over y; ``([b,] K)``."""
+        pts = self._check_rows(sample.points, sample.points.ndim == 3, interior=True)
+        return self.from_dual(_weighted_mean(sample.weights, self.grad(pts)))
 
-    def forward_decomposition(self, sample: SampleSet, y) -> tuple[float, float]:
+    def forward_decomposition(self, sample: SampleSet, y) -> tuple:
         """Split E[D(X, y)] into (variance E[D(X, EX)], bias D(EX, y))."""
-        y = self.check_point(y, interior=True)
-        pts = self.check_point(sample.points)
+        block = sample.points.ndim == 3
+        y = self._check_rows(y, block and np.ndim(y) == 2, interior=True)
+        pts = self._check_rows(sample.points, block)
         m = mean_minimizer(sample)
-        variance = float(sample.weights @ self._divergence(pts, m))
-        bias = float(self._divergence(m, y))
-        return variance, bias
+        variance = _sum(sample.weights * self._divergence(pts, m[..., None, :]), -1)
+        return _scalar(variance), _scalar(self._divergence(m, y))
 
-    def reverse_decomposition(self, y, sample: SampleSet) -> tuple[float, float]:
+    def reverse_decomposition(self, y, sample: SampleSet) -> tuple:
         """Split E[D(y, X)] into (bias D(y, m*), dual variance E[D(m*, X)])."""
-        y = self.check_point(y)
-        pts = self.check_point(sample.points, interior=True)
-        dm = self.from_dual(sample.weights @ self.grad(pts))
-        bias = float(self._divergence(y, dm))
-        dual_variance = float(sample.weights @ self._divergence(dm, pts))
-        return bias, dual_variance
+        block = sample.points.ndim == 3
+        y = self._check_rows(y, block and np.ndim(y) == 2)
+        pts = self._check_rows(sample.points, block, interior=True)
+        dm = self.from_dual(_weighted_mean(sample.weights, self.grad(pts)))
+        dual_variance = _sum(sample.weights * self._divergence(dm[..., None, :], pts), -1)
+        return _scalar(self._divergence(y, dm)), _scalar(dual_variance)
 
 
 class SquaredNorm(BregmanGeometry):

@@ -8,9 +8,9 @@ equality claims are measured with zero sampling error.
 
 Every scenario verifier also takes a block of scenarios, padded to common
 sizes by :func:`stack_scenarios`, checks the whole block once and returns
-one value per scenario.  Each sum runs in one fixed order that padding
-only extends by exact zeros, so a scenario's values in a block are bit for
-bit those of its lone call.
+one value per scenario.  Each sum adds its terms in index order
+(``bregman._sum``), which padding only extends by exact zeros, so a
+scenario's values in a block are bit for bit those of its lone call.
 
 Measured statements, each by independent enumeration of both sides (the
 verifiers return what they measure; the ``verify`` suite judges it):
@@ -27,12 +27,12 @@ verifiers return what they measure; the ``verify`` suite judges it):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bregman import BregmanGeometry, NegativeEntropy, SquaredNorm, clamp_simplex
+from .bregman import (BregmanGeometry, NegativeEntropy, SquaredNorm, _scalar, _sum,
+                      clamp_simplex)
 from .losses import _p, _rows, ce, entropy, kl, rce
 
 __all__ = [
@@ -60,18 +60,6 @@ class PreconditionError(ValueError):
 
 # each table's axes for one scenario; a block puts one scenario axis in front
 _RANKS = {"input_probs": 1, "truth": 2, "teacher_preds": 3, "student_preds": 3, "joint": 2}
-
-
-def _sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over one axis, adding its entries in index order.
-
-    Padding appends exact zeros, which leave a running sum as it is, so a
-    scenario's sums do not depend on its block-mates; ``np.sum`` and
-    ``einsum`` may group the same terms differently at another shape.
-    """
-    order = list(range(a.ndim))
-    order.insert(0, order.pop(axis))  # np.moveaxis, without its overhead
-    return functools.reduce(np.add, a.transpose(order))
 
 
 @dataclass(frozen=True)
@@ -186,11 +174,6 @@ def stack_scenarios(scenarios, geometry: BregmanGeometry) -> FiniteScenario:
         T[row, :t, :x], S[row, :s, :x], J[row, :t, :s] = (
             sc.teacher_preds, sc.student_preds, sc.joint)
     return FiniteScenario(mu, G, T, S, J, seed=tuple(sc.seed for sc in scenarios))
-
-
-def _scalar(value):
-    """A one-scenario measurement as a float; a block's stays an array."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _expect(weights: np.ndarray, values: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -522,7 +505,7 @@ def bias_variance_estimate(runs, truth) -> tuple[float | np.ndarray, float | np.
     # the variance adds the runs in order: numpy sums eight or more values
     # along a lone axis pairwise, so np.mean would give a point other last
     # bits alone than beside other points
-    variance = functools.reduce(np.add, kl(pi_hat, runs)) / len(runs)
+    variance = _sum(kl(pi_hat, runs), 0) / len(runs)
     bias = kl(truth, pi_hat)
     if truth.ndim == 1:
         return float(bias), float(variance)

@@ -119,10 +119,11 @@ def _mp_quad(gamma: float, f, tol: float) -> float:
     (m nodes cos(k pi / (m + 1)), weights pi / (m + 1) sin^2) takes the
     square-root edges exactly.  The rules for m = 2^j - 1 are nested; m
     doubles to 2m + 1 until two successive values differ by at most
-    tol / 10.  The difference is floored at the rounding of the sum,
-    50 eps sum |w f| as in QUADPACK, so a tolerance below it is never met:
-    QuadratureError is raised past 2^16 - 1 nodes.  f must accept an
-    array of lam.
+    tol / 10 of the latest value, a relative test, so an integral of any
+    scale gets the same number of correct digits.  The difference is
+    floored at the rounding of the sum, 50 eps sum |w f| as in QUADPACK,
+    so a tolerance below it is never met: QuadratureError is raised past
+    2^16 - 1 nodes.  f must accept an array of lam.
     """
     lo = (1.0 - np.sqrt(1.0 / gamma)) ** 2
     hi = (1.0 + np.sqrt(1.0 / gamma)) ** 2
@@ -143,16 +144,20 @@ def _mp_quad(gamma: float, f, tol: float) -> float:
         previous = value
         value, floor = rule(intervals)
         change = max(abs(value - previous), floor)
-        if change <= tol / 10.0:
+        if change <= tol / 10.0 * abs(value):
             return value
     raise QuadratureError(
         f"Gauss-Chebyshev error estimate {change:.3e} at {intervals - 1} nodes "
-        f"exceeds tolerance / 10 = {tol / 10.0:.3e}"
+        f"exceeds tolerance / 10 = {tol / 10.0:.3e} of the value {value:.3e}"
     )
 
 
 def mp_integral(eta0: float, gamma: float, tol: float = 1e-9) -> float:
-    """Quadrature route to h(eta0, gamma): E_MP[(1 + (gamma/eta0) lam)^-2]."""
+    """Quadrature route to h(eta0, gamma): E_MP[(1 + (gamma/eta0) lam)^-2].
+
+    ``tol`` is relative: h is about gamma eta0^2 / (gamma - 1)^3 at small
+    eta0, far below any fixed absolute tolerance.
+    """
     _check_range(eta0, gamma)
     scale = gamma / eta0
     return _mp_quad(gamma, lambda lam: 1.0 / (1.0 + scale * lam) ** 2, tol)

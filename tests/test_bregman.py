@@ -20,6 +20,7 @@ from w2slab.bregman import (
     SquaredNorm,
     clamp_simplex,
     mean_minimizer,
+    stack_samples,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -371,6 +372,92 @@ class TestDecompositions:
         variance, bias = g.forward_decomposition(s, y)
         oracle = 0.5 * (g.divergence(pts[0], y) + g.divergence(pts[1], y))
         assert variance + bias == pytest.approx(oracle, abs=1e-10)
+
+
+class TestSampleBlocks:
+    # sample sizes: every sample but the largest of a mixed block is padded
+    SIZES = [1, 5, 3, 2, 4]
+
+    @staticmethod
+    def draw(g, sizes, seed):
+        """Samples of the given sizes, then one target per sample."""
+        rng = np.random.default_rng(seed)
+        samples = [SampleSet(random_points(g, n, rng), rng.dirichlet(np.ones(n)))
+                   for n in sizes]
+        return samples, random_points(g, len(sizes), rng)
+
+    @staticmethod
+    def measure(g, sample, y):
+        """Every result that takes a block: both minimizers and both splits."""
+        return (mean_minimizer(sample), g.dual_mean(sample),
+                *g.forward_decomposition(sample, y), *g.reverse_decomposition(y, sample))
+
+    # past 8 terms numpy's own sums group terms by shape, so wide samples
+    # tell an index-order sum from np.sum, einsum or @
+    @pytest.mark.parametrize("sizes", [[1] * 4, [5] * 4, SIZES, [9, 16, 12, 1]],
+                             ids=["n1", "n5", "mixed", "wide"])
+    @pytest.mark.parametrize("g", geometries(), ids=lambda g: g.kind)
+    def test_block_equals_lone_calls(self, g, sizes):
+        samples, targets = self.draw(g, sizes, len(sizes))
+        block = stack_samples(samples, g)
+        assert block.points.shape == (len(sizes), max(sizes), g.dimension)
+        got = self.measure(g, block, targets)
+        for row, (sample, y) in enumerate(zip(samples, targets)):
+            want = self.measure(g, sample, y)
+            assert all(isinstance(value, float) for value in want[2:])
+            for block_value, lone_value in zip(got, want):
+                np.testing.assert_array_equal(block_value[row], lone_value)
+
+    @pytest.mark.parametrize("g", geometries(), ids=lambda g: g.kind)
+    def test_padding_does_not_change_results(self, g):
+        (target, small, large), ys = self.draw(g, [11, 1, 16], 9)
+        want = self.measure(g, target, ys[0])
+        for mates, row in (([target, small], 0), ([small, target], 1),
+                           ([target, large], 0), ([large, small, target], 2)):
+            targets = np.tile(ys[0], (len(mates), 1))
+            got = self.measure(g, stack_samples(mates, g), targets)
+            for block_value, lone_value in zip(got, want):
+                np.testing.assert_array_equal(block_value[row], lone_value)
+
+    def test_point_outside_the_domain_in_last_sample_named(self):
+        g = NegativeEntropy(3)
+        samples, targets = self.draw(g, self.SIZES, 51)
+        block = stack_samples(samples, g)
+        points = block.points.copy()
+        points[-1, 0] = [1.5, -0.25, -0.25]
+        bad = SampleSet(points, block.weights)
+        for call in (lambda: g.forward_decomposition(bad, targets),
+                     lambda: g.reverse_decomposition(targets, bad),
+                     lambda: g.dual_mean(bad)):
+            with pytest.raises(DomainError, match="block sample 4: point outside"):
+                call()
+        # a target on the boundary is no interior point for the forward split
+        edge = targets.copy()
+        edge[2] = [1.0, 0.0, 0.0]
+        with pytest.raises(DomainError, match="block sample 2: point outside the interior"):
+            g.forward_decomposition(block, edge)
+
+    def test_weights_off_one_in_second_sample_named(self):
+        g = SquaredNorm(2)
+        block = stack_samples(self.draw(g, self.SIZES, 52)[0], g)
+        weights = block.weights.copy()
+        weights[1] *= 1.01
+        with pytest.raises(ValueError, match="weights of block sample 1 sum to 1.01"):
+            SampleSet(block.points, weights)
+        weights = block.weights.copy()
+        weights[3, :2] = [1.5, -0.5]
+        with pytest.raises(ValueError, match="weights of block sample 3 must be nonnegative"):
+            SampleSet(block.points, weights)
+
+    def test_stack_rejects_other_dimensions_and_blocks(self):
+        g = SquaredNorm(3)
+        samples, _ = self.draw(g, self.SIZES[:2], 54)
+        with pytest.raises(ValueError, match="dimension 4"):
+            stack_samples(samples, SquaredNorm(4))
+        with pytest.raises(ValueError):
+            stack_samples([stack_samples(samples, g)], g)
+        with pytest.raises(ValueError):
+            stack_samples([], g)
 
 
 @st.composite

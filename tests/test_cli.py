@@ -296,6 +296,30 @@ class TestVerdicts:
         assert [v["name"] for v in failed] == ["misfit_variance_split"]
         assert failed[0]["measured"] == "nan"
 
+    def test_decomposition_reconstruction_can_fail(self, tmp_path, capsys, monkeypatch):
+        from w2slab.bregman import BregmanGeometry
+
+        forward = BregmanGeometry.forward_decomposition
+        shapes = []
+
+        def shifted_bias(self, sample, y):
+            variance, bias = forward(self, sample, y)
+            shapes.append(np.shape(bias))
+            bias = bias.copy()
+            bias[-1] += 1e-6  # the block's last sample alone
+            return variance, bias
+
+        monkeypatch.setattr(BregmanGeometry, "forward_decomposition", shifted_bias)
+        assert run_tiny("verify", tmp_path) == 1
+        # one call per geometry family, on its block of 200 samples
+        assert shapes == [(200,), (200,)]
+        assert "[FAIL] decomposition_reconstruction" in capsys.readouterr().out
+        assert (tmp_path / "verify.csv").exists()
+        report = strict_json(tmp_path / "verify.json")
+        failed = [v for v in report["verdicts"] if not v["passed"]]
+        assert [v["name"] for v in failed] == ["decomposition_reconstruction"]
+        assert failed[0]["measured"] == pytest.approx(1e-6)
+
     def test_divergence_nonnegative_can_fail(self, tmp_path, capsys, monkeypatch):
         from w2slab.bregman import SquaredNorm
 
@@ -371,6 +395,33 @@ class TestVerifyCommand:
                     row = by_key[scenario.seed, geometry.kind, direction, variant]
                     assert row[4:] == [repr(getattr(rep, name)) for name in header[4:]]
 
+    def test_one_call_per_sample_block_and_estimator_group(self, tmp_path, monkeypatch):
+        from w2slab import harness
+        from w2slab.bregman import BregmanGeometry
+
+        calls = []
+        for name in ("forward_decomposition", "reverse_decomposition"):
+            def counted(self, *args, original=getattr(BregmanGeometry, name)):
+                calls.append(self.kind)
+                return original(self, *args)
+            monkeypatch.setattr(BregmanGeometry, name, counted)
+        estimate = harness.bias_variance_estimate
+        groups = []
+
+        def grouped(runs, truth):
+            groups.append(np.shape(runs))
+            return estimate(runs, truth)
+
+        monkeypatch.setattr(harness, "bias_variance_estimate", grouped)
+        assert run_tiny("verify", tmp_path) == 0
+        # a forward and a reverse split per geometry family
+        assert sorted(calls) == ["negative-entropy"] * 2 + ["squared-norm"] * 2
+        # one (runs, points, K) call per distinct (K, runs), with a point per
+        # simplex scenario (3 in the tiny config)
+        keys = [(shape[-1], shape[0]) for shape in groups]
+        assert len(keys) == len(set(keys))
+        assert sum(shape[1] for shape in groups) == 3
+
     def test_seed_override_changes_rows_not_verdicts(self, tmp_path):
         args = ["verify", "--set", "scenarios=3", "--set", "pairs=100",
                 "--set", "triples=20"]
@@ -421,6 +472,26 @@ class TestRidgeCommand:
                     "--out", str(tmp_path)]) in (0, 1)
         assert pools == [1]
         assert strict_json(tmp_path / "ridge.json")["stages"]["sweep_workers"] == 1
+
+    def test_quadrature_verdict_is_relative(self, tmp_path, capsys, monkeypatch):
+        from w2slab import ridge
+
+        assert run_tiny("ridge", tmp_path / "relative") in (0, 1)
+        verdicts = strict_json(tmp_path / "relative" / "ridge.json")["verdicts"]
+        quadrature = [v for v in verdicts if v["name"] == "quadrature_matches_closed_form"]
+        assert quadrature[0]["passed"] and quadrature[0]["measured"] <= 1e-13
+
+        # an absolute stop at 1e-9, the tolerance relative to the value h
+        # being 1e-9 / h, stops early at eta0 = 1e-12 (h about 1e-23)
+        integral = ridge.mp_integral
+        monkeypatch.setattr(ridge, "mp_integral", lambda eta0, gamma: integral(
+            eta0, gamma, tol=1e-9 / ridge.h_closed_form(eta0, gamma)))
+        assert run_tiny("ridge", tmp_path / "absolute") == 1
+        assert "[FAIL] quadrature_matches_closed_form" in capsys.readouterr().out
+        assert (tmp_path / "absolute" / "ridge.csv").exists()
+        verdicts = strict_json(tmp_path / "absolute" / "ridge.json")["verdicts"]
+        quadrature = [v for v in verdicts if v["name"] == "quadrature_matches_closed_form"]
+        assert quadrature[0]["measured"] > 0.1
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5,1e-12",

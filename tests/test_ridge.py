@@ -127,6 +127,14 @@ class TestQuadrature:
                 for g in self.HARD_GAMMAS for e in self.HARD_ETA0S]
         assert max(gaps) <= 1e-12
 
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("eta0", [1e-12, 1e-8, 1e-4])
+    def test_small_eta0_agrees_to_relative_rounding(self, eta0, gamma):
+        # h is about gamma eta0^2 / (gamma - 1)^3 here, far below an absolute
+        # tolerance, so only a relative stop gets its digits right
+        h = h_closed_form(eta0, gamma)
+        assert abs(mp_integral(eta0, gamma) - h) / h <= 1e-13
+
     def test_density_mass_is_one_to_rounding(self):
         for gamma in self.HARD_GAMMAS:
             assert abs(mp_density_mass(gamma) - 1.0) <= 1e-12
