@@ -24,13 +24,24 @@ and X (d_w x n) are consecutive windows of one prefix.  So ``sweep_misfit``
 makes one job per trial, which draws W and the prefix once, sized for the
 widest gamma, forms each gamma's A G once, and hands that draw to
 ``run_trial`` for each eta0 cell; ``run_trial`` called alone draws its own.
+Each gamma's X starts d_s d_w into the prefix, so the X of gammas whose
+offsets differ by whole rows of n are row ranges of one taller matrix Z,
+and one span Gram Z Z^T holds each of their G = X X^T as a diagonal block
+(``_gram_spans``).  At the CLI defaults (d_w 200, n 4000, gamma 1.5, 2
+and 4, offsets of 15, 20 and 40 rows) a job forms one 225-row Gram in
+place of three 200-row ones; a grid whose offsets disagree mod n (n_ratio
+7, say) forms one X X^T per gamma, the product ``run_trial`` alone forms,
+bit for bit.  BLAS tiles the taller product differently, so a cell's last
+bits depend on which gammas share its grid, though never on their order,
+the worker count or the schedule.
 The jobs run on a thread pool (the normal fill and the products release
 the GIL) of ``sweep_workers`` threads: one per core when BLAS is pinned to
 one thread, one alone when BLAS takes every core, and never more than
 there are trials, so a sweep of fewer trials than cores leaves cores idle
 (the CLI defaults, 50 trials on 2 workers, lose nothing).  Each worker
 reuses one float64 buffer that holds the prefix, d_w (max d_s + n) scaled
-normals, and the current A G (about 7.7 MB at the CLI defaults).
+normals, the largest span Gram and the current A G (about 8.4 MB at the
+CLI defaults, of which the 225 x 225 span is 405 KB).
 
 The quadrature route is a nested Gauss-Chebyshev rule in numpy.
 """
@@ -50,6 +61,7 @@ __all__ = [
     "QuadratureError",
     "ridge_solve",
     "h_closed_form",
+    "h_complement",
     "mp_density",
     "mp_integral",
     "mp_density_mass",
@@ -75,6 +87,14 @@ def _check_range(eta0: float, gamma: float) -> None:
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
 
 
+def _h_terms(eta0: float, gamma: float) -> tuple[float, float]:
+    """The bracket ``num`` and the square root ``s`` of the module's formula for h."""
+    _check_range(eta0, gamma)
+    num = eta0 * (gamma + 1.0) + (gamma - 1.0) ** 2
+    s = np.sqrt(gamma**2 - 2.0 * (1.0 - eta0) * gamma + (eta0 + 1.0) ** 2)
+    return num, s
+
+
 def h_closed_form(eta0: float, gamma: float) -> float:
     """Closed form of the normalized asymptotic misfit bound, in (0, 1).
 
@@ -84,12 +104,26 @@ def h_closed_form(eta0: float, gamma: float) -> float:
     ``2 gamma eta0^2 / (s (num + (gamma-1) s))``, the same value with the
     difference of squares ``num^2 - (gamma-1)^2 s^2 = 4 gamma eta0^2``
     taken exactly: nothing cancels.  Below eta0 of about 1e-160 it leaves
-    the normal range, and it underflows to 0 where eta0^2 does.
+    the normal range, and it underflows to 0 where eta0^2 does.  From
+    eta0 of about 1e154 its squares overflow.
     """
-    _check_range(eta0, gamma)
-    num = eta0 * (gamma + 1.0) + (gamma - 1.0) ** 2
-    s = np.sqrt(gamma**2 - 2.0 * (1.0 - eta0) * gamma + (eta0 + 1.0) ** 2)
+    num, s = _h_terms(eta0, gamma)
     return float(2.0 * gamma * eta0**2 / (s * (num + (gamma - 1.0) * s)))
+
+
+def h_complement(eta0: float, gamma: float) -> float:
+    """``1 - h(eta0, gamma)`` without cancellation, in (0, 1).
+
+    h tends to 1 as eta0 grows: from eta0 of about 1e16 the float h can no
+    longer tell gammas apart, and from about 1.8e16 it rounds to 1.0.
+    ``1 - h = ((gamma+1) s - num) / (2 s)``, and the difference of squares
+    ``(gamma+1)^2 s^2 - num^2 = 4 gamma (2 eta0 (gamma+1) + (gamma-1)^2)``
+    is again exact, so this returns
+    ``2 gamma (2 eta0 (gamma+1) + (gamma-1)^2) / (s ((gamma+1) s + num))``.
+    """
+    num, s = _h_terms(eta0, gamma)
+    return float(2.0 * gamma * (2.0 * eta0 * (gamma + 1.0) + (gamma - 1.0) ** 2)
+                 / (s * ((gamma + 1.0) * s + num)))
 
 
 def mp_density(lam, gamma: float):
@@ -272,7 +306,7 @@ def _normals(cfg: RidgeConfig, trial: int, attempt: int, out: np.ndarray) -> np.
     holds the next ``out.size`` at scale sqrt(1 / d_w).  The stream does not
     depend on gamma, eta0 or n, and standard_normal is prefix-consistent,
     so W1 and X of every cell of the trial are windows of one prefix z
-    (see ``_gram_product``).
+    (see ``_gram_product`` and ``_gram_spans``).
     """
     rng = _trial_rng(cfg, trial, attempt)
     W = np.sqrt(cfg.teacher_scale) * rng.standard_normal(cfg.d_w)
@@ -281,17 +315,52 @@ def _normals(cfg: RidgeConfig, trial: int, attempt: int, out: np.ndarray) -> np.
     return W
 
 
-def _gram_product(cfg: RidgeConfig, z: np.ndarray,
+def _span_gram(z: np.ndarray, lo: int, rows: int, n: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Z Z^T for Z = z[lo : lo + rows n] as rows x n, the syrk numpy picks for X @ X.T."""
+    Z = z[lo:lo + rows * n].reshape(rows, n)
+    return np.matmul(Z, Z.T, out=out)
+
+
+def _gram_product(cfg: RidgeConfig, z: np.ndarray, S: np.ndarray, row: int = 0,
                   out: np.ndarray | None = None) -> np.ndarray:
     """The d_w x d_w product A G = (W1^T W1)(X X^T) of cell ``cfg``.
 
-    W1 = z[:d_s d_w] as d_s x d_w and X = z[d_s d_w : d_s d_w + d_w n]
-    as d_w x n, read from a prefix z that ``_normals`` drew.
+    W1 = z[:d_s d_w] as d_s x d_w, read from a prefix z that ``_normals``
+    drew, and G is the d_w x d_w block of the span Gram S (``_span_gram``)
+    whose diagonal starts at ``row``.
     """
-    d_w, offset = cfg.d_w, cfg.d_s * cfg.d_w
-    W1 = z[:offset].reshape(cfg.d_s, d_w)
-    X = z[offset:offset + d_w * cfg.n].reshape(d_w, cfg.n)
-    return np.matmul(W1.T @ W1, X @ X.T, out=out)
+    d_w = cfg.d_w
+    W1 = z[:cfg.d_s * d_w].reshape(cfg.d_s, d_w)
+    return np.matmul(W1.T @ W1, S[row:row + d_w, row:row + d_w], out=out)
+
+
+def _gram_spans(cfgs) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Group the X windows of ``cfgs``, one cell per gamma, into span Grams.
+
+    Cell i's X is the d_w x n window at offset o_i = d_s d_w of the prefix.
+    Windows whose offsets agree mod n are row ranges of one matrix
+    Z = z[lo : lo + rows n] as rows x n, so Z Z^T holds each of their
+    G = X X^T as the d_w x d_w diagonal block at row (o_i - lo) / n.  A
+    group of m windows shares one span only when rows^2 <= m d_w^2, so the
+    span never costs more multiply-adds than the m products it replaces;
+    otherwise each window is a span of its own d_w rows, whose Gram is
+    X X^T itself.  Returns (lo, rows, [(i, row), ...]) per span.
+    """
+    d_w, n = cfgs[0].d_w, cfgs[0].n
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, cfg in enumerate(cfgs):
+        offset = cfg.d_s * d_w
+        groups.setdefault(offset % n, []).append((i, offset))
+    spans = []
+    for members in groups.values():
+        lo = min(offset for _, offset in members)
+        rows = (max(offset for _, offset in members) - lo) // n + d_w
+        if rows**2 <= len(members) * d_w**2:
+            spans.append((lo, rows, [(i, (offset - lo) // n) for i, offset in members]))
+        else:
+            spans.extend((offset, d_w, [(i, 0)]) for i, offset in members)
+    return spans
 
 
 def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0,
@@ -299,9 +368,10 @@ def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0,
     """Solve one teacher/student instance and compute its exact input-averaged misfit.
 
     ``draw`` is the cell's (W, A G) for (trial, attempt), which
-    ``sweep_misfit``'s jobs draw once per trial and form once per gamma;
-    it is only read.  Without it, the cell draws its own W, W1 and X
-    from the (seed, trial, attempt) stream.  The ridge student's map
+    ``sweep_misfit``'s jobs draw once per trial and form once per gamma
+    from a span Gram; it is only read.  Without it, the cell draws its own
+    W, W1 and X from the (seed, trial, attempt) stream and forms X X^T
+    alone.  The ridge student's map
     W1^T w2 equals (A G + eta I)^-1 A G W (push-through identity,
     A = W1^T W1, G = X X^T), so its residual W1^T w2 - W is
     -eta (A G + eta I)^-1 W: a d_w x d_w solve with no cancellation
@@ -311,7 +381,8 @@ def run_trial(cfg: RidgeConfig, trial: int, attempt: int = 0,
     """
     if draw is None:
         z = np.empty(cfg.d_w * (cfg.d_s + cfg.n))
-        draw = _normals(cfg, trial, attempt, z), _gram_product(cfg, z)
+        W = _normals(cfg, trial, attempt, z)
+        draw = W, _gram_product(cfg, z, _span_gram(z, cfg.d_s * cfg.d_w, cfg.d_w, cfg.n))
     W, AG = draw
     # the same bits as AG + eta * np.eye(d_w): off the diagonal that adds 0.0
     K = AG.copy()
@@ -331,8 +402,9 @@ def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
 
     Every cell takes d_w, n_ratio, B and seed from ``base``; the keys come
     in (eta0, gamma) order.  Raises ValueError for trials < 1, an empty or
-    repeated grid value, any value ``RidgeConfig`` rejects, and a cell whose
-    bound ``B h`` underflows to 0, against which no misfit can be judged.
+    repeated grid value, any value ``RidgeConfig`` rejects, a cell whose
+    bound ``B h`` underflows to 0, against which no misfit can be judged,
+    and a cell whose h or 1 - h overflows (eta0 or gamma of about 1e154).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -343,7 +415,13 @@ def sweep_cells(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
             raise ValueError(f"{name} has repeated values: {list(grid)}")
     cells = {(e, g): replace(base, gamma=g, eta0=e) for e in eta0s for g in gammas}
     for (e, g), cell in cells.items():
-        if cell.B * h_closed_form(e, g) == 0.0:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                bound = cell.B * h_closed_form(e, g)
+                h_complement(e, g)  # verify_monotonicity reads it too
+        except (OverflowError, FloatingPointError) as err:
+            raise ValueError(f"h overflows at eta0={e!r}, gamma={g!r}") from err
+        if bound == 0.0:
             raise ValueError(f"the bound B h underflows to 0 at eta0={e!r}, gamma={g!r}")
     return cells
 
@@ -383,50 +461,62 @@ def _trial_cells(groups, trial: int) -> tuple[list[float], list[int]]:
 
     ``groups`` holds one list of cells per gamma.  The job draws W and the
     prefix of scaled normals once, sized for the widest gamma, into its
-    thread's buffer, forms each gamma's A G once in the buffer's d_w x d_w
-    tail, and hands (W, A G) to ``run_trial`` for each eta0 cell.  Reusing
-    the buffer keeps the d_w x d_w products from being freed and faulted
-    back in at every job.  A numerically singular solve is retried at the
-    next attempt, which draws afresh, for its own cell only; the next cell
-    goes back to the job's draw.
+    thread's buffer.  For each span of ``_gram_spans`` it forms one span
+    Gram in the buffer, then each of the span's gammas' A G once from its
+    diagonal block into the buffer's d_w x d_w tail, and hands (W, A G) to
+    ``run_trial`` for each eta0 cell.  Reusing the buffer keeps the span
+    Gram and A G from being freed and faulted back in at every job.  A
+    numerically singular solve is retried at the next attempt, which draws
+    afresh, for its own cell only; the next cell goes back to the job's
+    draw.
     """
     first = groups[0][0]
-    d_w = first.d_w
-    size = d_w * (max(group[0].d_s for group in groups) + first.n)
+    d_w, n = first.d_w, first.n
+    spans = _gram_spans([group[0] for group in groups])
+    size = d_w * (max(group[0].d_s for group in groups) + n)
+    span_size = max(rows for _, rows, _ in spans) ** 2
     buffer = getattr(_per_thread, "buffer", None)
-    if buffer is None or buffer.size < size + d_w * d_w:
-        buffer = _per_thread.buffer = np.empty(size + d_w * d_w)
-    z, AG = buffer[:size], buffer[size:size + d_w * d_w].reshape(d_w, d_w)
+    if buffer is None or buffer.size < size + span_size + d_w * d_w:
+        buffer = _per_thread.buffer = np.empty(size + span_size + d_w * d_w)
+    z, AG = buffer[:size], buffer[-d_w * d_w:].reshape(d_w, d_w)
     W = _normals(first, trial, 0, z)
-    misfits, retries = [], []
-    for group in groups:
-        _gram_product(group[0], z, out=AG)
-        for cfg in group:
-            for attempt in range(10):
-                try:
-                    misfits.append(run_trial(cfg, trial, attempt,
-                                             (W, AG) if attempt == 0 else None).misfit)
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-            else:
-                raise np.linalg.LinAlgError(
-                    f"trial {trial} of cell eta0={cfg.eta0}, gamma={cfg.gamma} "
-                    "failed after 10 attempts"
-                )
-            retries.append(attempt)
-    return misfits, retries
+    misfits: list[list[float]] = [[] for _ in groups]
+    retries: list[list[int]] = [[] for _ in groups]
+    for lo, rows, members in spans:
+        S = _span_gram(z, lo, rows, n, out=buffer[size:size + rows * rows].reshape(rows, rows))
+        for i, row in members:
+            _gram_product(groups[i][0], z, S, row, out=AG)
+            for cfg in groups[i]:
+                for attempt in range(10):
+                    try:
+                        misfits[i].append(run_trial(cfg, trial, attempt,
+                                                    (W, AG) if attempt == 0 else None).misfit)
+                        break
+                    except np.linalg.LinAlgError:
+                        continue
+                else:
+                    raise np.linalg.LinAlgError(
+                        f"trial {trial} of cell eta0={cfg.eta0}, gamma={cfg.gamma} "
+                        "failed after 10 attempts"
+                    )
+                retries[i].append(attempt)
+    return ([m for group in misfits for m in group],
+            [r for group in retries for r in group])
 
 
 def sweep_misfit(base: RidgeConfig, gammas, eta0s, trials: int) -> dict:
     """Estimate the misfit of every (eta0, gamma) cell, keyed as ``sweep_cells``.
 
     One job per trial (``_trial_cells``) runs every cell of that trial: it
-    draws the trial's normals once, forms A G once per gamma, and calls
-    ``run_trial`` once per cell with that draw.  The jobs run on
+    draws the trial's normals once, forms one span Gram per group of gammas
+    whose X windows are row ranges of one matrix (``_gram_spans``; one for
+    all gammas at the CLI defaults), A G once per gamma from its block, and
+    calls ``run_trial`` once per cell with that draw.  The jobs run on
     ``sweep_workers(trials)`` threads, so a sweep of fewer trials than
     cores runs on fewer workers than cores.  Each cell is reproducible from
-    (seed, trial) alone, so the result does not depend on the schedule.
+    (seed, trial) and the gamma grid alone, so the result does not depend
+    on the schedule or on the order of ``gammas``; a cell of a shared span
+    may differ from ``run_trial`` alone in its last bits.
     Retries are counted per cell.  A cell that fails 10 attempts raises
     LinAlgError and cancels the jobs not yet started.
     """
@@ -486,16 +576,26 @@ class MonotonicityReport:
 
 
 def verify_monotonicity(eta0_grid, gamma_grid) -> MonotonicityReport:
-    """Check h is strictly decreasing along gamma and stays inside (0, 1)."""
+    """Check h is strictly decreasing along gamma and stays inside (0, 1).
+
+    Each of h and ``h_complement`` = 1 - h is accurate to rounding, but
+    neither resolves every step: near h = 1 the float h does not (at
+    eta0 = 1e16, h(1.5) and h(2) are one float; at 1e17, h(1.5) rounds
+    below h(2) = 1.0, and h can round one ulp above 1), and at small eta0,
+    where h is tiny, 1 - h rounds to 1.0.  So each step along gamma must
+    strictly decrease h or strictly increase 1 - h, and inside (0, 1) means
+    h > 0 and 1 - h > 0.
+    """
     eta0s = tuple(float(e) for e in eta0_grid)
     gammas = tuple(sorted(float(g) for g in gamma_grid))
     values = np.array([[h_closed_form(e, g) for g in gammas] for e in eta0s])
+    complements = np.array([[h_complement(e, g) for g in gammas] for e in eta0s])
     violations: list[str] = []
-    for i, e in enumerate(eta0s):
-        row = values[i]
-        # written so that a NaN h counts as a violation
-        if not np.all(np.diff(row) < 0):
+    for e, row, rest in zip(eta0s, values, complements):
+        steps, rises = np.diff(row), np.diff(rest)
+        # written so that a NaN h or 1 - h counts as a violation
+        if not np.all(((steps < 0) | (rises > 0)) & np.isfinite(steps + rises)):
             violations.append(f"h not strictly decreasing in gamma at eta0={e}")
-        if not np.all((row > 0) & (row < 1)):
+        if not np.all((row > 0) & (rest > 0)):
             violations.append(f"h left (0, 1) at eta0={e}")
     return MonotonicityReport(eta0s, gammas, values, tuple(violations))

@@ -122,6 +122,7 @@ class TestExitCodes:
         "gammas=", "eta0s=", "gammas=2,2", "eta0s=0.5,0.5", "gammas=1,2",
         "gammas=0.5", "eta0s=0,1", "eta0s=-1", "trials=0", "seed=-1",
         "gammas=inf", "eta0s=inf", "n_ratio=nan", "B=inf", "eta0s=1,1e-200",
+        "eta0s=1e200", "eta0s=1.2e154", "gammas=1e200",
     ])
     def test_bad_ridge_grid_rejected_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                       override):
@@ -492,6 +493,28 @@ class TestRidgeCommand:
         verdicts = strict_json(tmp_path / "absolute" / "ridge.json")["verdicts"]
         quadrature = [v for v in verdicts if v["name"] == "quadrature_matches_closed_form"]
         assert quadrature[0]["measured"] > 0.1
+
+    def test_unsettled_quadrature_is_a_nan_row_and_a_fail(self, tmp_path, capsys):
+        # at gamma 1.0002 the quadrature rule does not settle within 65,535 nodes
+        code = run(["ridge", "--set", "d_w=20", "--set", "trials=2", "--set", "gammas=1.0002",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        assert "[FAIL] quadrature_matches_closed_form" in capsys.readouterr().out
+        lines = (tmp_path / "ridge.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 2
+        assert all(line.endswith(",nan") for line in lines[1:])
+        verdicts = {v["name"]: v for v in strict_json(tmp_path / "ridge.json")["verdicts"]}
+        assert verdicts["quadrature_matches_closed_form"]["measured"] == "nan"
+        assert [v["passed"] for v in verdicts.values()] == [True, False, True, True]
+
+    @pytest.mark.parametrize("eta0s", ["1e16", "1e17,1e150"])
+    def test_h_near_one_is_still_monotone(self, tmp_path, eta0s):
+        # the float h ties or misorders its last bit there; 1 - h does not
+        code = run(["ridge", "--set", "d_w=20", "--set", "trials=2", "--set", f"eta0s={eta0s}",
+                    "--out", str(tmp_path)])
+        verdicts = {v["name"]: v for v in strict_json(tmp_path / "ridge.json")["verdicts"]}
+        assert verdicts["bound_monotone_and_in_range"]["passed"]
+        assert code == 0
 
     def test_csv_byte_identical_across_runs(self, tmp_path):
         args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5,1e-12",

@@ -61,6 +61,22 @@ class TestClosedForm:
                     error = abs(Decimal(h_closed_form(eta0, gamma)) - exact) / exact
                     assert error <= Decimal("1e-13"), (eta0, gamma)
 
+    def test_complement_matches_decimal_oracle(self):
+        """1 - h within 1e-15 relative of 60-digit ``decimal`` arithmetic, up to
+        eta0 = 1e20, where the float h has long rounded to 1.0."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for eta0 in np.logspace(-3, 20, 47).tolist():
+                for gamma in (1.5, 2.0, 4.0, 16.0, 64.0):
+                    e, g = Decimal(eta0), Decimal(gamma)
+                    num = e * (g + 1) + (g - 1) ** 2
+                    s = (g * g - 2 * (1 - e) * g + (e + 1) ** 2).sqrt()
+                    exact = (g + 1) / 2 - num / (2 * s)
+                    error = abs(Decimal(ridge.h_complement(eta0, gamma)) - exact) / exact
+                    assert error <= Decimal("1e-15"), (eta0, gamma)
+        assert h_closed_form(1e17, 2.0) == 1.0
+        assert ridge.h_complement(1e17, 2.0) == pytest.approx(4e-17, rel=1e-9)
+
     def test_monotone_in_capacity(self):
         assert h_closed_form(1.0, 2.0) > h_closed_form(1.0, 4.0) > h_closed_form(1.0, 8.0)
 
@@ -421,21 +437,29 @@ class TestSweep:
             assert drawn == expected
 
     def test_pool_matches_serial_oracle(self, monkeypatch):
+        original = ridge.run_trial
+
+        def failing(cfg, trial, attempt=0, draw=None):
+            # the first attempt at every odd trial fails, in every cell
+            if trial % 2 == 1 and attempt == 0:
+                raise np.linalg.LinAlgError("singular")
+            return original(cfg, trial, attempt, draw)
+
+        # the oracle: the same sweep on one worker
+        force_workers(monkeypatch, 1)
+        monkeypatch.setattr(ridge, "run_trial", failing)
+        serial = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 4)
         # more workers than cores, switching threads as often as it can
         force_workers(monkeypatch, 8)
         assert ridge.sweep_workers(4) == 4
         # the first two jobs wait for each other: one worker alone would break
         # the barrier, so passing shows two trials ran at once
         barrier = threading.Barrier(2, timeout=30)
-        original = ridge.run_trial
 
         def meeting(cfg, trial, attempt=0, draw=None):
             if (cfg.gamma, cfg.eta0, trial, attempt) in ((1.5, 1.0, 0, 0), (1.5, 1.0, 1, 0)):
                 barrier.wait()
-            # the first attempt at every odd trial fails, in every cell
-            if trial % 2 == 1 and attempt == 0:
-                raise np.linalg.LinAlgError("singular")
-            return original(cfg, trial, attempt, draw)
+            return failing(cfg, trial, attempt, draw)
 
         monkeypatch.setattr(ridge, "run_trial", meeting)
         interval = sys.getswitchinterval()
@@ -444,11 +468,16 @@ class TestSweep:
             est = sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 4)
         finally:
             sys.setswitchinterval(interval)
-        for (eta0, gamma), got in est.items():
-            cfg = replace(self.BASE, gamma=gamma, eta0=eta0)
-            serial = [original(cfg, t, t % 2).misfit for t in range(4)]
-            np.testing.assert_array_equal(got.per_trial, serial)
-            assert got.retries == 2
+        for key, got in est.items():
+            np.testing.assert_array_equal(got.per_trial, serial[key].per_trial)
+            assert got.retries == serial[key].retries == 2
+            # a retry draws its own cell, as run_trial alone does, bit for bit;
+            # a first attempt reads its G from the trial's span Gram, whose
+            # taller product may round differently from X X^T alone
+            cfg = replace(self.BASE, gamma=key[1], eta0=key[0])
+            alone = [original(cfg, t, t % 2).misfit for t in range(4)]
+            assert got.per_trial[1::2].tolist() == alone[1::2]
+            np.testing.assert_allclose(got.per_trial[::2], alone[::2], rtol=1e-13, atol=0)
 
     def test_worker_failure_raises_and_cancels_pending_draws(self, monkeypatch):
         force_workers(monkeypatch, 4)
@@ -485,10 +514,65 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert ridge.sweep_workers(100) == 3
 
+    def test_one_gram_product_per_trial_on_an_aligned_grid(self, monkeypatch):
+        """The gammas' X windows start 9, 24 and 12 rows of n into the prefix,
+        so one 45-row span Gram holds all three G; a grid whose offsets
+        disagree mod n forms one X X^T per gamma."""
+        calls = []
+        original = ridge._span_gram
+
+        def counting(z, lo, rows, n, out=None):
+            calls.append(rows)
+            return original(z, lo, rows, n, out)
+
+        monkeypatch.setattr(ridge, "_span_gram", counting)
+        sweep_misfit(self.BASE, self.GAMMAS, self.ETA0S, 3)
+        assert calls == [45] * 3
+        calls.clear()
+        misaligned = replace(self.BASE, n_ratio=7.0)
+        sweep_misfit(misaligned, self.GAMMAS, self.ETA0S, 3)
+        assert calls == [30] * 9
+
+    def test_one_gram_product_per_trial_at_the_default_grid_shape(self, monkeypatch):
+        # d_w 200 and n 4000 put gamma 1.5, 2 and 4 at 15, 20 and 40 rows:
+        # one 225-row Gram replaces three 200-row ones
+        cells = [[RidgeConfig(gamma=g)] for g in (1.5, 2.0, 4.0)]
+        assert ridge._gram_spans([group[0] for group in cells]) == [
+            (15 * 4000, 225, [(0, 0), (1, 5), (2, 25)])]
+        calls = []
+        original = ridge._span_gram
+
+        def counting(z, lo, rows, n, out=None):
+            calls.append(rows)
+            return original(z, lo, rows, n, out)
+
+        monkeypatch.setattr(ridge, "_span_gram", counting)
+        ridge._trial_cells(cells, 0)
+        assert calls == [225]
+
+    def test_span_only_when_it_saves_work(self):
+        def spans(d_w, n_ratio, gammas):
+            return [(rows, [i for i, _ in members]) for _, rows, members in ridge._gram_spans(
+                [RidgeConfig(d_w=d_w, n_ratio=n_ratio, gamma=g) for g in gammas])]
+
+        # 18 rows for two 12-row windows: 324 > 2 * 144 multiply-adds per column
+        assert spans(12, 3.0, (1.5, 3.0)) == [(12, [0]), (12, [1])]
+        # 45 rows for three 30-row windows: 2025 <= 3 * 900
+        assert spans(30, 5.0, (1.5, 4.0, 2.0)) == [(45, [0, 1, 2])]
+        # offsets 1350, 1800, 3600 mod n = 210: 90, 120, 30
+        assert spans(30, 7.0, (1.5, 2.0, 4.0)) == [(30, [0]), (30, [1]), (30, [2])]
+        # two windows that agree mod n share a span; the third has its own
+        # d_s 45 and 52 put two windows one row apart; d_s 60 is alone
+        assert spans(30, 7.0, (1.5, 1.74, 2.0)) == [(31, [0, 1]), (30, [2])]
+
     def test_rejects_bad_grid(self):
         for gammas, eta0s, trials in (((), (1.0,), 2), ((2.0, 2.0), (1.0,), 2),
                                       ((2.0,), (1.0, 1.0), 2), ((2.0,), (1.0,), 0),
-                                      ((1.0,), (1.0,), 2), ((2.0,), (0.0,), 2)):
+                                      ((1.0,), (1.0,), 2), ((2.0,), (0.0,), 2),
+                                      ((2.0,), (1e200,), 2), ((2.0,), (1.3e154,), 2),
+                                      ((1e200,), (1.0,), 2),
+                                      # h is finite here, but 1 - h overflows
+                                      ((1.5,), (7e153,), 2)):
             with pytest.raises(ValueError):
                 sweep_misfit(self.BASE, gammas, eta0s, trials)
 
@@ -506,9 +590,11 @@ class TestTrialStream:
 
     BASE = RidgeConfig(d_w=30, n_ratio=5.0, seed=21)
     ETA0S = (1.0, 0.25)
-    # the job sizes its one prefix for the widest gamma, wherever it comes
+    # the job sizes its one prefix for the widest gamma, and its span Gram for
+    # the gammas' rows, wherever each comes: every order of the three gammas
     ORDERS = {"ascending": (1.5, 2.0, 4.0), "descending": (4.0, 2.0, 1.5),
-              "mixed": (2.0, 4.0, 1.5)}
+              "mixed": (2.0, 4.0, 1.5), "widest_first": (4.0, 1.5, 2.0),
+              "narrowest_first": (1.5, 4.0, 2.0), "middle_first": (2.0, 1.5, 4.0)}
 
     def failing_once(self, monkeypatch, gamma, trial):
         """Fail the first attempt-0 solve of (gamma, trial) after solving it."""
@@ -524,8 +610,33 @@ class TestTrialStream:
         monkeypatch.setattr(ridge, "run_trial", flaky)
         return failed
 
+    def recording_windows(self, monkeypatch):
+        """Record, per A G formed, its cell, W1 window and the rows of its span's Z."""
+        spans, reads = [], []
+        span_gram, gram_product = ridge._span_gram, ridge._gram_product
+
+        def span(z, lo, rows, n, out=None):
+            S = span_gram(z, lo, rows, n, out)
+            spans.append((S, z[lo:lo + rows * n].reshape(rows, n).copy()))
+            return S
+
+        def product(cfg, z, S, row=0, out=None):
+            W1 = z[:cfg.d_s * cfg.d_w].reshape(cfg.d_s, cfg.d_w).copy()
+            # the rows of the Z whose Gram S is: a retry forms its own S
+            Z = next(Z for formed, Z in reversed(spans) if formed is S)
+            reads.append((cfg, W1, Z[row:row + cfg.d_w]))
+            return gram_product(cfg, z, S, row, out)
+
+        monkeypatch.setattr(ridge, "_span_gram", span)
+        monkeypatch.setattr(ridge, "_gram_product", product)
+        return reads
+
     @pytest.mark.parametrize("order", ORDERS)
     def test_cells_equal_fresh_draws(self, order, monkeypatch):
+        """Every W1 and X window a cell reads is bit for bit a fresh draw, and
+        so is every retried cell's misfit.  A first attempt reads its G from
+        the span Gram, whose taller product may round differently from the
+        fresh X X^T, so its misfit is compared within 1e-13."""
         gammas = self.ORDERS[order]
         # the first cell of the middle width fails once at trial 1: its attempt-1
         # stream must not reuse attempt 0's prefix, and the next cell must get
@@ -534,11 +645,28 @@ class TestTrialStream:
         groups = [[replace(self.BASE, gamma=g, eta0=e) for e in self.ETA0S] for g in gammas]
         cfgs = [cfg for group in groups for cfg in group]
         failed = self.failing_once(monkeypatch, middle, 1)
+        reads = self.recording_windows(monkeypatch)
         for t in range(3):
+            reads.clear()
             misfits, retries = ridge._trial_cells(groups, t)
             assert retries == [int((c.gamma, c.eta0, t) == (middle, self.ETA0S[0], 1))
                                for c in cfgs]
-            assert misfits == [fresh_misfit(c, t, r) for c, r in zip(cfgs, retries)]
+            # one A G per gamma of the job's draw, and one more for the retry
+            assert sorted(cfg.gamma for cfg, _, _ in reads) == sorted(
+                gammas + ((middle,) if t == 1 else ()))
+            # the job reads each gamma's windows first, at attempt 0; the retry
+            # then reads its own cell's, at attempt 1
+            attempts = {}
+            for cfg, W1, X in reads:
+                attempts[cfg.gamma] = attempts.get(cfg.gamma, -1) + 1
+                _, fresh_W1, fresh_X = draw(cfg, t, attempts[cfg.gamma])
+                np.testing.assert_array_equal(W1, fresh_W1)
+                np.testing.assert_array_equal(X, fresh_X)
+            for c, r, got in zip(cfgs, retries, misfits):
+                if r:
+                    assert got == fresh_misfit(c, t, r)
+                else:
+                    assert got == pytest.approx(fresh_misfit(c, t), rel=1e-13, abs=0)
         assert failed == [1]
         failed = self.failing_once(monkeypatch, middle, 1)
         est = sweep_misfit(self.BASE, gammas, self.ETA0S, 3)
@@ -547,8 +675,29 @@ class TestTrialStream:
             cfg = replace(self.BASE, gamma=gamma, eta0=eta0)
             retried = (gamma, eta0) == (middle, self.ETA0S[0])
             assert got.retries == int(retried)
-            assert got.per_trial.tolist() == [fresh_misfit(cfg, t, int(retried and t == 1))
-                                              for t in range(3)]
+            for t, value in enumerate(got.per_trial.tolist()):
+                if retried and t == 1:
+                    assert value == fresh_misfit(cfg, t, 1)
+                else:
+                    assert value == pytest.approx(fresh_misfit(cfg, t), rel=1e-13, abs=0)
+
+    def test_order_of_gammas_moves_no_cell(self):
+        first, *rest = (sweep_misfit(self.BASE, gammas, self.ETA0S, 3)
+                        for gammas in self.ORDERS.values())
+        for est in rest:
+            for key, got in est.items():
+                np.testing.assert_array_equal(got.per_trial, first[key].per_trial)
+
+    def test_misaligned_grid_cells_equal_fresh_draws(self):
+        # offsets 1350, 1800 and 3600 disagree mod n = 210: one X X^T per gamma,
+        # the product a fresh draw forms
+        base = replace(self.BASE, n_ratio=7.0)
+        gammas = self.ORDERS["mixed"]
+        assert [rows for _, rows, _ in ridge._gram_spans(
+            [replace(base, gamma=g) for g in gammas])] == [30, 30, 30]
+        for (eta0, gamma), got in sweep_misfit(base, gammas, self.ETA0S, 3).items():
+            cfg = replace(base, gamma=gamma, eta0=eta0)
+            assert got.per_trial.tolist() == [fresh_misfit(cfg, t) for t in range(3)]
 
     def test_cells_of_other_seeds_widths_and_n_equal_fresh_draws(self):
         # one thread, consecutive cells of one trial whose streams differ or agree
@@ -573,6 +722,44 @@ class TestMonotonicityReport:
         assert not rep.ok
         assert rep.violations == ("h not strictly decreasing in gamma at eta0=1.0",
                                   "h left (0, 1) at eta0=1.0")
+
+    @pytest.mark.parametrize("eta0", [1e-12, 1e-8, 1e16, 1e17, 2.2925302703872296e16,
+                                      1e20, 1e150])
+    def test_no_violations_where_one_route_rounds_off(self, eta0):
+        # at 1e-12 and 1e-8 every 1 - h rounds to within a few ulps of 1.0, in
+        # no order, while h strictly decreases; from 1e16 the float h ties,
+        # misorders or rounds one ulp above 1 (gamma 1.5 at 2.29e16), while
+        # 1 - h strictly increases
+        rep = verify_monotonicity([eta0], [1.5, 2.0, 4.0])
+        assert rep.ok, rep.violations
+
+    @pytest.mark.parametrize("eta0", [1e-12, 1.0, 1e16, 1e150])
+    def test_non_monotone_h_is_a_violation(self, monkeypatch, eta0):
+        # a wrong h that rises from gamma 2 to 4: both routes read it there at
+        # ten times the eta0, where h is larger and 1 - h smaller
+        for name in ("h_closed_form", "h_complement"):
+            monkeypatch.setattr(ridge, name, lambda e, g, route=getattr(ridge, name):
+                                route(10 * e if g == 4.0 else e, g))
+        assert verify_monotonicity([eta0], [1.5, 2.0, 4.0]).violations == (
+            f"h not strictly decreasing in gamma at eta0={eta0}",)
+
+    def test_each_route_is_read_where_it_resolves(self, monkeypatch):
+        # at 1e16 the float h ties at gamma 1.5 and 2, so 1 - h decides: a
+        # 1 - h that stalls there fails
+        complement = ridge.h_complement
+        monkeypatch.setattr(ridge, "h_complement", lambda e, g:
+                            complement(e, 1.5 if g == 2.0 else g))
+        assert verify_monotonicity([1e16], [1.5, 2.0, 4.0]).violations == (
+            "h not strictly decreasing in gamma at eta0=1e+16",)
+        # at 1e-12, 1 - h rounds to 1.0 at gamma 1.5 and 2, so h decides: an h
+        # that stalls there fails
+        monkeypatch.undo()
+        assert ridge.h_complement(1e-12, 1.5) == ridge.h_complement(1e-12, 2.0) == 1.0
+        original = ridge.h_closed_form
+        monkeypatch.setattr(ridge, "h_closed_form", lambda e, g:
+                            original(e, 1.5 if g == 2.0 else g))
+        assert verify_monotonicity([1e-12], [1.5, 2.0, 4.0]).violations == (
+            "h not strictly decreasing in gamma at eta0=1e-12",)
 
     def test_values_sorted_by_gamma(self):
         rep = verify_monotonicity([1.0], [4.0, 2.0, 1.5])
