@@ -540,10 +540,11 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     (teacher, pseudo) pairs; every pair trains one teacher-student chain
     plus an ensemble-supervised student whose pseudo-labels are the dual
     mean of all the round's teachers.  Every fit is an independent ce fit
-    from its own seed on row indices into the task's own splits: a task
-    seed's teachers train in one ``trainer.train_fits`` call on
-    ``train_x``, then all ``2 * k * n_splits`` students of its rounds in one
-    more on ``pseudo_x``.  A student is a projection probe trained in input
+    of its own probe, drawn from the fit's seed, on row indices into the
+    task's own splits: a task seed's teachers are built and trained in one
+    ``trainer.fit_probes`` call on ``train_x``, then all
+    ``2 * k * n_splits`` students of its rounds in one more on
+    ``pseudo_x``.  A student is a projection probe trained in input
     space (``v = P^T w``, stepped through ``M = P^T P``), so it holds no
     chunk-by-width feature matrix, and the students are dropped once their
     test predictions are taken.
@@ -573,18 +574,9 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         raise ConfigError(str(err)) from err
     rows: list[dict] = []
 
-    probe_teacher = trainer.DEFAULT_TEACHER
     probe_student = trainer.default_student_config(base_task)
     n_splits = cfg["n_splits"]
     elapsed = dict.fromkeys(("teacher_fit_s", "student_fit_s", "estimate_s"), 0.0)
-
-    def fit_probes(probe_cfg, x, fits):
-        # one (rows of x, labels, seed) triple per fit; predictions are read
-        # off the trained models
-        models = [trainer.LinearProbeModel(cfg["dim"], probe_cfg, np.random.default_rng(s))
-                  for _, _, s in fits]
-        trainer.train_fits(models, x, fits)
-        return models
 
     def teacher_labels(teachers, chunk_x):
         # each teacher's labels for one pseudo chunk, whose copy is freed on return
@@ -608,9 +600,9 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                     int(np.random.SeedSequence([task.seed, i, j]).generate_state(1)[0]),
                 ))
         start = time.perf_counter()
-        teachers = fit_probes(
-            probe_teacher, data.train_x,
-            [(idx, trainer.labels_to_soft(data.train_y[idx]), seed_ij)
+        teachers = trainer.fit_probes(
+            trainer.DEFAULT_TEACHER, task.dim, data.train_x,
+            [(idx, trainer.labels_to_soft(data.train_y[idx]), "ce", seed_ij)
              for idx, _, seed_ij in pairs])
         teacher_runs = [t.predict_proba(data.test_x) for t in teachers]
         split = time.perf_counter()
@@ -623,10 +615,10 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
             round_teachers = teachers[first: first + n_splits]
             for j, (_, pidx, seed_ij) in enumerate(pairs[first: first + n_splits]):
                 labels = teacher_labels(round_teachers, data.pseudo_x[pidx])
-                fits += [(pidx, labels[j], seed_ij + 1),
-                         (pidx, harness.ensemble_dual_mean(labels), seed_ij + 2)]
+                fits += [(pidx, labels[j], "ce", seed_ij + 1),
+                         (pidx, harness.ensemble_dual_mean(labels), "ce", seed_ij + 2)]
         runs = [s.predict_proba(data.test_x)
-                for s in fit_probes(probe_student, data.pseudo_x, fits)]
+                for s in trainer.fit_probes(probe_student, task.dim, data.pseudo_x, fits)]
         student_runs, ens_runs = runs[0::2], runs[1::2]
         estimate_start = time.perf_counter()
         elapsed["student_fit_s"] += estimate_start - split

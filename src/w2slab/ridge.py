@@ -88,10 +88,15 @@ def _check_range(eta0: float, gamma: float) -> None:
 
 
 def _h_terms(eta0: float, gamma: float) -> tuple[float, float]:
-    """The bracket ``num`` and the square root ``s`` of the module's formula for h."""
+    """The bracket ``num`` and the square root ``s`` of the module's formula for h.
+
+    ``s^2`` is formed as ``(gamma-1)^2 + 2 eta0 (gamma+1) + eta0^2``, the
+    module's radicand regrouped into positive terms: the written form
+    cancels when gamma is near 1 and eta0 is small.
+    """
     _check_range(eta0, gamma)
     num = eta0 * (gamma + 1.0) + (gamma - 1.0) ** 2
-    s = np.sqrt(gamma**2 - 2.0 * (1.0 - eta0) * gamma + (eta0 + 1.0) ** 2)
+    s = np.sqrt((gamma - 1.0) ** 2 + 2.0 * eta0 * (gamma + 1.0) + eta0**2)
     return num, s
 
 

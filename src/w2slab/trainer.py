@@ -11,19 +11,20 @@ Losses and their analytic per-sample gradients in the tied binary
 parameterization come from the batch loss table in :mod:`w2slab.losses`
 (``LOSS_NAMES``, ``loss_table`` and its halves ``loss_values`` and
 ``loss_grads``), which also holds their central-difference oracle
-``numeric_loss_grads``.  A training cell is a ``(loss_name, labels)`` pair;
-the step loop derives the two settings a fit supplies to the table, the
-adaptive loss's confidence cut from the cell's labels and the aux weight
-from the step.  ``train_many`` trains a list of models in place on one
-input array and batch order, one cell each; ``train`` is its one-fit case.
-``train_fits`` trains independent ce fits in place, each on its own rows of
-one input array from its own seed.  None of them returns anything: the
-caller reads what it needs off the trained models.  All run the one step
-loop, whose step gathers every fit's batch in one call, forms each product
-as one stacked ``np.matmul`` over the fits, whose slices are the products
-a lone fit makes, and makes one loss-table call per loss name, so its
-count of numpy calls does not grow with the number of fits and its
-arithmetic is a lone fit's.
+``numeric_loss_grads``.  A fit is a ``(rows, labels, loss_name, seed)``
+tuple; the step loop derives the two settings a fit supplies to the table,
+the adaptive loss's confidence cut from the fit's labels and the aux weight
+from the step.  ``train_fits`` trains a list of models in place, one fit
+each, on rows of one input array, every row when ``rows`` is None;
+``train`` is its one-fit case.  ``fit_probes`` builds the untrained probes
+of a fit list, one per seed, and trains a copy for each fit; both trained
+commands build their probes through it.  Training returns nothing: the
+caller reads what it needs off the trained models.  The step loop gathers
+every fit's batch in one call, forms each product as one stacked
+``np.matmul`` over the fits, whose slices are the products a lone fit
+makes, and makes one loss-table call per loss name, so its count of numpy
+calls does not grow with the number of fits and its arithmetic is a lone
+fit's.
 
 Every probe trains in input space.  A projection probe's features
 ``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
@@ -66,9 +67,8 @@ __all__ = [
     "TrainingDiverged",
     "LOSS_NAMES",
     "train",
-    "train_many",
     "train_fits",
-    "w2s_pipeline",
+    "fit_probes",
     "gdv",
     "alpha_sweep",
     "check_sweep",
@@ -286,64 +286,87 @@ def train(
     confidence cut for the adaptive loss is fixed from the full label set
     before the first step.
 
-    The one-fit case of ``train_many``.
+    The one-fit case of ``train_fits``.
     """
-    train_many([model], data, [(loss_name, data.labels)], seed)
-
-
-def train_many(
-    models,
-    data: TrainData,
-    cells,
-    seed: int = 0,
-) -> None:
-    """Train each ``models[j]`` in place under ``cells[j]``, in lockstep.
-
-    A cell is a ``(loss_name, labels)`` pair whose ``(n, 2)`` soft labels
-    stand in for ``data.labels``.  The fits share ``data.x`` and the batch
-    order drawn from ``seed``, so each step gathers its batch once, and
-    models that all hold one projection share one ``M = P^T P``; each keeps
-    its own input-space weight row ``v = P^T w``, and its final weights and
-    bias are bit for bit those of ``train`` on it with its cell's labels.
-    ``_descend`` checks the models and cells before any step.
-    """
-    _descend(models, data.x, None, cells, [seed] * len(models))
+    train_fits([model], data.x, [(None, data.labels, loss_name, seed)])
 
 
 def train_fits(models, x, fits) -> None:
-    """Train each ``models[j]`` in place under the ce loss on the rows of
-    ``x`` that ``fits[j]`` names, in lockstep.
+    """Train each ``models[j]`` in place under ``fits[j]``, in lockstep.
 
-    A fit is a ``(rows, labels, seed)`` triple: ``rows`` are its training
-    inputs' row indices into ``x``, one per ``(n, 2)`` label row, and
-    ``seed`` draws its batch order.  The fits are independent: each has its
-    own rows, labels, start weights and batch order, so each model ends bit
-    for bit as ``train(models[j], TrainData(x[rows], labels), "ce",
-    seed=seed)`` leaves it, yet each step gathers the batches of all fits
-    from ``x`` at once.  Every row index must lie in ``[0, len(x))``, or
-    ``ValueError`` is raised before any step; ``_descend`` checks the rest.
+    A fit is a ``(rows, labels, loss_name, seed)`` tuple: ``rows`` are its
+    training inputs' row indices into ``x``, one per ``(n, 2)`` soft label
+    row, or None for every row of ``x``; ``loss_name`` is a ``LOSS_NAMES``
+    entry, and ``seed`` draws the fit's batch order.  The fits are
+    independent: each model ends bit for bit as ``train(models[j],
+    TrainData(x[rows], labels), loss_name, seed=seed)`` leaves it, yet each
+    step gathers the batches of all fits from ``x`` at once.
+
+    Before any step it raises ``ValueError`` unless there is one fit per
+    model and at least one, either every fit gives rows or none does, every
+    row index lies in ``[0, len(x))``, every fit has ``n >= 1`` rows for the
+    same ``n``, the models share one ``ProbeConfig`` and input dimension
+    ``d``, and ``x`` is an array of ``d``-column rows.
     """
     fits = list(fits)
-    rows = [np.asarray(fit_rows) for fit_rows, _, _ in fits]
-    for j, (fit_rows, (_, labels, _)) in enumerate(zip(rows, fits)):
-        # a negative index would wrap around to a row from the end of x
-        if (fit_rows.ndim != 1 or fit_rows.dtype.kind not in "iu"
-                or len(fit_rows) != len(labels)
-                or (fit_rows.size and not 0 <= fit_rows.min() <= fit_rows.max() < len(x))):
-            raise ValueError(f"fit {j} needs one row index in [0, {len(x)}) per label row")
-    _descend(models, x, rows, [("ce", labels) for _, labels, _ in fits],
-             [seed for _, _, seed in fits])
+    if not fits or len(models) != len(fits):
+        raise ValueError(f"lockstep training needs one fit per model and at least one, "
+                         f"got {len(models)} models and {len(fits)} fits")
+    if len({fit[0] is None for fit in fits}) > 1:
+        raise ValueError("fits must all give rows or all give None for every row of x")
+    rows, labels = [], []
+    for j, (fit_rows, fit_labels, loss_name, _) in enumerate(fits):
+        if loss_name not in LOSS_NAMES:
+            raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
+        labels.append(np.asarray(fit_labels, dtype=float))
+        if labels[j].ndim != 2 or labels[j].shape[1] != 2:
+            raise ValueError(f"labels must be (n, 2) rows, got shape {labels[j].shape}")
+        if fit_rows is not None:
+            rows.append(np.asarray(fit_rows))
+            # a negative index would wrap around to a row from the end of x
+            if (rows[j].ndim != 1 or rows[j].dtype.kind not in "iu"
+                    or len(rows[j]) != len(labels[j])
+                    or (rows[j].size and not 0 <= rows[j].min() <= rows[j].max() < len(x))):
+                raise ValueError(f"fit {j} needs one row index in [0, {len(x)}) per label row")
+    cfg, d = models[0].cfg, models[0].dim
+    n = len(rows[0]) if rows else len(x)
+    if any(m.cfg != cfg or m.dim != d for m in models) or any(len(y) != n for y in labels):
+        raise ValueError("fits trained in lockstep must share one ProbeConfig, "
+                         "input dimension and row count")
+    if n == 0:
+        raise ValueError("lockstep training needs at least one training row")
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"inputs must be rows of {d} columns, the models' input "
+                         f"dimension, got an array of shape {x.shape}")
+    _descend(models, x, rows or None, [fit[2] for fit in fits], labels,
+             [fit[3] for fit in fits])
 
 
-def _descend(models, x, rows, cells, seeds) -> None:
-    """The step loop: trains each ``models[j]`` in place under
-    ``cells[j]``, a ``(loss_name, labels)`` pair, from ``seeds[j]`` on the
-    rows ``rows[j]`` of ``x`` (on ``x`` itself when ``rows`` is None).
-    Before any step it raises ``ValueError`` unless there is one cell per
-    model and at least one, every loss is in ``LOSS_NAMES``, every cell's
-    labels are ``(n, 2)`` rows for the same ``n >= 1`` rows, the models
-    share one ``ProbeConfig`` and input dimension ``d``, and ``x`` is an
-    array of ``d``-column rows.
+def fit_probes(cfg: ProbeConfig, dim: int, x, fits) -> list[LinearProbeModel]:
+    """Build and train one probe per fit of ``train_fits(models, x, fits)``.
+
+    Each distinct fit seed draws one untrained ``LinearProbeModel`` over
+    ``dim`` inputs from ``default_rng(seed)``, and each fit trains a
+    ``copy.copy`` of its seed's probe, so the fits of one seed start from
+    one projection and one set of weights, and ``train_fits`` forms one
+    ``M = P^T P`` for them.  Returns the trained models, one per fit.
+    """
+    fits = list(fits)
+    untrained = {seed: LinearProbeModel(dim, cfg, np.random.default_rng(seed))
+                 for seed in dict.fromkeys(fit[3] for fit in fits)}
+    # the copies share their probe's start arrays; training rebinds, never
+    # writes, them, and each is freed once the last fit reading it rebinds
+    models = [copy.copy(untrained[fit[3]]) for fit in fits]
+    del untrained
+    train_fits(models, x, fits)
+    return models
+
+
+def _descend(models, x, rows, names, labels, seeds) -> None:
+    """The step loop of ``train_fits`` on its checked fits: trains each
+    ``models[j]`` in place under the loss ``names[j]`` on the ``(n, 2)``
+    soft labels ``labels[j]``, from ``seeds[j]``, on the rows ``rows[j]``
+    of ``x`` (on ``x`` itself when ``rows`` is None).
 
     Each step makes one gather of every fit's batch, one stacked
     ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du`` and ``M g``) over
@@ -357,28 +380,8 @@ def _descend(models, x, rows, cells, seeds) -> None:
     broadcast view, as it does a shared ``M``.  Otherwise the step gathers
     every fit's own batch into one ``(fits, rows, d)`` buffer kept across
     steps."""
-    if not cells or len(models) != len(cells):
-        raise ValueError(f"lockstep training needs one fit per model and at least one, "
-                         f"got {len(models)} models and {len(cells)} fits")
-    names, labels = [], []
-    for loss_name, cell_labels in cells:
-        if loss_name not in LOSS_NAMES:
-            raise ValueError(f"loss must be one of {LOSS_NAMES}, got {loss_name!r}")
-        cell_labels = np.asarray(cell_labels, dtype=float)
-        if cell_labels.ndim != 2 or cell_labels.shape[1] != 2:
-            raise ValueError(f"labels must be (n, 2) rows, got shape {cell_labels.shape}")
-        names.append(loss_name)
-        labels.append(cell_labels)
     cfg, d = models[0].cfg, models[0].dim
     n = len(x) if rows is None else len(rows[0])
-    if any(m.cfg != cfg or m.dim != d for m in models) or any(len(y) != n for y in labels):
-        raise ValueError("fits trained in lockstep must share one ProbeConfig, "
-                         "input dimension and row count")
-    if n == 0:
-        raise ValueError("lockstep training needs at least one training row")
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"inputs must be rows of {d} columns, the models' input "
-                         f"dimension, got an array of shape {x.shape}")
     k = len(models)
     # one table call per step for each loss name, over its fits' block:
     # (fits, loss, labels, offset, cut).  The block's labels are flattened to
@@ -412,7 +415,8 @@ def _descend(models, x, rows, cells, seeds) -> None:
             """One ``(rows, d)`` batch that every fit reads."""
             return x[idx[0] if rows is None else rows[0][idx[0]]]
     else:
-        fit_rows, fit_index = np.stack(rows), np.arange(k)[:, None]
+        fit_rows = np.broadcast_to(np.arange(n), (k, n)) if rows is None else np.stack(rows)
+        fit_index = np.arange(k)[:, None]
         batches = np.empty((k, batch_rows, d), dtype=x.dtype)
 
         def new_order():
@@ -515,61 +519,6 @@ def default_student_config(task: SyntheticTask) -> ProbeConfig:
     return replace(DEFAULT_STUDENT, width=8 * task.dim)
 
 
-def _repeat_stage(
-    task: SyntheticTask,
-    teacher_cfg: ProbeConfig | None,
-    student_cfg: ProbeConfig | None,
-    seed: int,
-    cells: list[tuple[str, float]],
-) -> tuple[TaskData, LinearProbeModel, list[LinearProbeModel]]:
-    """One task draw and seed, shared by every ``(loss_name, alpha)`` cell.
-
-    Draws the task, fits the teacher on ground truth, labels the pseudo
-    split with the teacher's probabilities and draws an untrained student.
-    Each cell then smooths the labels and trains one copy of that untrained
-    student on the raw pseudo split, all in one ``train_many`` call; the
-    copies train ``v = P^T w`` in input space and share the one
-    ``M = P^T P``, so no student feature matrix is formed.  Returns the
-    task draw, the trained teacher and one trained student per cell.
-    """
-    teacher_cfg = teacher_cfg or DEFAULT_TEACHER
-    student_cfg = student_cfg or default_student_config(task)
-    data = task.sample()
-    seq = np.random.SeedSequence([task.seed, seed, 0x5EED])
-    t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-
-    teacher = LinearProbeModel(task.dim, teacher_cfg, np.random.default_rng(t_seed))
-    train(teacher, TrainData(data.train_x, labels_to_soft(data.train_y)), "ce", seed=t_seed)
-    student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
-    student_data = TrainData(data.pseudo_x, teacher.predict_proba(data.pseudo_x))
-    specs = [(loss_name, smooth_labels(student_data.labels, alpha))
-             for loss_name, alpha in cells]
-    # the copies share the start arrays; training rebinds, never writes, them
-    students = [copy.copy(student) for _ in specs]
-    train_many(students, student_data, specs, seed=s_seed)
-    return data, teacher, students
-
-
-def w2s_pipeline(
-    task: SyntheticTask,
-    teacher_cfg: ProbeConfig | None = None,
-    student_cfg: ProbeConfig | None = None,
-    loss_name: str = "ce",
-    alpha: float = 1.0,
-    seed: int = 0,
-) -> tuple[LinearProbeModel, LinearProbeModel]:
-    """Teacher on ground truth, smoothed pseudo-labels, student under ``loss_name``.
-
-    The one-cell case of ``alpha_sweep``, built from the same per-repeat
-    stage and per-cell training; ``smooth_labels`` rejects an ``alpha``
-    outside [0, 1].  Returns the trained teacher and student, to be read
-    on ``task.sample()``'s splits.
-    """
-    _, teacher, (student,) = _repeat_stage(
-        task, teacher_cfg, student_cfg, seed, [(loss_name, alpha)])
-    return teacher, student
-
-
 def summarize_sweep(rows: list[dict]) -> list[dict]:
     """Mean and standard deviation of accuracy and parameter distance per
     (loss, alpha) cell of a sweep."""
@@ -630,22 +579,32 @@ def alpha_sweep(
     which also pairs the loss comparisons: the task draw, the teacher
     fit and its pseudo-label probabilities, and the student's random
     projection and initial weights.  Each cell has its own label smoothing
-    and student training, from those initial weights; the cells of a repeat
-    train in lockstep in one ``train_many`` call, and the adaptive loss's
-    confidence cut comes from that cell's smoothed labels.  Accuracies are
-    on the repeat's test split and ``param_distance`` is the student's
-    ``distance_from_init``.  ``check_sweep`` checks the arguments before
-    any training.
+    and student training on the raw pseudo split, from those initial
+    weights; the cells of a repeat train in lockstep in one ``fit_probes``
+    call from one seed, so they share one projection and its one
+    ``M = P^T P``, and the adaptive loss's confidence cut comes from that
+    cell's smoothed labels.  Accuracies are on the repeat's test split and
+    ``param_distance`` is the student's ``distance_from_init``.
+    ``check_sweep`` checks the arguments before any training.
     """
     check_sweep(losses, alphas, repeats)
+    teacher_cfg = teacher_cfg or DEFAULT_TEACHER
+    student_cfg = student_cfg or default_student_config(task)
     cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]
     rows: list[dict] = []
     for repeat in range(repeats):
         repeat_task = replace(task, seed=int(
             np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
         ))
-        data, teacher, students = _repeat_stage(
-            repeat_task, teacher_cfg, student_cfg, repeat, cells)
+        data = repeat_task.sample()
+        seq = np.random.SeedSequence([repeat_task.seed, repeat, 0x5EED])
+        t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
+        teacher = LinearProbeModel(task.dim, teacher_cfg, np.random.default_rng(t_seed))
+        train(teacher, TrainData(data.train_x, labels_to_soft(data.train_y)), "ce", seed=t_seed)
+        labels = teacher.predict_proba(data.pseudo_x)
+        students = fit_probes(student_cfg, task.dim, data.pseudo_x, [
+            (None, smooth_labels(labels, alpha), loss_name, s_seed)
+            for loss_name, alpha in cells])
         teacher_acc = teacher.accuracy(data.test_x, data.test_y)
         rows += [
             {
@@ -659,5 +618,5 @@ def alpha_sweep(
             for (loss_name, alpha), student in zip(cells, students)
         ]
         # freed before the next repeat draws its task
-        del data, teacher, students
+        del data, teacher, labels, students
     return rows

@@ -180,7 +180,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was trained before the config was checked")
 
-        for entry in ("train", "train_many", "train_fits"):
+        for entry in ("train", "train_fits"):
             monkeypatch.setattr(trainer, entry, no_fit)
         args = [command, "--out", str(tmp_path)]
         for item in overrides.split():
@@ -556,6 +556,49 @@ class TestClassifyCommand:
         ])
         header = (tmp_path / "classify.csv").read_text().splitlines()[0]
         assert header == "loss,alpha,repeat,teacher_acc,student_acc,param_distance"
+
+    def test_rows_equal_lone_fits(self, tmp_path):
+        """The lockstep fits give the ``classify.csv`` rows of a reference
+        that trains every repeat's teacher and every cell's student alone
+        with ``train``."""
+        import csv
+
+        from w2slab import losses, trainer
+
+        run_tiny("classify", tmp_path)
+        cfg = load_config("classify", None, TINY["classify"])
+        task = trainer.SyntheticTask(
+            dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
+            n_train=cfg["n_train"], n_pseudo=cfg["n_pseudo"], n_test=cfg["n_test"],
+            seed=cfg["seed"])
+        probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
+        expected = []
+        for repeat in range(cfg["repeats"]):
+            repeat_task = dataclasses.replace(task, seed=int(
+                np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]))
+            data = repeat_task.sample()
+            seq = np.random.SeedSequence([repeat_task.seed, repeat, 0x5EED])
+            t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
+            teacher = trainer.LinearProbeModel(task.dim, trainer.DEFAULT_TEACHER,
+                                               np.random.default_rng(t_seed))
+            trainer.train(teacher, trainer.TrainData(
+                data.train_x, trainer.labels_to_soft(data.train_y)), "ce", seed=t_seed)
+            labels = teacher.predict_proba(data.pseudo_x)
+            for loss in cfg["losses"]:
+                for alpha in cfg["alphas"]:
+                    student = trainer.LinearProbeModel(task.dim, probe_student,
+                                                       np.random.default_rng(s_seed))
+                    trainer.train(student, trainer.TrainData(
+                        data.pseudo_x, losses.smooth_labels(labels, alpha)), loss, seed=s_seed)
+                    expected.append([loss, alpha, repeat,
+                                     teacher.accuracy(data.test_x, data.test_y),
+                                     student.accuracy(data.test_x, data.test_y),
+                                     student.distance_from_init()])
+        with open(tmp_path / "classify.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        # each float cell is its value's repr, which reads back exactly
+        assert [[loss, float(alpha), int(repeat), *map(float, rest)]
+                for loss, alpha, repeat, *rest in rows] == expected
 
 
 class TestBiasVarianceCommand:

@@ -77,6 +77,24 @@ class TestClosedForm:
         assert h_closed_form(1e17, 2.0) == 1.0
         assert ridge.h_complement(1e17, 2.0) == pytest.approx(4e-17, rel=1e-9)
 
+    def test_both_routes_match_decimal_oracle_near_unit_capacity_ratio(self):
+        """h and 1 - h within 1e-15 relative of 60-digit ``decimal``
+        arithmetic where gamma is near 1 and eta0 is small, where the
+        radicand written as ``gamma^2 - 2 (1 - eta0) gamma + (eta0 + 1)^2``
+        cancels."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for eta0 in (1e-6, 1e-3):
+                for gamma in (1.001, 1.01):
+                    e, g = Decimal(eta0), Decimal(gamma)
+                    num = e * (g + 1) + (g - 1) ** 2
+                    s = (g * g - 2 * (1 - e) * g + (e + 1) ** 2).sqrt()
+                    h = num / (2 * s) - (g - 1) / 2
+                    for value, exact in ((h_closed_form(eta0, gamma), h),
+                                         (ridge.h_complement(eta0, gamma), 1 - h)):
+                        error = abs(Decimal(value) - exact) / exact
+                        assert error <= Decimal("1e-15"), (eta0, gamma)
+
     def test_monotone_in_capacity(self):
         assert h_closed_form(1.0, 2.0) > h_closed_form(1.0, 4.0) > h_closed_form(1.0, 8.0)
 

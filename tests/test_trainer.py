@@ -11,17 +11,18 @@ import pytest
 
 from w2slab.losses import aux_beta, confidence_threshold, loss_table, rce, smooth_labels
 from w2slab.trainer import (
+    DEFAULT_TEACHER,
     LOSS_NAMES,
     LinearProbeModel,
     ProbeConfig,
     SyntheticTask,
     TrainData,
+    default_student_config,
+    fit_probes,
     gdv,
     labels_to_soft,
     train,
     train_fits,
-    train_many,
-    w2s_pipeline,
 )
 
 
@@ -35,6 +36,28 @@ def small_task(**kw):
 def make_model(dim=20, width=0, feature="identity", seed=0, **kw):
     cfg = ProbeConfig(feature=feature, width=width, **kw)
     return LinearProbeModel(dim, cfg, np.random.default_rng(seed))
+
+
+def w2s_pipeline(task, teacher_cfg=None, student_cfg=None, loss_name="ce", alpha=1.0,
+                 seed=0):
+    """Oracle: one ``(loss_name, alpha)`` cell of ``alpha_sweep``'s repeat
+    ``seed`` on ``task``, every fit alone.  The teacher trains on ground
+    truth, its pseudo-label probabilities are smoothed by ``alpha`` (which
+    ``smooth_labels`` checks), and the student trains on them under
+    ``loss_name``, each in its own ``train`` call from the sweep's seeds.
+    Returns the trained teacher and student, to be read on
+    ``task.sample()``'s splits."""
+    data = task.sample()
+    seq = np.random.SeedSequence([task.seed, seed, 0x5EED])
+    t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
+    teacher = LinearProbeModel(task.dim, teacher_cfg or DEFAULT_TEACHER,
+                               np.random.default_rng(t_seed))
+    train(teacher, TrainData(data.train_x, labels_to_soft(data.train_y)), "ce", seed=t_seed)
+    student = LinearProbeModel(task.dim, student_cfg or default_student_config(task),
+                               np.random.default_rng(s_seed))
+    labels = smooth_labels(teacher.predict_proba(data.pseudo_x), alpha)
+    train(student, TrainData(data.pseudo_x, labels), loss_name, seed=s_seed)
+    return teacher, student
 
 
 class TestTask:
@@ -227,7 +250,7 @@ class TestTrain:
         assert a.bias == b.bias
 
     def test_training_calls_no_prediction(self, monkeypatch):
-        """``train``, ``train_many`` and ``train_fits`` step the models and
+        """``train``, ``train_fits`` and ``fit_probes`` step the models and
         make no prediction: the caller reads what it needs off them."""
         calls = []
         predict_pos = LinearProbeModel.predict_pos
@@ -244,9 +267,13 @@ class TestTrain:
                 return make_model(feature=feature, width=width, seed=seed, steps=10)
 
             train(make(1), data, "ce", seed=1)
-            train_many([make(2), make(3)], data, [("ce", labels), ("rce", labels)], seed=2)
+            train_fits([make(2), make(3)], data.x,
+                       [(None, labels, "ce", 2), (None, labels, "rce", 2)])
             rows = np.arange(len(labels))
-            train_fits([make(4), make(5)], data.x, [(rows, labels, 4), (rows[::-1], labels, 5)])
+            train_fits([make(4), make(5)], data.x,
+                       [(rows, labels, "ce", 4), (rows[::-1], labels, "aux", 5)])
+            fit_probes(make(6).cfg, 20, data.x,
+                       [(rows, labels, "ce", 6), (rows[::-1], labels, "cace", 6)])
         assert calls == []
 
     def test_divergence_reported_with_step(self):
@@ -285,6 +312,12 @@ class TestTrain:
         assert np.isfinite(model.theta).all()
 
 
+def shared_rows(cells, seed=0):
+    """``train_fits`` fits on every row of the inputs, one per
+    ``(loss_name, labels)`` cell, all from ``seed``."""
+    return [(None, labels, name, seed) for name, labels in cells]
+
+
 def every_loss_cells(labels):
     cells = [(name, smooth_labels(labels, 0.3)) for name in LOSS_NAMES]
     # a second cace and aux fit, at its own confidence cut and its own
@@ -297,6 +330,8 @@ def every_loss_cells(labels):
 
 
 class TestTrainMany:
+    """``train_fits`` on shared rows: every fit reads every row of ``x``."""
+
     @pytest.mark.parametrize("rows,batch", [(64, 16), (40, 32), (12, 32)])
     def test_lockstep_equals_lone_fits(self, rows, batch):
         """Copies of one model, which share its start arrays and projection
@@ -316,7 +351,7 @@ class TestTrainMany:
             start = model.theta.copy()
             models = ([copy.copy(model) for _ in cells] if shared
                       else [make(j) for j in range(len(cells))])
-            assert train_many(models, train_data, cells, seed=9) is None
+            assert train_fits(models, train_data.x, shared_rows(cells, seed=9)) is None
             # training rebinds the copies' arrays and never writes the shared start
             np.testing.assert_array_equal(model.theta, start)
             for j, ((name, labels), trained) in enumerate(zip(cells, models)):
@@ -334,7 +369,7 @@ class TestTrainMany:
         model = make_model(feature=feature, width=width, seed=10, steps=23, batch_size=20)
         cells = every_loss_cells(train_data.labels)
         models = [copy.copy(model) for _ in cells]
-        train_many(models, train_data, cells, seed=10)
+        train_fits(models, train_data.x, shared_rows(cells, seed=10))
         for (name, labels), trained in zip(cells, models):
             expected = replay_in_weight_space(model, dataclasses.replace(
                 train_data, labels=labels), (name, labels), seed=10)
@@ -362,10 +397,10 @@ class TestTrainMany:
         for models, cells in (([], []), ([make_model()], []),
                               ([make_model()], [("ce", data.labels)] * 2)):
             with pytest.raises(ValueError, match="one fit per model"):
-                train_many(models, data, cells)
+                train_fits(models, data.x, shared_rows(cells))
         with pytest.raises(ValueError, match="loss"):
-            train_many([make_model(), make_model()], data,
-                       [("ce", data.labels), ("mse", data.labels)])
+            train_fits([make_model(), make_model()], data.x,
+                       shared_rows([("ce", data.labels), ("mse", data.labels)]))
 
 
 class TestTrainFits:
@@ -380,7 +415,7 @@ class TestTrainFits:
             models.append(make_model(feature=feature, width=width, init_scale=0.1,
                                      seed=20 + j, steps=25, batch_size=batch))
             fits.append((np.arange(j * 64, j * 64 + rows),
-                         np.stack([p1, 1.0 - p1], axis=-1), 30 + j))
+                         np.stack([p1, 1.0 - p1], axis=-1), "ce", 30 + j))
         return data, models, fits
 
     @staticmethod
@@ -392,9 +427,9 @@ class TestTrainFits:
         x = data.pseudo_x
         models = [make(j) for j in range(len(fits))]
         assert train_fits(models, x, fits) is None
-        for j, (model, (rows, labels, seed)) in enumerate(zip(models, fits)):
+        for j, (model, (rows, labels, loss_name, seed)) in enumerate(zip(models, fits)):
             lone = make(j)
-            train(lone, TrainData(x[rows], labels), "ce", seed=seed)
+            train(lone, TrainData(x[rows], labels), loss_name, seed=seed)
             np.testing.assert_array_equal(model.weights, lone.weights)
             assert model.bias == lone.bias
         return models
@@ -415,14 +450,39 @@ class TestTrainFits:
         # rows from two seeds, the third other rows from the first seed, and
         # the fourth reads the first's rows array from its seed; four fits
         # from two seeds
-        (_, other_labels, _), (first, labels, _) = fits[:2]
+        (_, other_labels, *_), (first, labels, *_) = fits[:2]
         shifted = first + rows // 2
-        overlapping = [(first, labels, 40), (first, other_labels, 41),
-                       (shifted, other_labels, 40), (first, labels, 40)]
+        overlapping = [(first, labels, "ce", 40), (first, other_labels, "ce", 41),
+                       (shifted, other_labels, "ce", 40), (first, labels, "ce", 40)]
         self.assert_lone_fits(data, make, overlapping)
         # one seed: other rows, then the same rows, which share one gather
         self.assert_lone_fits(data, make, [overlapping[0], overlapping[2]])
         self.assert_lone_fits(data, make, [overlapping[0], overlapping[3]])
+
+    @pytest.mark.parametrize("feature,width", [("identity", 0), ("projection", 30)])
+    def test_mixed_losses_on_own_rows_equal_lone_fits(self, feature, width):
+        """Fits of the ce, rce, cace and aux losses on rows of their own each
+        end bit for bit as a lone ``train`` on their gathered rows: from
+        seeds of their own, from one seed, and from one seed on one rows
+        array, which share one gather."""
+        data = small_task(n_pseudo=256).sample()
+        fits = []
+        for j, name in enumerate(("ce", "rce", "cace", "aux")):
+            p1 = np.random.default_rng([7, j]).uniform(0.05, 0.95, size=48)
+            fits.append((np.arange(j * 64, j * 64 + 48), np.stack([p1, 1.0 - p1], axis=-1),
+                         name, 50 + j))
+
+        def make(j):
+            return make_model(feature=feature, width=width, init_scale=0.1, seed=20 + j,
+                              steps=25, batch_size=16)
+
+        models = self.assert_lone_fits(data, make, fits)
+        assert len({model.distance_from_init() for model in models}) == 4
+        self.assert_lone_fits(data, make, [(rows, labels, name, 60)
+                                           for rows, labels, name, _ in fits])
+        first = fits[0][0]
+        self.assert_lone_fits(data, make, [(first, labels, name, 60)
+                                           for _, labels, name, _ in fits])
 
     @staticmethod
     def counting_gathers(x, gathers):
@@ -461,8 +521,7 @@ class TestTrainFits:
         assert fresh.bias == twin.bias
         gathers.clear()
         labels = labels_to_soft(data.pseudo_y)
-        train_many([copy.copy(model) for _ in range(3)],
-                   TrainData(x, labels), [("ce", labels)] * 3, seed=5)
+        train_fits([copy.copy(model) for _ in range(3)], x, [(None, labels, "ce", 5)] * 3)
         assert len(gathers) == 25
 
     def test_mismatched_fits_rejected_before_any_step(self):
@@ -470,8 +529,8 @@ class TestTrainFits:
         data, (model, other, _), (fit, other_fit, _) = self.independent_fits(64, 16)
         x = self.counting_gathers(data.pseudo_x, gathers)
         longer = make_model(feature="projection", width=30, seed=2, steps=26, batch_size=16)
-        rows, labels, seed = other_fit
-        short = (rows[:60], labels[:60], seed)
+        rows, labels, _, seed = other_fit
+        short = (rows[:60], labels[:60], "ce", seed)
         # one config, but identity probes over 20 and 19 inputs, and
         # projection probes of one width over 20 and 19 inputs
         wide, narrow = (make_model(dim=dim, seed=2, steps=25, batch_size=16)
@@ -485,8 +544,7 @@ class TestTrainFits:
             with pytest.raises(ValueError, match="ProbeConfig"):
                 train_fits(models, x, fits)
         with pytest.raises(ValueError, match="ProbeConfig"):
-            train_many([model], TrainData(data.pseudo_x, labels_to_soft(data.pseudo_y)),
-                       [("ce", labels[:60])])
+            train_fits([model], data.pseudo_x, [(None, labels[:60], "ce", 0)])
         # one fit per model
         for fits in ([fit], [fit, other_fit, fit]):
             with pytest.raises(ValueError, match="one fit per model"):
@@ -497,7 +555,7 @@ class TestTrainFits:
         for bad in (np.r_[-1, rows[1:]], np.r_[rows[:-1], len(x)],
                     rows[:-1], np.r_[rows, 0], rows.astype(float), rows > 0):
             with pytest.raises(ValueError, match="row index"):
-                train_fits([model, other], x, [fit, (bad, labels, seed)])
+                train_fits([model, other], x, [fit, (bad, labels, "ce", seed)])
         # inputs of one column fewer or more than the probes' input dimension
         counted = TrainData(x, labels_to_soft(data.pseudo_y))
         for feature, width in (("identity", 0), ("projection", 30)):
@@ -508,7 +566,7 @@ class TestTrainFits:
                 with pytest.raises(ValueError, match=sizes):
                     train(probes[0], counted, "ce")
                 with pytest.raises(ValueError, match=sizes):
-                    train_many(probes, counted, [("ce", counted.labels)] * 2)
+                    train_fits(probes, x, [(None, counted.labels, "ce", 0)] * 2)
                 with pytest.raises(ValueError, match=sizes):
                     train_fits(probes, x, [fit, other_fit])
         assert gathers == []  # no batch was gathered
@@ -516,24 +574,76 @@ class TestTrainFits:
     def test_empty_fits_and_bad_labels_rejected_before_any_step(self):
         """A fit of zero rows, or labels that are not ``(n, 2)`` rows beside
         a cell whose labels are, raise ``ValueError`` before any batch is
-        gathered, through ``train``, ``train_many`` and ``train_fits``."""
+        gathered, through ``train`` and ``train_fits`` on shared or own rows."""
         gathers = []
-        data, (model, other, _), (fit, (rows, _, seed), _) = self.independent_fits(64, 16)
+        data, (model, other, _), (fit, (rows, _, _, seed), _) = self.independent_fits(64, 16)
         x = self.counting_gathers(data.pseudo_x, gathers)
         no_rows, no_labels = np.arange(0), np.empty((0, 2))
         with pytest.raises(ValueError, match="at least one training row"):
-            train_fits([model, other], x, [(no_rows, no_labels, 1), (no_rows, no_labels, 2)])
+            train_fits([model, other], x,
+                       [(no_rows, no_labels, "ce", 1), (no_rows, no_labels, "ce", 2)])
         empty = TrainData(self.counting_gathers(data.pseudo_x[:0], gathers), no_labels)
         with pytest.raises(ValueError, match="at least one training row"):
             train(model, empty, "ce")
         three = np.full((len(rows), 3), 1 / 3)
         with pytest.raises(ValueError, match=r"labels must be \(n, 2\) rows"):
-            train_fits([model, other], x, [fit, (rows, three, seed)])
+            train_fits([model, other], x, [fit, (rows, three, "ce", seed)])
         labels = labels_to_soft(data.pseudo_y)
         with pytest.raises(ValueError, match=r"labels must be \(n, 2\) rows"):
-            train_many([model, other], TrainData(x, labels),
-                       [("ce", labels), ("rce", np.full((len(x), 3), 1 / 3))])
+            train_fits([model, other], x, shared_rows(
+                [("ce", labels), ("rce", np.full((len(x), 3), 1 / 3))]))
         assert gathers == []
+
+
+    def test_mixed_none_and_index_rows_rejected_before_any_step(self):
+        gathers = []
+        data, (model, other, _), (fit, (_, _, _, seed), _) = self.independent_fits(64, 16)
+        x = self.counting_gathers(data.pseudo_x, gathers)
+        every_row = (None, labels_to_soft(data.pseudo_y), "ce", seed)
+        start = model.theta.copy()
+        for fits in ([fit, every_row], [every_row, fit]):
+            with pytest.raises(ValueError, match="all give rows or all give None"):
+                train_fits([model, other], x, fits)
+        assert gathers == []
+        np.testing.assert_array_equal(model.theta, start)
+
+
+class TestFitProbes:
+    def test_one_probe_per_seed(self, monkeypatch):
+        """Fits of one seed train copies of one probe, which share its
+        projection; a fit of another seed gets a probe of its own.  Each
+        model ends bit for bit as a probe drawn from its fit's seed and
+        trained alone."""
+        data = gt_train_data(small_task())
+        cfg = ProbeConfig(feature="projection", width=30, init_scale=0.1, steps=25,
+                          batch_size=16)
+        rows = np.arange(len(data.x))
+        for fits in ([(rows, data.labels, "ce", 3), (rows[::-1], data.labels, "rce", 3),
+                      (rows, data.labels, "ce", 4)],
+                     [(None, data.labels, "ce", 3), (None, data.labels, "sl", 3),
+                      (None, data.labels, "aux", 4)]):
+            inits = []
+            init = LinearProbeModel.__init__
+
+            def counted(model, *args, init=init):
+                inits.append(args)
+                init(model, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(LinearProbeModel, "__init__", counted)
+                models = fit_probes(cfg, 20, data.x, fits)
+            assert len(inits) == 2  # one probe per distinct seed
+            first, same_seed, other_seed = models
+            assert same_seed.projection is first.projection
+            assert other_seed.projection is not first.projection
+            for model, (fit_rows, labels, name, seed) in zip(models, fits):
+                lone = LinearProbeModel(20, cfg, np.random.default_rng(seed))
+                x = data.x if fit_rows is None else data.x[fit_rows]
+                train(lone, TrainData(x, labels), name, seed=seed)
+                np.testing.assert_array_equal(model.projection, lone.projection)
+                np.testing.assert_array_equal(model.weights, lone.weights)
+                assert model.bias == lone.bias
+                assert model.distance_from_init() == lone.distance_from_init()
 
 
 class TestPipeline:
