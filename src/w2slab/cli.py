@@ -541,22 +541,25 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     plus an ensemble-supervised student whose pseudo-labels are the dual
     mean of all the round's teachers.  Every fit is an independent ce fit
     of its own probe, drawn from the fit's seed, on row indices into the
-    task's own splits: a task seed's teachers are built and trained in one
-    ``trainer.fit_probes`` call on ``train_x``, then all
-    ``2 * k * n_splits`` students of its rounds in one more on
-    ``pseudo_x``.  A student is a projection probe trained in input
+    task's own splits.  The teachers of all task seeds are built and
+    trained in one ``trainer.fit_probes`` call on the task seeds' train
+    splits, stacked in seed order; then, one task seed at a time, its
+    pseudo and test splits are drawn (``SyntheticTask.splits``) and all
+    ``2 * k * n_splits`` students of its rounds train in one more call on
+    its ``pseudo_x``.  A student is a projection probe trained in input
     space (``v = P^T w``, stepped through ``M = P^T P``), so it holds no
-    chunk-by-width feature matrix, and the students are dropped once their
-    test predictions are taken.
+    chunk-by-width feature matrix, and a task seed's students are dropped
+    once their test predictions are taken.
 
-    Its stages record the wall time in seconds, summed over task seeds, of
-    the teacher fits (``teacher_fit_s``), of the students' pseudo-labels and
-    fits (``student_fit_s``) and of the estimates (``estimate_s``), each as
-    ``"%.3e"`` text; each fit stage includes the test predictions of its
-    models.  A task seed makes one ``harness.bias_variance_estimate`` call
-    per model, on its ``(k * n_splits, n_test, 2)`` stack of test
-    predictions against the ``(n_test, 2)`` truth rows, and its rows are
-    read off the returned columns point by point.
+    Its stages record wall time in seconds, as ``"%.3e"`` text: of the one
+    teacher call plus each task seed's teacher test predictions
+    (``teacher_fit_s``), and, summed over task seeds, of the students'
+    pseudo-labels, fits and test predictions (``student_fit_s``) and of the
+    estimates (``estimate_s``).  A task seed makes one
+    ``harness.bias_variance_estimate`` call per model, on its
+    ``(k * n_splits, n_test, 2)`` stack of test predictions against the
+    ``(n_test, 2)`` truth rows, and its rows are read off the returned
+    columns point by point.
     """
     for key in ("k", "n_splits", "task_seeds"):
         if cfg[key] < 1:
@@ -582,11 +585,13 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         # each teacher's labels for one pseudo chunk, whose copy is freed on return
         return [t.predict_proba(chunk_x) for t in teachers]
 
+    # per task seed: its task, its split draws and its pairs
+    seeds, train_blocks, teacher_fits = [], [], []
     for outer_seed in range(cfg["task_seeds"]):
         task = dataclasses.replace(base_task, seed=int(
             np.random.SeedSequence([cfg["seed"], outer_seed]).generate_state(1)[0]))
-        data = task.sample()
-        truth = trainer.labels_to_soft(data.test_y)
+        draws = task.splits()
+        train_x, train_y = next(draws)
         rng = np.random.default_rng(np.random.SeedSequence([task.seed, 0xB1A5]))
         # (round, split) pairs in order: teacher rows, pseudo rows and seed
         pairs = []
@@ -599,12 +604,26 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
                     pseudo_order[j * cfg["split_pseudo"]: (j + 1) * cfg["split_pseudo"]],
                     int(np.random.SeedSequence([task.seed, i, j]).generate_state(1)[0]),
                 ))
+        teacher_fits += [(outer_seed * task.n_train + idx,
+                          trainer.labels_to_soft(train_y[idx]), "ce", seed_ij)
+                         for idx, _, seed_ij in pairs]
+        train_blocks.append(train_x)
+        seeds.append((task, draws, pairs))
+    start = time.perf_counter()
+    all_teachers = trainer.fit_probes(trainer.DEFAULT_TEACHER, task.dim,
+                                      np.concatenate(train_blocks), teacher_fits)
+    elapsed["teacher_fit_s"] += time.perf_counter() - start
+    del train_blocks, teacher_fits, train_x, train_y, draws, pairs
+
+    seeds.reverse()
+    for outer_seed in range(cfg["task_seeds"]):
+        # popped, so that no later pass holds this seed's draws, pairs or fits
+        task, draws, pairs = seeds.pop()
+        (pseudo_x, _), (test_x, test_y) = draws
+        truth = trainer.labels_to_soft(test_y)
+        teachers = all_teachers[outer_seed * len(pairs): (outer_seed + 1) * len(pairs)]
         start = time.perf_counter()
-        teachers = trainer.fit_probes(
-            trainer.DEFAULT_TEACHER, task.dim, data.train_x,
-            [(idx, trainer.labels_to_soft(data.train_y[idx]), "ce", seed_ij)
-             for idx, _, seed_ij in pairs])
-        teacher_runs = [t.predict_proba(data.test_x) for t in teachers]
+        teacher_runs = [t.predict_proba(test_x) for t in teachers]
         split = time.perf_counter()
         elapsed["teacher_fit_s"] += split - start
         # per pair, its student (its own teacher's labels) and its
@@ -614,11 +633,12 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         for first in range(0, len(pairs), n_splits):
             round_teachers = teachers[first: first + n_splits]
             for j, (_, pidx, seed_ij) in enumerate(pairs[first: first + n_splits]):
-                labels = teacher_labels(round_teachers, data.pseudo_x[pidx])
+                labels = teacher_labels(round_teachers, pseudo_x[pidx])
                 fits += [(pidx, labels[j], "ce", seed_ij + 1),
                          (pidx, harness.ensemble_dual_mean(labels), "ce", seed_ij + 2)]
-        runs = [s.predict_proba(data.test_x)
-                for s in trainer.fit_probes(probe_student, task.dim, data.pseudo_x, fits)]
+        runs = [s.predict_proba(test_x)
+                for s in trainer.fit_probes(probe_student, task.dim, pseudo_x, fits)]
+        del draws, pairs, fits
         student_runs, ens_runs = runs[0::2], runs[1::2]
         estimate_start = time.perf_counter()
         elapsed["student_fit_s"] += estimate_start - split

@@ -13,8 +13,9 @@ through it.  Their settings are fixed, except for the two a fit supplies:
 the adaptive loss's confidence cut ``cut``, which the trainer derives from
 each fit's own labels (``confidence_threshold``), and the regularized
 loss's weight ``beta``, which follows the step (``aux_beta``).
-``loss_values`` and ``loss_grads`` are its two halves and
-``numeric_loss_grads`` is its central-difference oracle.
+``loss_values`` and ``loss_grads`` are its two halves (``loss_grads``
+computes no loss value) and ``numeric_loss_grads`` is its central-difference
+oracle.
 
 Probability rows are plain arrays whose trailing axis indexes classes;
 :class:`ProbVector` is a checked, clamped single point that every function
@@ -240,18 +241,49 @@ def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
 
 # --- batch loss table ----------------------------------------------------------
 # y and p are (..., n, 2) blocks of rows.  Each gradient is taken along p_1
-# with p_2 = 1 - p_1: the kernels return it per coordinate over the full rows
-# (the second column is minus the first) and the table reads column 0.
+# with p_2 = 1 - p_1, so the kernels read the first coordinates only.
 
 
-def _d_ce(y, p):
-    """Tied derivative of ce(y, p); linear in y."""
-    return -y / p + (1.0 - y) / (1.0 - p)
+def _d_ce(y1, p1):
+    """Tied derivative of ce(y, p) at first coordinates; linear in y1."""
+    return -y1 / p1 + (1.0 - y1) / (1.0 - p1)
 
 
-def _d_rce(y, p):
-    """Tied derivative of rce(y, p); constant in p."""
-    return np.log((1.0 - y) / y) * np.ones_like(p)
+def _d_rce(y1, p1):
+    """Tied derivative of rce(y, p) at first coordinates; constant in p1."""
+    return np.log((1.0 - y1) / y1) * np.ones_like(p1)
+
+
+def _entry(name: str, y, p, cut, beta: float):
+    """``loss_table``'s gradients of a batch, and a function that computes
+    its values only when called."""
+    y, p = _pair(y, p)
+    if y.shape[-1] != 2:
+        raise BinaryOnlyError("the loss table is defined for K = 2 only")
+    y1, p1 = y[..., 0], p[..., 0]
+    if name == "ce":
+        return _d_ce(y1, p1), lambda: ce(y, p)
+    if name == "rce":
+        return _d_rce(y1, p1), lambda: rce(y, p)
+    if name == "kl":
+        # the entropy of y is constant in p
+        return _d_ce(y1, p1), lambda: kl(y, p)
+    if name == "rkl":
+        # rkl(y, p) = rce(y, p) - entropy(p), and d(-entropy(p)) = -_d_rce(p, p)
+        return _d_rce(y1, p1) - _d_rce(p1, p1), lambda: rkl(y, p)
+    if name == "cace":
+        low = confidence(y) < cut
+        return (np.where(low, _d_rce(y1, p1), _d_ce(y1, p1)),
+                lambda: np.where(low, rce(y, p), ce(y, p)))
+    if name == "sl":
+        return _d_rce(y1, p1) + _d_ce(y1, p1), lambda: rce(y, p) + ce(y, p)
+    if name == "aux":
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
+        t = harden(p, harden_threshold(p)[..., None])
+        return (beta * _d_ce(y1, p1) + (1.0 - beta) * _d_ce(t[..., 0], p1),
+                lambda: beta * ce(y, p) + (1.0 - beta) * ce(t, p))
+    raise ValueError(f"unknown loss {name!r}")
 
 
 def loss_table(name: str, y, p, cut=0.0, beta: float = 0.0):
@@ -267,42 +299,19 @@ def loss_table(name: str, y, p, cut=0.0, beta: float = 0.0):
     differentiation.  The other entries read neither ``cut`` nor ``beta``.
     Rows with K != 2 classes raise ``BinaryOnlyError``.
     """
-    y, p = _pair(y, p)
-    if y.shape[-1] != 2:
-        raise BinaryOnlyError("the loss table is defined for K = 2 only")
-    if name == "ce":
-        return ce(y, p), _d_ce(y, p)[..., 0]
-    if name == "rce":
-        return rce(y, p), _d_rce(y, p)[..., 0]
-    if name == "kl":
-        # the entropy of y is constant in p
-        return kl(y, p), _d_ce(y, p)[..., 0]
-    if name == "rkl":
-        # rkl(y, p) = rce(y, p) - entropy(p), and d(-entropy(p)) = -_d_rce(p, p)
-        return rkl(y, p), (_d_rce(y, p) - _d_rce(p, p))[..., 0]
-    if name == "cace":
-        low = confidence(y) < cut
-        return (np.where(low, rce(y, p), ce(y, p)),
-                np.where(low, _d_rce(y, p)[..., 0], _d_ce(y, p)[..., 0]))
-    if name == "sl":
-        return rce(y, p) + ce(y, p), _d_rce(y, p)[..., 0] + _d_ce(y, p)[..., 0]
-    if name == "aux":
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-        t = harden(p, harden_threshold(p)[..., None])
-        return (beta * ce(y, p) + (1.0 - beta) * ce(t, p),
-                beta * _d_ce(y, p)[..., 0] + (1.0 - beta) * _d_ce(t, p)[..., 0])
-    raise ValueError(f"unknown loss {name!r}")
+    grads, values = _entry(name, y, p, cut, beta)
+    return values(), grads
 
 
 def loss_values(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
     """Per-row loss values for a batch: the first half of ``loss_table``."""
-    return loss_table(name, y, p, cut, beta)[0]
+    return _entry(name, y, p, cut, beta)[1]()
 
 
 def loss_grads(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
-    """Per-row d(loss)/d(p_1) for a batch: the second half of ``loss_table``."""
-    return loss_table(name, y, p, cut, beta)[1]
+    """Per-row d(loss)/d(p_1) for a batch: the second half of ``loss_table``,
+    computed without any loss value."""
+    return _entry(name, y, p, cut, beta)[0]
 
 
 def numeric_loss_grads(

@@ -22,9 +22,10 @@ commands build their probes through it.  Training returns nothing: the
 caller reads what it needs off the trained models.  The step loop gathers
 every fit's batch in one call, forms each product as one stacked
 ``np.matmul`` over the fits, whose slices are the products a lone fit
-makes, and makes one loss-table call per loss name, so its count of numpy
-calls does not grow with the number of fits and its arithmetic is a lone
-fit's.
+makes, and makes one ``loss_grads`` call per loss name (loss values are
+computed only to report ``TrainingDiverged``), so its count of numpy calls
+does not grow with the number of fits and its arithmetic is a lone fit's.
+``SyntheticTask.splits`` draws a task's splits lazily, one at a time.
 
 Every probe trains in input space.  A projection probe's features
 ``z = x P^T`` are linear in ``x``, so its logit ``z w + b`` is ``x v + b``
@@ -53,7 +54,6 @@ from .losses import (
     check_alpha,
     confidence_threshold,
     loss_grads,
-    loss_table,
     loss_values,
     smooth_labels,
 )
@@ -78,11 +78,13 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the offending step index."""
+    """A step's gradient became non-finite; carries the step index and the
+    step's first non-finite mean loss (NaN if none)."""
 
     def __init__(self, step: int, loss: float) -> None:
         super().__init__(f"training diverged at step {step} (loss={loss!r})")
         self.step = step
+        self.loss = loss
 
 
 # --- task -------------------------------------------------------------------
@@ -131,21 +133,30 @@ class SyntheticTask:
         if self.dim < 1 or not 0 < self.noise < np.inf or not 0 < self.separation < np.inf:
             raise ValueError("dim, noise, and separation must be positive and finite")
 
-    def sample(self) -> TaskData:
+    def splits(self):
+        """Yield ``sample``'s train, pseudo and test splits bit for bit, as
+        ``(x, y)`` pairs, each drawn only when asked for; between yields
+        the generator holds no split."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xDA7A]))
         direction = rng.normal(size=self.dim)
         mean = self.separation * direction / np.linalg.norm(direction)
+        for n in (self.n_train, self.n_pseudo, self.n_test):
+            yield _draw_split(rng, mean, self.noise, n)
 
-        def split(n: int) -> tuple[np.ndarray, np.ndarray]:
-            y = np.repeat([1.0, -1.0], n // 2)
-            x = y[:, None] * mean + self.noise * rng.normal(size=(n, self.dim))
-            perm = rng.permutation(n)
-            return x[perm], y[perm]
-
-        return TaskData(*split(self.n_train), *split(self.n_pseudo), *split(self.n_test))
+    def sample(self) -> TaskData:
+        train, pseudo, test = self.splits()
+        return TaskData(*train, *pseudo, *test)
 
     def bayes_accuracy(self) -> float:
         return float(0.5 * (1.0 + math.erf(self.separation / self.noise / math.sqrt(2))))
+
+
+def _draw_split(rng, mean, noise, n):
+    """``n`` shuffled balanced mixture rows around ``mean``, with labels."""
+    y = np.repeat([1.0, -1.0], n // 2)
+    x = y[:, None] * mean + noise * rng.normal(size=(n, len(mean)))
+    perm = rng.permutation(n)
+    return x[perm], y[perm]
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -302,12 +313,14 @@ def train_fits(models, x, fits) -> None:
     TrainData(x[rows], labels), loss_name, seed=seed)`` leaves it, yet each
     step gathers the batches of all fits from ``x`` at once.
 
-    Before any step it raises ``ValueError`` unless there is one fit per
-    model and at least one, either every fit gives rows or none does, every
-    row index lies in ``[0, len(x))``, every fit has ``n >= 1`` rows for the
-    same ``n``, the models share one ``ProbeConfig`` and input dimension
-    ``d``, and ``x`` is an array of ``d``-column rows.
+    ``x`` may be any array-like of floats.  Before any step it raises
+    ``ValueError`` unless there is one fit per model and at least one,
+    either every fit gives rows or none does, every row index lies in
+    ``[0, len(x))``, every fit has ``n >= 1`` rows for the same ``n``, the
+    models share one ``ProbeConfig`` and input dimension ``d``, and ``x``
+    holds ``d``-column rows.
     """
+    x = np.asanyarray(x, dtype=float)
     fits = list(fits)
     if not fits or len(models) != len(fits):
         raise ValueError(f"lockstep training needs one fit per model and at least one, "
@@ -370,11 +383,13 @@ def _descend(models, x, rows, names, labels, seeds) -> None:
 
     Each step makes one gather of every fit's batch, one stacked
     ``np.matmul`` per product (``x_b v``, ``x_b^T dl/du`` and ``M g``) over
-    ``(fits, ...)`` arrays and one loss-table call per loss name over its
-    fits' ``(fits, batch, 2)`` block, so its number of numpy calls does not
-    grow with the fits.  Each slice of a stacked product is the
+    ``(fits, ...)`` arrays and one ``loss_grads`` call per loss name over
+    its fits' ``(fits, batch, 2)`` block, so its number of numpy calls does
+    not grow with the fits.  Each slice of a stacked product is the
     matrix-vector product a lone fit makes, and each batch of a block gets
     its lone table result, so each fit's arithmetic is that of ``train``.
+    A step raises ``TrainingDiverged`` if a gradient ``g`` is not finite;
+    only then does it compute loss values, for the exception.
     Fits with one seed share one batch order; when they also read the same
     rows, the step gathers one batch and every fit reads it through a
     broadcast view, as it does a shared ``M``.  Otherwise the step gathers
@@ -433,7 +448,7 @@ def _descend(models, x, rows, names, labels, seeds) -> None:
     weights = np.stack([m.input_weights for m in models])  # v, one row per fit
     bias = np.array([[m.bias] for m in models], dtype=float)
     u = np.empty((k, batch_rows))
-    vals, dldp, e = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    dldp, e = np.empty_like(u), np.empty_like(u)
     pb = np.empty((k, batch_rows, 2))  # the (p1, 1 - p1) batch, refilled in place each step
     p1, p0 = pb[..., 0], pb[..., 1]
     grads = np.empty((k, d + 1))  # input-space gradient g, then the bias gradient
@@ -480,18 +495,14 @@ def _descend(models, x, rows, names, labels, seeds) -> None:
         np.subtract(1.0, p1, out=p0)
         for fits, name, y, offset, cut in calls:
             beta = aux_beta(step, steps) if name == "aux" else 0.0
-            vals[fits], dldp[fits] = loss_table(name, y[offset + idx[fits]], pb[fits],
-                                                cut, beta)
-        # np.mean's arithmetic (a sum, then a division by the count)
-        # without its per-call overhead
-        loss = np.add.reduce(vals, axis=1) / batch_rows
-        if not np.isfinite(loss).all():
-            raise TrainingDiverged(step, float(loss[~np.isfinite(loss)][0]))
+            dldp[fits] = loss_grads(name, y[offset + idx[fits]], pb[fits], cut, beta)
         dldu = dldp * p1 * p0
         np.matmul(xb.swapaxes(-1, -2), dldu[..., None], out=grad_w[..., None])
         del xb  # a fresh batch is freed before the next gather, not during it
         grad_b[:, 0] = np.add.reduce(dldu, axis=1)
         grads /= batch_rows
+        if not np.isfinite(grads).all():
+            raise TrainingDiverged(step, _first_nonfinite_loss(calls, idx, pb, step, steps))
         if projected:
             np.matmul(metric, grad_w[..., None], out=move_w[..., None])
             move_b[:] = grad_b
@@ -505,6 +516,18 @@ def _descend(models, x, rows, names, labels, seeds) -> None:
         else:
             model.weights = weights[j].copy()
         model.bias = float(bias[j, 0])
+
+
+def _first_nonfinite_loss(calls, idx, pb, step, steps) -> float:
+    """The step's first non-finite mean loss in fit order, else NaN."""
+    loss = np.empty(len(pb))
+    for fits, name, y, offset, cut in calls:
+        beta = aux_beta(step, steps) if name == "aux" else 0.0
+        # np.mean's arithmetic: a sum, then a division by the count
+        loss[fits] = np.add.reduce(
+            loss_values(name, y[offset + idx[fits]], pb[fits], cut, beta), axis=1) / idx.shape[1]
+    bad = loss[~np.isfinite(loss)]
+    return float(bad[0]) if bad.size else math.nan
 
 
 # --- pipeline -------------------------------------------------------------------

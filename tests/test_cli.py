@@ -642,14 +642,15 @@ class TestBiasVarianceCommand:
         assert set(calls) == {(6, n_test, 2)}
 
     def test_one_student_call_per_task_seed(self, monkeypatch):
-        """A task seed's teachers train in one ``train_fits`` call on the
-        task's own ``train_x``, then all its ``2 * k * n_splits`` students in
-        one call on its own ``pseudo_x``."""
+        """The teachers of every task seed train in one ``train_fits`` call
+        on the task seeds' train splits stacked in seed order, then each
+        task seed's ``2 * k * n_splits`` students in one call on its own
+        ``pseudo_x``."""
         from w2slab import trainer
         from w2slab.cli import SCHEMAS, run_bias_variance
 
-        fit, sample = trainer.train_fits, trainer.SyntheticTask.sample
-        calls, samples = [], []
+        fit, splits = trainer.train_fits, trainer.SyntheticTask.splits
+        calls, drawn = [], []
 
         def counted(models, x, fits):
             models = list(models)
@@ -657,20 +658,54 @@ class TestBiasVarianceCommand:
             return fit(models, x, fits)
 
         def recorded(task):
-            samples.append(sample(task))
-            return samples[-1]
+            for split in splits(task):
+                drawn.append(split)
+                yield split
 
         monkeypatch.setattr(trainer, "train_fits", counted)
-        monkeypatch.setattr(trainer.SyntheticTask, "sample", recorded)
+        monkeypatch.setattr(trainer.SyntheticTask, "splits", recorded)
         cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
         cfg.update(task_seeds=2, k=3, n_splits=2, dim=5, n_test=20, split_train=16,
                    split_pseudo=64)
         run_bias_variance(cfg)
-        assert [call[:2] for call in calls] == [("identity", 3 * 2),
-                                                ("projection", 2 * 3 * 2)] * 2
-        assert len(samples) == 2
-        for (teachers, students), data in zip(zip(calls[0::2], calls[1::2]), samples):
-            assert teachers[2] is data.train_x and students[2] is data.pseudo_x
+        assert [call[:2] for call in calls] == [("identity", 2 * 3 * 2),
+                                                ("projection", 2 * 3 * 2),
+                                                ("projection", 2 * 3 * 2)]
+        # drawn in order: each seed's train split, then per seed pseudo and test
+        assert len(drawn) == 2 * 3
+        train, pseudo = drawn[:2], drawn[2::2]
+        np.testing.assert_array_equal(calls[0][2], np.concatenate([x for x, _ in train]))
+        for (_, _, x), (pseudo_x, _) in zip(calls[1:], pseudo):
+            assert x is pseudo_x
+
+    def test_pseudo_splits_drawn_one_task_seed_at_a_time(self, monkeypatch):
+        """When the first student call starts, every task seed's train split
+        has been drawn but only the first seed's pseudo split."""
+        from w2slab import trainer
+        from w2slab.cli import SCHEMAS, run_bias_variance
+
+        fit, splits = trainer.train_fits, trainer.SyntheticTask.splits
+        drawn, at_first_student = [], []
+
+        def counted(models, x, fits):
+            if models[0].cfg.feature == "projection" and not at_first_student:
+                at_first_student.append(list(drawn))
+            return fit(models, x, fits)
+
+        def recorded(task):
+            for name, split in zip(("train", "pseudo", "test"), splits(task)):
+                drawn.append((task.seed, name))
+                yield split
+
+        monkeypatch.setattr(trainer, "train_fits", counted)
+        monkeypatch.setattr(trainer.SyntheticTask, "splits", recorded)
+        cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
+        cfg.update(task_seeds=3, dim=5, n_test=20, split_train=16, split_pseudo=64)
+        run_bias_variance(cfg)
+        seeds = list(dict.fromkeys(seed for seed, _ in drawn))
+        assert len(seeds) == 3
+        assert at_first_student == [[(seed, "train") for seed in seeds]
+                                    + [(seeds[0], "pseudo"), (seeds[0], "test")]]
 
     def test_stages_time_fits_and_estimates(self, tmp_path, monkeypatch):
         """The report's stages are the fit and estimate wall times, each

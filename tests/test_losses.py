@@ -221,6 +221,9 @@ class TestGradientEngine:
                 lone_values, L.loss_values(name, y[j], p[j], cut[j, 0], beta))
             np.testing.assert_array_equal(
                 lone_grads, L.loss_grads(name, y[j], p[j], cut[j, 0], beta))
+        # the halves on the block, loss_grads without computing a value
+        np.testing.assert_array_equal(L.loss_values(name, y, p, cut, beta), values)
+        np.testing.assert_array_equal(L.loss_grads(name, y, p, cut, beta), grads)
 
     @pytest.mark.parametrize("name", L.LOSS_NAMES)
     def test_multiclass_rows_rejected(self, name):

@@ -83,6 +83,29 @@ class TestTask:
         np.testing.assert_array_equal(a.train_x, b.train_x)
         np.testing.assert_array_equal(a.test_y, b.test_y)
 
+    def test_splits_yield_sample_arrays(self):
+        task = small_task()
+        data = task.sample()
+        drawn = [array for split in task.splits() for array in split]
+        expected = [data.train_x, data.train_y, data.pseudo_x, data.pseudo_y,
+                    data.test_x, data.test_y]
+        assert len(drawn) == len(expected)
+        for array, want in zip(drawn, expected):
+            np.testing.assert_array_equal(array, want)
+
+    def test_interleaved_splits_equal_lone_draws(self):
+        # each task draws from its own stream, so the order in which the
+        # generators of several tasks advance changes none of their arrays
+        tasks = [small_task(seed=seed) for seed in (1, 2, 3)]
+        draws = [task.splits() for task in tasks]
+        got = [[] for _ in tasks]
+        for j in (2, 0, 0, 1, 2, 1, 0, 2, 1):
+            got[j].append(next(draws[j]))
+        for task, splits in zip(tasks, got):
+            for (x, y), (want_x, want_y) in zip(splits, task.splits()):
+                np.testing.assert_array_equal(x, want_x)
+                np.testing.assert_array_equal(y, want_y)
+
 
 class TestPrediction:
     def test_saturated_logits_stay_finite_without_warning(self):
@@ -290,6 +313,56 @@ class TestTrain:
             train(model, gt_train_data(task), "ce", seed=5)
         assert err.value.step >= 0
 
+    def test_divergence_at_first_nonfinite_gradient_step(self):
+        """A NaN input row makes the gradient of the first step whose batch
+        holds it non-finite; training raises at that step and leaves the
+        model as it was."""
+        from w2slab.trainer import TrainingDiverged
+
+        data = gt_train_data(small_task())
+        seed, batch = 5, 8
+        # the batch order of the first pass: n // batch steps of batch rows
+        order = np.random.default_rng(np.random.SeedSequence([seed, 0x7247])).permutation(64)
+        x = data.x.copy()
+        x[order[5 * batch + 3]] = np.nan
+        model = make_model(seed=5, steps=50, batch_size=batch)
+        before = model.theta
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, TrainData(x, data.labels), "ce", seed=seed)
+        assert err.value.step == 5
+        assert np.isnan(err.value.loss)
+        np.testing.assert_array_equal(model.theta, before)
+
+    def test_finite_steps_compute_no_loss_value(self, monkeypatch):
+        """A step asks the loss table for gradients only: training every
+        loss calls none of the entropy-family losses."""
+        from w2slab import losses
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a training step computed a loss value")
+
+        for name in ("ce", "rce", "kl", "rkl"):
+            monkeypatch.setattr(losses, name, refuse)
+        data = gt_train_data(small_task())
+        cells = every_loss_cells(data.labels)
+        models = [make_model(seed=7, steps=20) for _ in cells]
+        train_fits(models, data.x, shared_rows(cells, seed=7))
+        assert all(np.isfinite(m.theta).all() for m in models)
+
+    def test_kl_trains_on_zero_label_coordinate(self):
+        # kl's value at a label coordinate of exactly 0 is NaN (0 log 0),
+        # yet its gradient, ce's, is finite: it trains as ce does.  Every
+        # command clamps its labels into the simplex interior first
+        data = small_task().sample()
+        pos = (data.train_y > 0).astype(float)
+        labels = np.stack([pos, 1.0 - pos], axis=-1)
+        kl_model, ce_model = make_model(seed=8, steps=30), make_model(seed=8, steps=30)
+        train(kl_model, TrainData(data.train_x, labels), "kl", seed=8)
+        train(ce_model, TrainData(data.train_x, labels), "ce", seed=8)
+        assert kl_model.distance_from_init() > 0.0
+        np.testing.assert_array_equal(kl_model.weights, ce_model.weights)
+        assert kl_model.bias == ce_model.bias
+
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError):
             train(make_model(), gt_train_data(small_task()), "mse")
@@ -307,7 +380,7 @@ class TestTrain:
     def test_every_loss_trains(self, name):
         task = small_task()
         model = make_model(seed=6, steps=40)
-        # a step whose loss is not finite raises TrainingDiverged
+        # a step whose gradient is not finite raises TrainingDiverged
         train(model, gt_train_data(task), name, seed=6)
         assert np.isfinite(model.theta).all()
 
@@ -523,6 +596,21 @@ class TestTrainFits:
         labels = labels_to_soft(data.pseudo_y)
         train_fits([copy.copy(model) for _ in range(3)], x, [(None, labels, "ce", 5)] * 3)
         assert len(gathers) == 25
+
+    def test_list_inputs_train_as_their_array(self):
+        data, _, fits = self.independent_fits(40, 16)
+
+        def make(j):
+            return make_model(feature="projection", width=30, init_scale=0.1,
+                              seed=20 + j, steps=25, batch_size=16)
+
+        from_array = [make(j) for j in range(len(fits))]
+        from_list = [make(j) for j in range(len(fits))]
+        train_fits(from_array, data.pseudo_x, fits)
+        train_fits(from_list, data.pseudo_x.tolist(), fits)
+        for a, b in zip(from_array, from_list):
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert a.bias == b.bias
 
     def test_mismatched_fits_rejected_before_any_step(self):
         gathers = []
