@@ -7,7 +7,6 @@ import numpy.random  # noqa: F401
 from .bregman import (
     BregmanGeometry,
     DomainError,
-    Mahalanobis,
     NegativeEntropy,
     SampleSet,
     SquaredNorm,
@@ -19,7 +18,6 @@ from .losses import ProbVector
 __all__ = [
     "BregmanGeometry",
     "SquaredNorm",
-    "Mahalanobis",
     "NegativeEntropy",
     "SampleSet",
     "mean_minimizer",

@@ -1,7 +1,6 @@
 """Bregman divergence geometries with dual coordinates.
 
-Three generators are implemented: the squared Euclidean norm, the squared
-Mahalanobis norm for a symmetric positive-definite matrix, and negative
+Two generators are implemented: the squared Euclidean norm and negative
 entropy restricted to the relative interior of the probability simplex.
 Each geometry exposes the divergence D(x, y) = phi(x) - phi(y) - <grad
 phi(y), x - y>, the dual (mirror) map and its inverse, the generalized law
@@ -43,7 +42,6 @@ __all__ = [
     "mean_minimizer",
     "BregmanGeometry",
     "SquaredNorm",
-    "Mahalanobis",
     "NegativeEntropy",
 ]
 
@@ -322,42 +320,6 @@ class SquaredNorm(BregmanGeometry):
 
     def from_dual(self, s):
         return np.asarray(s, dtype=float) / 2.0
-
-
-class Mahalanobis(BregmanGeometry):
-    """phi(x) = x^T M x for symmetric positive-definite M."""
-
-    kind = "mahalanobis"
-
-    def __init__(self, matrix) -> None:
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("M must be a square matrix")
-        if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
-            raise ValueError("M must be symmetric")
-        eigvals = np.linalg.eigvalsh(M)
-        if eigvals.min() <= 1e-12 * max(1.0, eigvals.max()):
-            raise ValueError("M must have strictly positive eigenvalues")
-        super().__init__(M.shape[0])
-        self.matrix = M
-        self._inv = np.linalg.inv(M)
-
-    def potential(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.matrix, x)
-
-    def grad(self, x):
-        return 2.0 * np.asarray(x, dtype=float) @ self.matrix
-
-    def contains(self, x, interior=False):
-        return True
-
-    def _divergence(self, x, y):
-        d = x - y
-        return np.einsum("...i,ij,...j->...", d, self.matrix, d)
-
-    def from_dual(self, s):
-        return np.asarray(s, dtype=float) @ self._inv / 2.0
 
 
 class NegativeEntropy(BregmanGeometry):

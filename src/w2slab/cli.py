@@ -15,8 +15,11 @@ and estimates; empty for ``classify``).  ``main`` alone prints the verdicts,
 writes a CSV of the rows and a JSON report, and picks the exit status: 0
 all verdicts pass, 1 a verdict failed (artifacts written) or a program
 error (traceback), 2 bad config.
-Each command checks its config with the library's own checks before any
-work.
+Each command checks its config before any work, with the library's own
+checks where it has them.
+
+``run_classify`` and ``run_bias_variance`` are the trained experiments, on
+:mod:`w2slab.trainer`'s task, probe and training.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import dataclasses
 import json
 import math
 import operator
-import os
 import sys
 import time
 from collections import defaultdict
@@ -143,12 +145,6 @@ def load_config(command: str, path: str | None, overrides: list[str]) -> dict:
         key, raw = item.split("=", 1)
         apply(key.strip(), raw.strip(), "--set")
 
-    env_seed = os.environ.get("W2SLAB_SEED")
-    if env_seed is not None and "seed" in schema:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError as err:
-            raise ConfigError(f"W2SLAB_SEED must be an integer: {env_seed!r}") from err
     if values["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {values['seed']}")
     return values
@@ -478,34 +474,100 @@ def run_ridge(cfg: dict) -> tuple[list[dict], list[dict], dict]:
 # --- classify ------------------------------------------------------------------
 
 
+def _task_draw(task: trainer.SyntheticTask, i: int) -> trainer.SyntheticTask:
+    """Draw ``i``'s task: ``task`` under a seed derived from its own and ``i``."""
+    return dataclasses.replace(
+        task, seed=int(np.random.SeedSequence([task.seed, i]).generate_state(1)[0]))
+
+
 def run_classify(cfg: dict) -> tuple[list[dict], list[dict], dict]:
-    """Label-smoothing sweep over losses and alphas; prints the per-cell summary."""
+    """Label-smoothing sweep over losses and alphas; prints the per-cell summary.
+
+    One row per (loss, alpha, repeat).  Each repeat draws its task
+    (``_task_draw``) and does once what its cells share, which also pairs
+    the loss comparisons: the task's splits, the teacher's one
+    ``trainer.train`` call and its pseudo-labels, and the student's
+    projection and initial weights.  Each cell smooths the labels its own
+    way and trains its student on the raw pseudo split; a repeat's cells
+    train in lockstep in one ``trainer.fit_probes`` call from one seed.
+    Accuracies are on the repeat's test split and ``param_distance`` is
+    the student's ``distance_from_init``.  A repeated loss or alpha would
+    write and count a cell twice, so it is a config error.
+    """
+    loss_names, alphas, repeats = cfg["losses"], cfg["alphas"], cfg["repeats"]
     try:
-        trainer.check_sweep(cfg["losses"], cfg["alphas"], cfg["repeats"])
+        if not alphas:
+            raise ValueError("alphas must be nonempty")
+        if not loss_names:
+            raise ValueError("losses must be nonempty")
+        if repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {repeats!r}")
+        for alpha in alphas:
+            losses.check_alpha(alpha)
+        unknown = sorted(set(loss_names) - set(trainer.LOSS_NAMES))
+        if unknown:
+            raise ValueError(f"losses must be among {trainer.LOSS_NAMES}, got {unknown}")
+        for name, values in (("losses", loss_names), ("alphas", alphas)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has repeated values: {list(values)}")
         task = trainer.SyntheticTask(
             dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
             n_train=cfg["n_train"], n_pseudo=cfg["n_pseudo"], n_test=cfg["n_test"],
             seed=cfg["seed"],
         )
-        student_cfg = None
-        if cfg["student_width"] != 0:
-            student_cfg = dataclasses.replace(
-                trainer.DEFAULT_STUDENT, width=cfg["student_width"])
+        student_cfg = trainer.ProbeConfig(feature="projection",
+                                          width=cfg["student_width"] or 8 * task.dim)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    rows = trainer.alpha_sweep(
-        task, cfg["losses"], cfg["alphas"], cfg["repeats"], student_cfg=student_cfg)
-    summary = trainer.summarize_sweep(rows)
-    for cell in summary:
+
+    cells = [(loss_name, alpha) for loss_name in loss_names for alpha in alphas]
+    rows: list[dict] = []
+    for repeat in range(repeats):
+        repeat_task = _task_draw(task, repeat)
+        data = repeat_task.sample()
+        seq = np.random.SeedSequence([repeat_task.seed, repeat, 0x5EED])
+        t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
+        teacher = trainer.LinearProbeModel(task.dim, trainer.ProbeConfig(),
+                                           np.random.default_rng(t_seed))
+        trainer.train(teacher, trainer.TrainData(
+            data.train_x, trainer.labels_to_soft(data.train_y)), "ce", seed=t_seed)
+        labels = teacher.predict_proba(data.pseudo_x)
+        students = trainer.fit_probes(student_cfg, task.dim, data.pseudo_x, [
+            (None, losses.smooth_labels(labels, alpha), loss_name, s_seed)
+            for loss_name, alpha in cells])
+        teacher_acc = teacher.accuracy(data.test_x, data.test_y)
+        rows += [
+            {
+                "loss": loss_name,
+                "alpha": alpha,
+                "repeat": repeat,
+                "teacher_acc": teacher_acc,
+                "student_acc": student.accuracy(data.test_x, data.test_y),
+                "param_distance": student.distance_from_init(),
+            }
+            for (loss_name, alpha), student in zip(cells, students)
+        ]
+        # freed before the next repeat draws its task
+        del data, teacher, labels, students
+
+    # per (loss, alpha) cell, in sorted order, the mean and standard deviation
+    # over repeats of student accuracy and parameter distance
+    acc_mean = {}
+    for loss_name, alpha in sorted(cells):
+        group = [r for r in rows if (r["loss"], r["alpha"]) == (loss_name, alpha)]
+        accs = np.array([r["student_acc"] for r in group])
+        dists = np.array([r["param_distance"] for r in group])
+        acc_std, dist_std = ((float(accs.std(ddof=1)), float(dists.std(ddof=1)))
+                             if repeats > 1 else (0.0, 0.0))
+        acc_mean[loss_name, alpha] = float(accs.mean())
         print(
-            f"{cell['loss']:>5} alpha={cell['alpha']:<6g} "
-            f"acc={cell['student_acc_mean']:.3f}+-{cell['student_acc_std']:.3f} "
-            f"dist={cell['param_distance_mean']:.2f}+-{cell['param_distance_std']:.2f}"
+            f"{loss_name:>5} alpha={alpha:<6g} "
+            f"acc={acc_mean[loss_name, alpha]:.3f}+-{acc_std:.3f} "
+            f"dist={float(dists.mean()):.2f}+-{dist_std:.2f}"
         )
 
     verdicts: list[dict] = []
     band = cfg["accuracy_band"]
-    acc_mean = {(cell["loss"], cell["alpha"]): cell["student_acc_mean"] for cell in summary}
 
     stable_alphas = [a for a in cfg["alphas"] if a >= 0.001]
     if "rce" in cfg["losses"] and len(stable_alphas) >= 2:
@@ -577,7 +639,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         raise ConfigError(str(err)) from err
     rows: list[dict] = []
 
-    probe_student = trainer.default_student_config(base_task)
+    probe_student = trainer.ProbeConfig(feature="projection", width=8 * base_task.dim)
     n_splits = cfg["n_splits"]
     elapsed = dict.fromkeys(("teacher_fit_s", "student_fit_s", "estimate_s"), 0.0)
 
@@ -588,8 +650,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
     # per task seed: its task, its split draws and its pairs
     seeds, train_blocks, teacher_fits = [], [], []
     for outer_seed in range(cfg["task_seeds"]):
-        task = dataclasses.replace(base_task, seed=int(
-            np.random.SeedSequence([cfg["seed"], outer_seed]).generate_state(1)[0]))
+        task = _task_draw(base_task, outer_seed)
         draws = task.splits()
         train_x, train_y = next(draws)
         rng = np.random.default_rng(np.random.SeedSequence([task.seed, 0xB1A5]))
@@ -610,7 +671,7 @@ def run_bias_variance(cfg: dict) -> tuple[list[dict], list[dict], dict]:
         train_blocks.append(train_x)
         seeds.append((task, draws, pairs))
     start = time.perf_counter()
-    all_teachers = trainer.fit_probes(trainer.DEFAULT_TEACHER, task.dim,
+    all_teachers = trainer.fit_probes(trainer.ProbeConfig(), task.dim,
                                       np.concatenate(train_blocks), teacher_fits)
     elapsed["teacher_fit_s"] += time.perf_counter() - start
     del train_blocks, teacher_fits, train_x, train_y, draws, pairs

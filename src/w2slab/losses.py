@@ -48,7 +48,6 @@ __all__ = [
     "harden_threshold",
     "harden",
     "aux_beta",
-    "rce_ordering_gap",
     "LOSS_NAMES",
     "loss_table",
     "loss_values",
@@ -225,18 +224,6 @@ def aux_beta(step: int, total_steps: int) -> float:
     the first 20% of the steps."""
     warmup = max(1.0, 0.2 * total_steps)
     return 0.5 * min(1.0, step / warmup)
-
-
-def rce_ordering_gap(f_risks, fstar_risks) -> tuple[float, float, float]:
-    """Ordering triple for smoothed-risk minimizers.
-
-    Inputs are (smoothed RCE risk, plain RCE risk) for a candidate f and
-    for the smoothed-risk minimizer f*.  Returns (0, smoothed gap, plain
-    gap); the smoothed gap is sandwiched between the other two.
-    """
-    f_alpha, f_plain = f_risks
-    fstar_alpha, fstar_plain = fstar_risks
-    return 0.0, float(f_alpha - fstar_alpha), float(f_plain - fstar_plain)
 
 
 # --- batch loss table ----------------------------------------------------------

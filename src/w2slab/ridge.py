@@ -62,9 +62,7 @@ __all__ = [
     "ridge_solve",
     "h_closed_form",
     "h_complement",
-    "mp_density",
     "mp_integral",
-    "mp_density_mass",
     "run_trial",
     "sweep_cells",
     "sweep_workers",
@@ -131,21 +129,6 @@ def h_complement(eta0: float, gamma: float) -> float:
                  / (s * ((gamma + 1.0) * s + num)))
 
 
-def mp_density(lam, gamma: float):
-    """Marchenko-Pastur eigenvalue density for aspect ratio 1/gamma < 1."""
-    _check_range(1.0, gamma)  # the density has no eta0
-    lam = np.asarray(lam, dtype=float)
-    lo = (1.0 - np.sqrt(1.0 / gamma)) ** 2
-    hi = (1.0 + np.sqrt(1.0 / gamma)) ** 2
-    inside = (lam >= lo) & (lam <= hi)
-    dens = np.zeros_like(lam)
-    lam_in = lam[inside]
-    dens[inside] = (
-        gamma * np.sqrt((hi - lam_in) * (lam_in - lo)) / (2.0 * np.pi * lam_in)
-    )
-    return dens
-
-
 # the largest rule _mp_quad tries has 2**16 - 1 nodes
 _MAX_INTERVALS = 2**16
 
@@ -200,12 +183,6 @@ def mp_integral(eta0: float, gamma: float, tol: float = 1e-9) -> float:
     _check_range(eta0, gamma)
     scale = gamma / eta0
     return _mp_quad(gamma, lambda lam: 1.0 / (1.0 + scale * lam) ** 2, tol)
-
-
-def mp_density_mass(gamma: float, tol: float = 1e-9) -> float:
-    """Total mass of the bare MP density; equals 1 for every gamma > 1."""
-    _check_range(1.0, gamma)
-    return _mp_quad(gamma, np.ones_like, tol)
 
 
 def ridge_solve(features: np.ndarray, targets: np.ndarray, eta: float) -> np.ndarray:

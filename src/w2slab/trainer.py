@@ -1,11 +1,13 @@
-"""Desk-scale weak-to-strong training on synthetic Gaussian tasks.
+"""The synthetic task, the linear probe and its training.
 
-A weak linear-probe teacher is trained on a small ground-truth split, its
-soft predictions pseudo-label a larger split, the labels are proportionally
-smoothed toward uniform, and a wider random-feature student is trained on
-them under a pluggable loss.  Mini-batch gradient descent with a fixed step
-size keeps optimizer choice out of loss comparisons; everything is
-deterministic given the seeds.
+``SyntheticTask`` is a two-class Gaussian mixture whose train, pseudo and
+test splits a weak-to-strong experiment draws.  ``LinearProbeModel`` is a
+sigmoid probe over the raw inputs (a weak teacher) or over a fixed random
+projection (a wider student).  Training is mini-batch gradient descent with
+a fixed step size, which keeps optimizer choice out of loss comparisons;
+everything is deterministic given the seeds.  The experiments that use
+them, ``classify``'s label-smoothing sweep and ``bias-variance``'s split
+ensembles, are commands in :mod:`w2slab.cli`.
 
 Losses and their analytic per-sample gradients in the tied binary
 parameterization come from the batch loss table in :mod:`w2slab.losses`
@@ -43,7 +45,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,11 +53,9 @@ from .bregman import clamp_simplex
 from .losses import (
     LOSS_NAMES,
     aux_beta,
-    check_alpha,
     confidence_threshold,
     loss_grads,
     loss_values,
-    smooth_labels,
 )
 
 __all__ = [
@@ -70,8 +70,6 @@ __all__ = [
     "train_fits",
     "fit_probes",
     "gdv",
-    "alpha_sweep",
-    "check_sweep",
     "loss_values",
     "loss_grads",
 ]
@@ -528,118 +526,3 @@ def _first_nonfinite_loss(calls, idx, pb, step, steps) -> float:
             loss_values(name, y[offset + idx[fits]], pb[fits], cut, beta), axis=1) / idx.shape[1]
     bad = loss[~np.isfinite(loss)]
     return float(bad[0]) if bad.size else math.nan
-
-
-# --- pipeline -------------------------------------------------------------------
-
-
-DEFAULT_TEACHER = ProbeConfig(feature="identity")
-DEFAULT_STUDENT = ProbeConfig(feature="projection", width=1600)
-
-
-def default_student_config(task: SyntheticTask) -> ProbeConfig:
-    """Student default: 8x the teacher's input dimension in random features."""
-    return replace(DEFAULT_STUDENT, width=8 * task.dim)
-
-
-def summarize_sweep(rows: list[dict]) -> list[dict]:
-    """Mean and standard deviation of accuracy and parameter distance per
-    (loss, alpha) cell of a sweep."""
-    cells: dict[tuple, list[dict]] = {}
-    for row in rows:
-        cells.setdefault((row["loss"], row["alpha"]), []).append(row)
-    summary = []
-    for (loss_name, alpha), group in sorted(cells.items()):
-        accs = np.array([r["student_acc"] for r in group])
-        dists = np.array([r["param_distance"] for r in group])
-        summary.append({
-            "loss": loss_name,
-            "alpha": alpha,
-            "repeats": len(group),
-            "student_acc_mean": float(accs.mean()),
-            "student_acc_std": float(accs.std(ddof=1)) if len(group) > 1 else 0.0,
-            "param_distance_mean": float(dists.mean()),
-            "param_distance_std": float(dists.std(ddof=1)) if len(group) > 1 else 0.0,
-        })
-    return summary
-
-
-def check_sweep(losses: list[str], alphas: list[float], repeats: int) -> None:
-    """Raise ValueError unless ``alpha_sweep`` can run these arguments.
-
-    Losses and alphas must be nonempty and free of repeats, every loss a
-    ``LOSS_NAMES`` entry, every alpha in [0, 1], and repeats at least 1.
-    """
-    if not alphas:
-        raise ValueError("alphas must be nonempty")
-    if not losses:
-        raise ValueError("losses must be nonempty")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
-    for alpha in alphas:
-        check_alpha(alpha)
-    unknown = sorted(set(losses) - set(LOSS_NAMES))
-    if unknown:
-        raise ValueError(f"losses must be among {LOSS_NAMES}, got {unknown}")
-    # a repeated cell would be written twice and counted twice as a repeat
-    for name, values in (("losses", losses), ("alphas", alphas)):
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} has repeated values: {list(values)}")
-
-
-def alpha_sweep(
-    task: SyntheticTask,
-    losses: list[str],
-    alphas: list[float],
-    repeats: int,
-    teacher_cfg: ProbeConfig | None = None,
-    student_cfg: ProbeConfig | None = None,
-) -> list[dict]:
-    """Cross product of losses and smoothing levels, repeated with fresh seeds.
-
-    One row per (loss, alpha, repeat).  Each repeat redraws the task from
-    its own seed and does once the work that all cells of the repeat share,
-    which also pairs the loss comparisons: the task draw, the teacher
-    fit and its pseudo-label probabilities, and the student's random
-    projection and initial weights.  Each cell has its own label smoothing
-    and student training on the raw pseudo split, from those initial
-    weights; the cells of a repeat train in lockstep in one ``fit_probes``
-    call from one seed, so they share one projection and its one
-    ``M = P^T P``, and the adaptive loss's confidence cut comes from that
-    cell's smoothed labels.  Accuracies are on the repeat's test split and
-    ``param_distance`` is the student's ``distance_from_init``.
-    ``check_sweep`` checks the arguments before any training.
-    """
-    check_sweep(losses, alphas, repeats)
-    teacher_cfg = teacher_cfg or DEFAULT_TEACHER
-    student_cfg = student_cfg or default_student_config(task)
-    cells = [(loss_name, alpha) for loss_name in losses for alpha in alphas]
-    rows: list[dict] = []
-    for repeat in range(repeats):
-        repeat_task = replace(task, seed=int(
-            np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]
-        ))
-        data = repeat_task.sample()
-        seq = np.random.SeedSequence([repeat_task.seed, repeat, 0x5EED])
-        t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-        teacher = LinearProbeModel(task.dim, teacher_cfg, np.random.default_rng(t_seed))
-        train(teacher, TrainData(data.train_x, labels_to_soft(data.train_y)), "ce", seed=t_seed)
-        labels = teacher.predict_proba(data.pseudo_x)
-        students = fit_probes(student_cfg, task.dim, data.pseudo_x, [
-            (None, smooth_labels(labels, alpha), loss_name, s_seed)
-            for loss_name, alpha in cells])
-        teacher_acc = teacher.accuracy(data.test_x, data.test_y)
-        rows += [
-            {
-                "loss": loss_name,
-                "alpha": alpha,
-                "repeat": repeat,
-                "teacher_acc": teacher_acc,
-                "student_acc": student.accuracy(data.test_x, data.test_y),
-                "param_distance": student.distance_from_init(),
-            }
-            for (loss_name, alpha), student in zip(cells, students)
-        ]
-        # freed before the next repeat draws its task
-        del data, teacher, labels, students
-    return rows

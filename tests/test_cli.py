@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from w2slab.cli import ConfigError, load_config, main
+from w2slab.cli import SCHEMAS, ConfigError, load_config, main
 
 # a config per command small enough for a unit test
 TINY = {
@@ -72,15 +72,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("ridge", str(path), [])
 
-    def test_env_seed_override(self, monkeypatch):
-        monkeypatch.setenv("W2SLAB_SEED", "99")
-        cfg = load_config("ridge", None, ["seed=3"])
-        assert cfg["seed"] == 99
-
-    def test_env_seed_must_be_int(self, monkeypatch):
-        monkeypatch.setenv("W2SLAB_SEED", "soon")
-        with pytest.raises(ConfigError):
-            load_config("ridge", None, [])
+    @pytest.mark.parametrize("value", ["99", "soon"])
+    def test_inherited_env_seed_changes_nothing(self, monkeypatch, value):
+        # no environment variable reaches the config, W2SLAB_SEED included
+        monkeypatch.setenv("W2SLAB_SEED", value)
+        assert load_config("ridge", None, ["seed=3"])["seed"] == 3
+        assert load_config("ridge", None, [])["seed"] == SCHEMAS["ridge"]["seed"][1]
 
     def test_list_parsing(self):
         cfg = load_config("classify", None, ["alphas=0, 0.5 ,1", "losses=ce rce"])
@@ -165,6 +162,10 @@ class TestExitCodes:
         ("classify", "alphas=0.01,0.01,1 losses=ce,rce,ce"),
         ("classify", "losses=ce,rce,ce"),
         ("classify", "alphas=1,0.01,1"),
+        ("classify", "alphas="),
+        ("classify", "losses=ce,mse"),
+        ("classify", "repeats=0"),
+        ("classify", "alphas=0.1,1,1.5"),
         ("bias-variance", "task_seeds=0"),
         ("bias-variance", "k=-1 n_splits=-2"),
         ("bias-variance", "split_train=5"),
@@ -177,11 +178,14 @@ class TestExitCodes:
                                                 command, overrides):
         from w2slab import trainer
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a model was trained before the config was checked")
+        def no_work(*args, **kwargs):
+            raise AssertionError("a task was drawn or a model trained before the config "
+                                 "was checked")
 
         for entry in ("train", "train_fits"):
-            monkeypatch.setattr(trainer, entry, no_fit)
+            monkeypatch.setattr(trainer, entry, no_work)
+        for entry in ("sample", "splits"):
+            monkeypatch.setattr(trainer.SyntheticTask, entry, no_work)
         args = [command, "--out", str(tmp_path)]
         for item in overrides.split():
             args += ["--set", item]
@@ -557,21 +561,35 @@ class TestClassifyCommand:
         header = (tmp_path / "classify.csv").read_text().splitlines()[0]
         assert header == "loss,alpha,repeat,teacher_acc,student_acc,param_distance"
 
+    # a small sweep with every per-cell feature: two repeats, a smoothing
+    # level below and at 1, and the plain, reverse, adaptive and regularized
+    # losses on a 40-feature student
+    SWEEP = ["losses=ce,rce,cace,aux", "alphas=0.01,1", "repeats=2", "dim=20",
+             "separation=2", "noise=1", "n_pseudo=256", "n_test=200", "seed=1",
+             "student_width=40"]
+
+    def run_sweep(self, out, extra=()):
+        args = ["classify", "--out", str(out)]
+        for item in [*self.SWEEP, *extra]:
+            args += ["--set", item]
+        return run(args)
+
     def test_rows_equal_lone_fits(self, tmp_path):
         """The lockstep fits give the ``classify.csv`` rows of a reference
-        that trains every repeat's teacher and every cell's student alone
-        with ``train``."""
+        that trains, per (repeat, cell), the repeat's teacher and the cell's
+        student alone with ``train``, from the repeat's own task draw and
+        seeds."""
         import csv
 
         from w2slab import losses, trainer
 
-        run_tiny("classify", tmp_path)
-        cfg = load_config("classify", None, TINY["classify"])
+        self.run_sweep(tmp_path)
+        cfg = load_config("classify", None, self.SWEEP)
         task = trainer.SyntheticTask(
             dim=cfg["dim"], separation=cfg["separation"], noise=cfg["noise"],
             n_train=cfg["n_train"], n_pseudo=cfg["n_pseudo"], n_test=cfg["n_test"],
             seed=cfg["seed"])
-        probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
+        student_cfg = trainer.ProbeConfig(feature="projection", width=cfg["student_width"])
         expected = []
         for repeat in range(cfg["repeats"]):
             repeat_task = dataclasses.replace(task, seed=int(
@@ -579,17 +597,18 @@ class TestClassifyCommand:
             data = repeat_task.sample()
             seq = np.random.SeedSequence([repeat_task.seed, repeat, 0x5EED])
             t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-            teacher = trainer.LinearProbeModel(task.dim, trainer.DEFAULT_TEACHER,
-                                               np.random.default_rng(t_seed))
-            trainer.train(teacher, trainer.TrainData(
-                data.train_x, trainer.labels_to_soft(data.train_y)), "ce", seed=t_seed)
-            labels = teacher.predict_proba(data.pseudo_x)
             for loss in cfg["losses"]:
                 for alpha in cfg["alphas"]:
-                    student = trainer.LinearProbeModel(task.dim, probe_student,
+                    teacher = trainer.LinearProbeModel(task.dim, trainer.ProbeConfig(),
+                                                       np.random.default_rng(t_seed))
+                    trainer.train(teacher, trainer.TrainData(
+                        data.train_x, trainer.labels_to_soft(data.train_y)), "ce",
+                        seed=t_seed)
+                    labels = losses.smooth_labels(teacher.predict_proba(data.pseudo_x), alpha)
+                    student = trainer.LinearProbeModel(task.dim, student_cfg,
                                                        np.random.default_rng(s_seed))
-                    trainer.train(student, trainer.TrainData(
-                        data.pseudo_x, losses.smooth_labels(labels, alpha)), loss, seed=s_seed)
+                    trainer.train(student, trainer.TrainData(data.pseudo_x, labels), loss,
+                                  seed=s_seed)
                     expected.append([loss, alpha, repeat,
                                      teacher.accuracy(data.test_x, data.test_y),
                                      student.accuracy(data.test_x, data.test_y),
@@ -599,6 +618,54 @@ class TestClassifyCommand:
         # each float cell is its value's repr, which reads back exactly
         assert [[loss, float(alpha), int(repeat), *map(float, rest)]
                 for loss, alpha, repeat, *rest in rows] == expected
+        # the cells differ, so no cell's training leaked into another's start
+        assert len({row[-1] for row in rows}) == len(rows)
+
+    def test_draws_and_fits_teacher_once_per_repeat(self, tmp_path, monkeypatch):
+        from w2slab import trainer
+
+        draws, teacher_fits = [], []
+        sample, fit = trainer.SyntheticTask.sample, trainer.train
+
+        def counted_sample(self):
+            draws.append(self.seed)
+            return sample(self)
+
+        def counted_train(model, data, loss_name, **kw):
+            if model.cfg.feature == "identity":
+                teacher_fits.append(kw.get("seed"))
+            return fit(model, data, loss_name, **kw)
+
+        monkeypatch.setattr(trainer.SyntheticTask, "sample", counted_sample)
+        monkeypatch.setattr(trainer, "train", counted_train)
+        assert self.run_sweep(tmp_path, ["losses=ce,rce"]) in (0, 1)
+        assert len(json.loads((tmp_path / "classify.json").read_text())["rows"]) == 8
+        assert len(draws) == 2 and len(set(draws)) == 2
+        assert len(teacher_fits) == 2 and len(set(teacher_fits)) == 2
+
+    def test_printed_summary_cells(self, tmp_path, capsys):
+        """One printed line per (loss, alpha) cell, in sorted order, with the
+        mean and sample standard deviation of the cell's rows."""
+        self.run_sweep(tmp_path)
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("[")]
+        rows = json.loads((tmp_path / "classify.json").read_text())["rows"]
+        cells = sorted({(r["loss"], r["alpha"]) for r in rows})
+        assert len(lines) == len(cells) == 8
+        for line, (loss, alpha) in zip(lines, cells):
+            group = [r for r in rows if (r["loss"], r["alpha"]) == (loss, alpha)]
+            acc = [r["student_acc"] for r in group]
+            dist = [r["param_distance"] for r in group]
+            assert len(group) == 2
+            assert line == (f"{loss:>5} alpha={alpha:<6g} "
+                            f"acc={np.mean(acc):.3f}+-{np.std(acc, ddof=1):.3f} "
+                            f"dist={np.mean(dist):.2f}+-{np.std(dist, ddof=1):.2f}")
+
+    def test_zero_student_width_means_eight_per_input(self, tmp_path):
+        self.run_sweep(tmp_path / "zero", ["student_width=0"])
+        self.run_sweep(tmp_path / "eight", ["student_width=160"])  # 8 * dim
+        assert (tmp_path / "zero" / "classify.csv").read_bytes() == (
+            tmp_path / "eight" / "classify.csv").read_bytes()
 
 
 class TestBiasVarianceCommand:
@@ -731,10 +798,8 @@ class TestBiasVarianceCommand:
     def test_rows_equal_lone_fits(self):
         """The lockstep fits give the rows of a reference that trains every
         teacher and student alone with ``train``."""
-        import dataclasses
-
         from w2slab import harness, losses, trainer
-        from w2slab.cli import SCHEMAS, run_bias_variance
+        from w2slab.cli import run_bias_variance
 
         cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
         # 16 teacher rows, under one batch; 64 student rows, two batches
@@ -751,7 +816,7 @@ class TestBiasVarianceCommand:
             n_train=cfg["n_splits"] * cfg["split_train"],
             n_pseudo=cfg["n_splits"] * cfg["split_pseudo"], n_test=cfg["n_test"],
             seed=int(np.random.SeedSequence([cfg["seed"], 0]).generate_state(1)[0]))
-        probe_student = dataclasses.replace(trainer.DEFAULT_STUDENT, width=8 * cfg["dim"])
+        probe_student = trainer.ProbeConfig(feature="projection", width=8 * cfg["dim"])
         data = task.sample()
         teacher_runs, student_runs, ens_runs = [], [], []
         rng = np.random.default_rng(np.random.SeedSequence([task.seed, 0xB1A5]))
@@ -763,7 +828,7 @@ class TestBiasVarianceCommand:
                 idx = train_order[j * cfg["split_train"]: (j + 1) * cfg["split_train"]]
                 pidx = pseudo_order[j * cfg["split_pseudo"]: (j + 1) * cfg["split_pseudo"]]
                 seed_ij = int(np.random.SeedSequence([task.seed, i, j]).generate_state(1)[0])
-                teacher = fit_probe(task.dim, trainer.DEFAULT_TEACHER, data.train_x[idx],
+                teacher = fit_probe(task.dim, trainer.ProbeConfig(), data.train_x[idx],
                                     trainer.labels_to_soft(data.train_y[idx]), seed_ij)
                 teacher_runs.append(teacher.predict_proba(data.test_x))
                 teachers.append(teacher)

@@ -23,7 +23,7 @@ def test_every_exported_name_resolves(name):
 
 
 def child_env():
-    env = {k: v for k, v in os.environ.items() if k != "W2SLAB_SEED"}
+    env = dict(os.environ)
     src = str(Path(w2slab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env

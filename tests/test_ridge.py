@@ -21,8 +21,6 @@ from w2slab.ridge import (
     QuadratureError,
     RidgeConfig,
     h_closed_form,
-    mp_density,
-    mp_density_mass,
     mp_integral,
     ridge_solve,
     run_trial,
@@ -115,27 +113,31 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("eta0,gamma", [(1.0, np.inf), (np.inf, 2.0)])
     def test_rejects_non_finite(self, eta0, gamma):
-        # every route to h, the density and the config share one domain check
+        # every route to h and the config share one domain check
         for call in (lambda: h_closed_form(eta0, gamma), lambda: mp_integral(eta0, gamma),
                      lambda: verify_monotonicity([eta0], [2.0, gamma]),
                      lambda: RidgeConfig(eta0=eta0, gamma=gamma)):
             with pytest.raises(ValueError, match="must be finite"):
                 call()
-        if gamma != 2.0:
-            with pytest.raises(ValueError, match="must be finite"):
-                mp_density([1.0], gamma)
-            with pytest.raises(ValueError, match="must be finite"):
-                mp_density_mass(gamma)
+
+
+def density_mass(gamma, tol=1e-9):
+    """The quadrature rule's integral of the bare MP density, which is 1."""
+    return ridge._mp_quad(gamma, np.ones_like, tol)
 
 
 class TestQuadrature:
     def test_density_mass_is_one(self):
         for gamma in (1.5, 2.0, 4.0):
-            assert mp_density_mass(gamma) == pytest.approx(1.0, abs=1e-6)
+            assert density_mass(gamma) == pytest.approx(1.0, abs=1e-6)
 
     def test_density_vanishes_outside_support(self):
-        dens = mp_density([1e-6, 100.0], 2.0)
-        np.testing.assert_allclose(dens, 0.0)
+        # the rule reads the integrand only inside [lo, hi], so the density
+        # puts exactly no mass outside it
+        gamma = 2.0
+        lo, hi = (1.0 - np.sqrt(1.0 / gamma)) ** 2, (1.0 + np.sqrt(1.0 / gamma)) ** 2
+        outside = ridge._mp_quad(gamma, lambda lam: ((lam < lo) | (lam > hi)) * 1.0, 1e-9)
+        assert outside == 0.0
 
     def test_agrees_with_closed_form_on_grid(self):
         for gamma in (1.5, 2.0, 4.0):
@@ -171,14 +173,14 @@ class TestQuadrature:
 
     def test_density_mass_is_one_to_rounding(self):
         for gamma in self.HARD_GAMMAS:
-            assert abs(mp_density_mass(gamma) - 1.0) <= 1e-12
+            assert abs(density_mass(gamma) - 1.0) <= 1e-12
 
     def test_unreachable_tolerance_raises(self):
         # below the rounding of the sum, no rule can certify the value
         with pytest.raises(QuadratureError, match="exceeds tolerance"):
             mp_integral(1.0, 2.0, tol=1e-30)
         with pytest.raises(QuadratureError):
-            mp_density_mass(1.01, tol=1e-30)
+            density_mass(1.01, tol=1e-30)
 
 
 class TestRidgeSolve:

@@ -11,13 +11,11 @@ import pytest
 
 from w2slab.losses import aux_beta, confidence_threshold, loss_table, rce, smooth_labels
 from w2slab.trainer import (
-    DEFAULT_TEACHER,
     LOSS_NAMES,
     LinearProbeModel,
     ProbeConfig,
     SyntheticTask,
     TrainData,
-    default_student_config,
     fit_probes,
     gdv,
     labels_to_soft,
@@ -40,21 +38,22 @@ def make_model(dim=20, width=0, feature="identity", seed=0, **kw):
 
 def w2s_pipeline(task, teacher_cfg=None, student_cfg=None, loss_name="ce", alpha=1.0,
                  seed=0):
-    """Oracle: one ``(loss_name, alpha)`` cell of ``alpha_sweep``'s repeat
-    ``seed`` on ``task``, every fit alone.  The teacher trains on ground
-    truth, its pseudo-label probabilities are smoothed by ``alpha`` (which
-    ``smooth_labels`` checks), and the student trains on them under
-    ``loss_name``, each in its own ``train`` call from the sweep's seeds.
-    Returns the trained teacher and student, to be read on
-    ``task.sample()``'s splits."""
+    """Oracle: one ``(loss_name, alpha)`` cell of the ``classify`` command's
+    repeat ``seed`` on ``task``, every fit alone.  The teacher trains on
+    ground truth, its pseudo-label probabilities are smoothed by ``alpha``
+    (which ``smooth_labels`` checks), and the student, by default over
+    ``8 * task.dim`` random features, trains on them under ``loss_name``,
+    each in its own ``train`` call from the command's seeds.  Returns the
+    trained teacher and student, to be read on ``task.sample()``'s
+    splits."""
     data = task.sample()
     seq = np.random.SeedSequence([task.seed, seed, 0x5EED])
     t_seed, s_seed = [int(s.generate_state(1)[0]) for s in seq.spawn(2)]
-    teacher = LinearProbeModel(task.dim, teacher_cfg or DEFAULT_TEACHER,
+    teacher = LinearProbeModel(task.dim, teacher_cfg or ProbeConfig(),
                                np.random.default_rng(t_seed))
     train(teacher, TrainData(data.train_x, labels_to_soft(data.train_y)), "ce", seed=t_seed)
-    student = LinearProbeModel(task.dim, student_cfg or default_student_config(task),
-                               np.random.default_rng(s_seed))
+    student_cfg = student_cfg or ProbeConfig(feature="projection", width=8 * task.dim)
+    student = LinearProbeModel(task.dim, student_cfg, np.random.default_rng(s_seed))
     labels = smooth_labels(teacher.predict_proba(data.pseudo_x), alpha)
     train(student, TrainData(data.pseudo_x, labels), loss_name, seed=s_seed)
     return teacher, student
@@ -172,7 +171,7 @@ def pairwise_gdv(grads):
 
 
 class TestParamDistance:
-    """``distance_from_init``, the ``param_distance`` column of a sweep."""
+    """``distance_from_init``, the ``param_distance`` column of ``classify``."""
 
     def test_zero_for_same(self):
         assert make_model(dim=4, init_scale=0.5).distance_from_init() == 0.0
@@ -763,85 +762,6 @@ class TestPipeline:
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             w2s_pipeline(small_task(), loss_name="ce", alpha=1.2)
-
-    def test_sweep_rows_equal_per_cell_pipelines(self):
-        from w2slab.trainer import alpha_sweep
-
-        task = small_task()
-        losses, alphas = ["ce", "rce", "cace", "aux"], [0.01, 1.0]
-        student = ProbeConfig(feature="projection", width=40, init_scale=0.1)
-        rows = alpha_sweep(task, losses, alphas, repeats=2, student_cfg=student)
-        expected = []
-        for repeat in range(2):
-            repeat_task = dataclasses.replace(task, seed=int(
-                np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]))
-            test_x, test_y = repeat_task.sample().test_x, repeat_task.sample().test_y
-            for loss in losses:
-                for alpha in alphas:
-                    teacher, trained = w2s_pipeline(
-                        repeat_task, student_cfg=student, loss_name=loss,
-                        alpha=alpha, seed=repeat)
-                    expected.append({
-                        "loss": loss, "alpha": alpha, "repeat": repeat,
-                        "teacher_acc": teacher.accuracy(test_x, test_y),
-                        "student_acc": trained.accuracy(test_x, test_y),
-                        "param_distance": trained.distance_from_init(),
-                    })
-        assert rows == expected
-        # the cells differ, so no cell's training leaked into another's start
-        assert len({r["param_distance"] for r in rows}) == len(rows)
-
-    def test_sweep_draws_and_fits_once_per_repeat(self, monkeypatch):
-        from w2slab import trainer
-
-        draws, teacher_fits = [], []
-        sample, fit = trainer.SyntheticTask.sample, trainer.train
-
-        def counted_sample(self):
-            draws.append(self.seed)
-            return sample(self)
-
-        def counted_train(model, data, loss_name, **kw):
-            if model.cfg.feature == "identity":
-                teacher_fits.append(kw.get("seed"))
-            return fit(model, data, loss_name, **kw)
-
-        monkeypatch.setattr(trainer.SyntheticTask, "sample", counted_sample)
-        monkeypatch.setattr(trainer, "train", counted_train)
-        rows = trainer.alpha_sweep(
-            small_task(), ["ce", "rce"], [0.1, 1.0], repeats=2,
-            student_cfg=ProbeConfig(feature="projection", width=40))
-        assert len(rows) == 8
-        assert len(draws) == 2 and len(set(draws)) == 2
-        assert len(teacher_fits) == 2 and len(set(teacher_fits)) == 2
-
-    def test_sweep_checks_every_alpha_before_training(self, monkeypatch):
-        from w2slab import trainer
-
-        def no_sample(self):
-            raise AssertionError("task drawn before the alphas were checked")
-
-        monkeypatch.setattr(trainer.SyntheticTask, "sample", no_sample)
-        with pytest.raises(ValueError, match="alpha"):
-            trainer.alpha_sweep(small_task(), ["ce"], [0.1, 1.0, 1.5], repeats=1)
-        with pytest.raises(ValueError, match="losses"):
-            trainer.alpha_sweep(small_task(), ["ce", "mse"], [0.1], repeats=1)
-        with pytest.raises(ValueError, match="repeats"):
-            trainer.alpha_sweep(small_task(), ["ce"], [0.1], repeats=0)
-
-    def test_sweep_summary_cells(self):
-        from w2slab.trainer import alpha_sweep, summarize_sweep
-
-        task = small_task()
-        rows = alpha_sweep(task, ["ce"], [1.0, 0.5], repeats=2,
-                           student_cfg=ProbeConfig(feature="projection", width=40))
-        summary = summarize_sweep(rows)
-        assert len(summary) == 2
-        cell = summary[0]
-        assert cell["repeats"] == 2
-        group = [r["student_acc"] for r in rows if r["alpha"] == cell["alpha"]]
-        assert cell["student_acc_mean"] == pytest.approx(np.mean(group))
-        assert cell["student_acc_std"] == pytest.approx(np.std(group, ddof=1))
 
     def test_smoothing_invariance_of_rce_risk(self):
         """Final reverse risks at alpha 0.3 and 1.0 agree within two
