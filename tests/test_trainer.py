@@ -763,6 +763,40 @@ class TestPipeline:
         with pytest.raises(ValueError):
             w2s_pipeline(small_task(), loss_name="ce", alpha=1.2)
 
+    def test_sweep_rows_equal_per_cell_pipelines(self):
+        """The ``classify`` sweep's rows are those of ``w2s_pipeline`` run
+        alone per (repeat, loss, alpha) cell on the repeat's task draw."""
+        from w2slab.cli import SCHEMAS, run_classify
+
+        task = small_task()
+        losses, alphas = ["ce", "rce", "cace", "aux"], [0.01, 1.0]
+        cfg = {key: default for key, (_, default) in SCHEMAS["classify"].items()}
+        cfg.update(losses=losses, alphas=alphas, repeats=2, student_width=40,
+                   **{key: getattr(task, key) for key in (
+                       "dim", "separation", "noise", "n_train", "n_pseudo", "n_test",
+                       "seed")})
+        rows = run_classify(cfg)[0]
+        student = ProbeConfig(feature="projection", width=40)
+        expected = []
+        for repeat in range(2):
+            repeat_task = dataclasses.replace(task, seed=int(
+                np.random.SeedSequence([task.seed, repeat]).generate_state(1)[0]))
+            test_x, test_y = repeat_task.sample().test_x, repeat_task.sample().test_y
+            for loss in losses:
+                for alpha in alphas:
+                    teacher, trained = w2s_pipeline(
+                        repeat_task, student_cfg=student, loss_name=loss,
+                        alpha=alpha, seed=repeat)
+                    expected.append({
+                        "loss": loss, "alpha": alpha, "repeat": repeat,
+                        "teacher_acc": teacher.accuracy(test_x, test_y),
+                        "student_acc": trained.accuracy(test_x, test_y),
+                        "param_distance": trained.distance_from_init(),
+                    })
+        assert rows == expected
+        # the cells differ, so no cell's training leaked into another's start
+        assert len({r["param_distance"] for r in rows}) == len(rows)
+
     def test_smoothing_invariance_of_rce_risk(self):
         """Final reverse risks at alpha 0.3 and 1.0 agree within two
         standard deviations over five repeats."""
