@@ -17,13 +17,14 @@ so that Cauchy-Schwarz residuals vanish exactly for dual-mean predictors.
 A ``SampleSet`` may also be a block of samples padded to one size by
 :func:`stack_samples`; the minimizers and decompositions then return one
 value per sample.  Every weighted sum adds its terms in index order
-(``_sum``, which the scenario verifiers of ``harness`` share), and padding
-only appends exact zeros, so a sample's values in a block are bit for bit
-those of its lone call.
+(``_sum``), and padding (``_pad``) only appends exact zeros, so a sample's
+values in a block are bit for bit those of its lone call.  The scenarios of
+``harness`` share ``_sum``, ``_pad`` and the weight check ``_check_weights``.
 
-The negative-entropy generator and its divergence (KL) share one numpy
-kernel, ``_xlogy``: x log y, taken as 0 where x = 0, the convention of
-``scipy.special.xlogy``.
+``dual_mean`` is the one dual mean, and ``NegativeEntropy``'s
+``reverse_decomposition`` the split-ensemble estimator.  Its generator and
+its divergence, the one KL (``losses.kl``), share one numpy kernel,
+``_xlogy``: x log y, taken as 0 where x = 0, as ``scipy.special.xlogy`` does.
 """
 
 from __future__ import annotations
@@ -83,6 +84,35 @@ def _scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _pad(tables, fill=0.0) -> np.ndarray:
+    """Same-rank tables stacked into one block padded up to the largest
+    shape with ``fill``, which broadcasts against a table's trailing axes."""
+    shape = np.max([np.shape(t) for t in tables], axis=0)
+    block = np.empty((len(tables), *shape))
+    block[...] = fill
+    for row, table in enumerate(tables):
+        block[(row, *map(slice, np.shape(table)))] = table
+    return block
+
+
+def _check_weights(name: str, table: np.ndarray, axes: int, item: str) -> None:
+    """Raise ValueError unless ``table`` is nonnegative and sums to 1 within
+    1e-12 over its last ``axes`` axes; a block's error names its first
+    failing ``item`` (sample or scenario)."""
+    sums = rows = table.reshape((-1,) + table.shape[table.ndim - axes:])
+    for _ in range(axes):
+        sums = _sum(sums, -1)
+    negative = (rows < 0).reshape(len(rows), -1).any(axis=-1)
+    bad = negative | ~(abs(sums - 1.0) <= 1e-12)  # NaN fails too
+    if bad.any():
+        row = int(np.argmax(bad))
+        where = f" of block {item} {row}" if table.ndim > axes else ""
+        if negative[row]:
+            raise ValueError(f"{name}{where} must be nonnegative")
+        raise ValueError(
+            f"{name}{where} must sum to 1 within 1e-12, got {float(sums[row])!r}")
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Finite weighted collection of points standing in for a random vector.
@@ -110,28 +140,15 @@ class SampleSet:
             w = np.asarray(self.weights, dtype=float)
         if w.shape != pts.shape[:-1]:
             raise ValueError("weights must be one per point")
-        rows = w.reshape(-1, w.shape[-1])
-        sums = _sum(rows, -1)
-        negative = (rows < 0).any(axis=-1)
-        bad = negative | ~(abs(sums - 1.0) <= 1e-12)  # NaN fails too
-        if bad.any():
-            row = int(np.argmax(bad))
-            where = f" of block sample {row}" if pts.ndim == 3 else ""
-            if negative[row]:
-                raise ValueError(f"weights{where} must be nonnegative")
-            raise ValueError(
-                f"weights{where} sum to {float(sums[row])!r}, expected 1 within 1e-12")
+        _check_weights("weights", w, 1, "sample")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
-
-    def __len__(self) -> int:
-        """The number of points of a sample; a block's samples are padded to one."""
-        return self.points.shape[-2]
 
 
 def stack_samples(samples, geometry: BregmanGeometry) -> SampleSet:
     """One block of same-dimension samples, padded to the largest size.
 
+    ``samples`` holds ``(points, weights)`` pairs, checked once as a block.
     A padded point has zero weight and sits at the domain point of dual
     coordinate zero: the simplex centre under negative entropy, the origin
     under the squared norm.  It enters every weighted sum as an exact zero
@@ -139,14 +156,13 @@ def stack_samples(samples, geometry: BregmanGeometry) -> SampleSet:
     what it measures alone.
     """
     k = geometry.dimension
-    if not samples or any(s.points.ndim != 2 or s.points.shape[-1] != k for s in samples):
-        raise ValueError(f"stack_samples takes one or more single samples of dimension {k}")
-    n = max(len(s) for s in samples)
-    points = np.broadcast_to(geometry.from_dual(np.zeros(k)), (len(samples), n, k)).copy()
-    weights = np.zeros((len(samples), n))
-    for row, s in enumerate(samples):
-        points[row, :len(s)], weights[row, :len(s)] = s.points, s.weights
-    return SampleSet(points, weights)
+    pairs = [(np.asarray(p, dtype=float), np.asarray(w, dtype=float)) for p, w in samples]
+    if not pairs or any(p.ndim != 2 or p.shape[-1] != k or w.shape != p.shape[:-1]
+                        for p, w in pairs):
+        raise ValueError(f"stack_samples takes one or more (points, weights) pairs of "
+                         f"single samples of dimension {k}")
+    points, weights = zip(*pairs)
+    return SampleSet(_pad(points, geometry.from_dual(np.zeros(k))), _pad(weights))
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -21,8 +21,10 @@ verifiers return what they measure; the ``verify`` suite judges it):
   same enumeration run on the outer product of the two marginals;
 * the equality forms attained by posterior-mean and posterior-dual-mean
   students, including the CE/RCE specializations and their entropy gap;
-* the misfit = residual + conditional-variance split under squared loss;
-* the cross-entropy bias-variance identity behind the ensemble estimator.
+* the misfit = residual + conditional-variance split under squared loss.
+
+:func:`bias_variance_estimate` checks runs and hands them to
+``NegativeEntropy.reverse_decomposition``, the split-ensemble estimator.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bregman import (BregmanGeometry, NegativeEntropy, SquaredNorm, _scalar, _sum,
-                      clamp_simplex)
-from .losses import _p, _rows, ce, entropy, kl, rce
+from .bregman import (BregmanGeometry, NegativeEntropy, SampleSet, SquaredNorm,
+                      _check_weights, _pad, _scalar, _sum, clamp_simplex)
+from .losses import _p, _rows, ce, entropy, rce
 
 __all__ = [
     "FiniteScenario",
@@ -49,7 +51,6 @@ __all__ = [
     "cross_entropy_form_report",
     "misfit_variance_split",
     "verify_ideal_student_gains",
-    "ensemble_dual_mean",
     "bias_variance_estimate",
 ]
 
@@ -106,15 +107,8 @@ class FiniteScenario:
             raise ValueError("joint table must be n_teachers x n_students")
         if 0 in (nx, *J.shape[-2:]):
             raise ValueError("a scenario needs at least one input, teacher and student")
-        for name, sums in (("input_probs", _sum(mu, -1)), ("joint", _sum(_sum(J, -1), -1))):
-            if np.any(arrays[name] < 0):
-                raise ValueError(f"{name} has negative entries")
-            off = ~(np.abs(sums - 1.0) <= 1e-12)  # NaN fails too
-            if np.any(off):
-                row = int(np.argmax(off))
-                where = f" of block scenario {row}" if block else ""
-                raise ValueError(
-                    f"{name}{where} sums to {float(sums.flat[row])!r}, expected 1")
+        _check_weights("input_probs", mu, 1, "scenario")
+        _check_weights("joint", J, 2, "scenario")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
@@ -161,18 +155,10 @@ def stack_scenarios(scenarios, geometry: BregmanGeometry) -> FiniteScenario:
     if not scenarios or any(sc.input_probs.ndim != 1 or sc.truth.shape[-1] != k
                             for sc in scenarios):
         raise ValueError(f"stack_scenarios takes one or more single scenarios of dimension {k}")
-    b = len(scenarios)
-    nt, ns, nx = (max(getattr(sc, n) for sc in scenarios)
-                  for n in ("n_teachers", "n_students", "n_inputs"))
     fill = geometry.from_dual(np.zeros(k))
-    mu, J = np.zeros((b, nx)), np.zeros((b, nt, ns))
-    G, T, S = (np.broadcast_to(fill, shape).copy()
-               for shape in ((b, nx, k), (b, nt, nx, k), (b, ns, nx, k)))
-    for row, sc in enumerate(scenarios):
-        t, s, x = sc.n_teachers, sc.n_students, sc.n_inputs
-        mu[row, :x], G[row, :x] = sc.input_probs, sc.truth
-        T[row, :t, :x], S[row, :s, :x], J[row, :t, :s] = (
-            sc.teacher_preds, sc.student_preds, sc.joint)
+    mu, G, T, S, J = (_pad([getattr(sc, name) for sc in scenarios],
+                           0.0 if name in ("input_probs", "joint") else fill)
+                      for name in _RANKS)
     return FiniteScenario(mu, G, T, S, J, seed=tuple(sc.seed for sc in scenarios))
 
 
@@ -459,38 +445,28 @@ def verify_ideal_student_gains(sc: FiniteScenario) -> IdealGainsReport:
     S_dual = _posterior_dual_means(sc, geometry)
     ce_gain = teacher_ce - _expect(p_s, ce(G, S_dual), mu)
     T_pair, S_pair = _pairs(T, S_dual)
-    ce_misfit = _expect(sc.joint, kl(S_pair, T_pair), mu)
+    ce_misfit = _expect(sc.joint, geometry._divergence(S_pair, T_pair), mu)
 
     S_mean = _posterior_means(sc)
     rce_gain = teacher_rce - _expect(p_s, rce(G, S_mean), mu)
     T_pair, S_pair = _pairs(T, S_mean)
-    rce_misfit = _expect(sc.joint, kl(T_pair, S_pair), mu)
+    rce_misfit = _expect(sc.joint, geometry._divergence(T_pair, S_pair), mu)
     entropy_gap = _expect(p_s, entropy(S_mean), mu) - _expect(p_t, entropy(T), mu)
     return IdealGainsReport(*map(_scalar, (
         ce_gain, ce_misfit, rce_gain, rce_misfit, entropy_gap)))
 
 
-def ensemble_dual_mean(predictions) -> np.ndarray:
-    """Dual mean of equally weighted stacked predictions: the normalized
-    geometric mean over the first axis, row by row."""
-    log_mean = np.log(np.stack(predictions)).mean(axis=0)
-    return NegativeEntropy(log_mean.shape[-1]).from_dual(log_mean)
-
-
 def bias_variance_estimate(runs, truth) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Split the mean one-hot CE risk of repeated runs into bias and variance.
 
-    ``runs`` is an ``(r, ..., K)`` array of run predictions (or a sequence of
-    ``r`` rows) and ``truth`` one run's shape, ``(..., K)``: a ``K`` row
-    against ``(r, K)`` runs, or one row per point against ``(r, P, K)``
-    runs; any other truth shape raises ``ValueError``.  The whole block is
-    checked once: at least two runs, and every run and truth value in the
-    simplex interior, so a one-hot truth must be clamped first.  Per point,
-    bias = KL(truth, pi_hat) against the clamped dual-mean ensemble
-    prediction pi_hat, and variance = mean KL(pi_hat, run); for one-hot
-    (clamped) truth their sum reconstructs the mean cross-entropy of the
-    runs.  Both come back shaped like ``truth`` without its last axis, as
-    two floats for a single row.
+    ``runs`` is ``(r, K)`` or ``(r, P, K)`` (or a sequence of ``r`` rows),
+    at least two runs, and ``truth`` one run's shape in the simplex
+    interior, so a one-hot truth must be clamped first; another truth shape
+    raises ``ValueError``.  Per point, the reverse decomposition of
+    ``NegativeEntropy(K)`` over the equally weighted runs gives bias =
+    KL(truth, pi_hat) against their dual mean pi_hat and variance = mean
+    KL(pi_hat, run), so bias + variance + H(truth) is the runs' mean CE.
+    Both are shaped like ``truth`` without its last axis: floats for a row.
     """
     runs = _rows(runs)
     if len(runs) < 2:
@@ -499,17 +475,8 @@ def bias_variance_estimate(runs, truth) -> tuple[float | np.ndarray, float | np.
     if truth.shape != runs.shape[1:]:
         raise ValueError(f"truth has shape {truth.shape}, one run has {runs.shape[1:]}")
     geometry = NegativeEntropy(runs.shape[-1])
-    geometry.check_point(runs, interior=True)
     geometry.check_point(truth, interior=True)
-    pi_hat = clamp_simplex(ensemble_dual_mean(runs))
-    # the variance adds the runs in order: numpy sums eight or more values
-    # along a lone axis pairwise, so np.mean would give a point other last
-    # bits alone than beside other points
-    variance = _sum(kl(pi_hat, runs), 0) / len(runs)
-    bias = kl(truth, pi_hat)
-    if truth.ndim == 1:
-        return float(bias), float(variance)
-    return bias, variance
+    return geometry.reverse_decomposition(truth, SampleSet(np.moveaxis(runs, 0, -2)))
 
 
 def random_scenario(

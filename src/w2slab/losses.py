@@ -15,7 +15,7 @@ each fit's own labels (``confidence_threshold``), and the regularized
 loss's weight ``beta``, which follows the step (``aux_beta``).
 ``loss_values`` and ``loss_grads`` are its two halves (``loss_grads``
 computes no loss value) and ``numeric_loss_grads`` is its central-difference
-oracle.
+oracle.  ``kl`` is the divergence of ``bregman.NegativeEntropy``.
 
 Probability rows are plain arrays whose trailing axis indexes classes;
 :class:`ProbVector` is a checked, clamped single point that every function
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import clamp_simplex
+from .bregman import NegativeEntropy, clamp_simplex
 
 __all__ = [
     "ProbVector",
@@ -139,9 +139,9 @@ def rce(y, yhat):
 
 
 def kl(y, yhat):
-    """KL divergence sum_i y_i log(y_i / yhat_i)."""
+    """KL divergence sum_i y_i log(y_i / yhat_i), never below 0."""
     y, yhat = _pair(y, yhat)
-    return np.sum(y * (np.log(y) - np.log(yhat)), axis=-1)
+    return NegativeEntropy(y.shape[-1])._divergence(y, yhat)
 
 
 def rkl(y, yhat):

@@ -407,6 +407,11 @@ class TestSampleBlocks:
         return samples, random_points(g, len(sizes), rng)
 
     @staticmethod
+    def stack(samples, g):
+        """The block of the samples' (points, weights) pairs."""
+        return stack_samples([(s.points, s.weights) for s in samples], g)
+
+    @staticmethod
     def measure(g, sample, y):
         """Every result that takes a block: both minimizers and both splits."""
         return (mean_minimizer(sample), g.dual_mean(sample),
@@ -419,7 +424,7 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("g", geometries(), ids=lambda g: g.kind)
     def test_block_equals_lone_calls(self, g, sizes):
         samples, targets = self.draw(g, sizes, len(sizes))
-        block = stack_samples(samples, g)
+        block = self.stack(samples, g)
         assert block.points.shape == (len(sizes), max(sizes), g.dimension)
         got = self.measure(g, block, targets)
         for row, (sample, y) in enumerate(zip(samples, targets)):
@@ -435,14 +440,14 @@ class TestSampleBlocks:
         for mates, row in (([target, small], 0), ([small, target], 1),
                            ([target, large], 0), ([large, small, target], 2)):
             targets = np.tile(ys[0], (len(mates), 1))
-            got = self.measure(g, stack_samples(mates, g), targets)
+            got = self.measure(g, self.stack(mates, g), targets)
             for block_value, lone_value in zip(got, want):
                 np.testing.assert_array_equal(block_value[row], lone_value)
 
     def test_point_outside_the_domain_in_last_sample_named(self):
         g = NegativeEntropy(3)
         samples, targets = self.draw(g, self.SIZES, 51)
-        block = stack_samples(samples, g)
+        block = self.stack(samples, g)
         points = block.points.copy()
         points[-1, 0] = [1.5, -0.25, -0.25]
         bad = SampleSet(points, block.weights)
@@ -459,23 +464,35 @@ class TestSampleBlocks:
 
     def test_weights_off_one_in_second_sample_named(self):
         g = SquaredNorm(2)
-        block = stack_samples(self.draw(g, self.SIZES, 52)[0], g)
+        block = self.stack(self.draw(g, self.SIZES, 52)[0], g)
         weights = block.weights.copy()
         weights[1] *= 1.01
-        with pytest.raises(ValueError, match="weights of block sample 1 sum to 1.01"):
+        with pytest.raises(ValueError, match="weights of block sample 1 must sum to 1 "
+                                             "within 1e-12, got 1.01"):
             SampleSet(block.points, weights)
         weights = block.weights.copy()
         weights[3, :2] = [1.5, -0.5]
         with pytest.raises(ValueError, match="weights of block sample 3 must be nonnegative"):
             SampleSet(block.points, weights)
 
+    def test_stack_names_the_sample_whose_weights_fail(self):
+        g = SquaredNorm(2)
+        samples, _ = self.draw(g, self.SIZES, 55)
+        pairs = [(s.points, s.weights) for s in samples]
+        pairs[2] = (pairs[2][0], 1.01 * pairs[2][1])
+        with pytest.raises(ValueError, match="weights of block sample 2 must sum to 1"):
+            stack_samples(pairs, g)
+
     def test_stack_rejects_other_dimensions_and_blocks(self):
         g = SquaredNorm(3)
         samples, _ = self.draw(g, self.SIZES[:2], 54)
         with pytest.raises(ValueError, match="dimension 4"):
-            stack_samples(samples, SquaredNorm(4))
+            self.stack(samples, SquaredNorm(4))
+        block = self.stack(samples, g)
         with pytest.raises(ValueError):
-            stack_samples([stack_samples(samples, g)], g)
+            stack_samples([(block.points, block.weights)], g)
+        with pytest.raises(ValueError):
+            stack_samples([(samples[1].points, samples[0].weights)], g)
         with pytest.raises(ValueError):
             stack_samples([], g)
 

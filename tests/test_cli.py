@@ -246,6 +246,15 @@ class TestVerdicts:
             assert v["passed"] == OPS[v["op"]](v["measured"], v["bound"])
         assert code == (0 if all(v["passed"] for v in report["verdicts"]) else 1)
 
+    @pytest.mark.parametrize("command", ["verify", "bias-variance"])
+    def test_bias_variance_identity_measures_the_identity(self, tmp_path, command):
+        # bias + variance = mean CE - H(truth) exactly; a gap that left out the
+        # entropy of the clamped one-hot truth would read about 2.9e-11 at K = 2
+        run_tiny(command, tmp_path)
+        report = strict_json(tmp_path / f"{command.replace('-', '_')}.json")
+        [verdict] = [v for v in report["verdicts"] if v["name"] == "bias_variance_identity"]
+        assert verdict["measured"] <= 1e-13
+
     def test_verify_emits_fourteen_verdicts(self, tmp_path):
         assert run_tiny("verify", tmp_path) == 0
         names = [v["name"] for v in strict_json(tmp_path / "verify.json")["verdicts"]]
@@ -414,12 +423,18 @@ class TestVerifyCommand:
         groups = []
 
         def grouped(runs, truth):
+            # the estimator's own decomposition calls are counted apart
+            before = len(calls)
+            result = estimate(runs, truth)
             groups.append(np.shape(runs))
-            return estimate(runs, truth)
+            assert calls[before:] == ["negative-entropy"]
+            del calls[before:]
+            return result
 
         monkeypatch.setattr(harness, "bias_variance_estimate", grouped)
         assert run_tiny("verify", tmp_path) == 0
-        # a forward and a reverse split per geometry family
+        # a forward and a reverse split per geometry family in the identity
+        # suites, and one reverse split per estimator group
         assert sorted(calls) == ["negative-entropy"] * 2 + ["squared-norm"] * 2
         # one (runs, points, K) call per distinct (K, runs), with a point per
         # simplex scenario (3 in the tiny config)
@@ -795,6 +810,7 @@ class TestBiasVarianceCommand:
         """The lockstep fits give the rows of a reference that trains every
         teacher and student alone with ``train``."""
         from w2slab import harness, losses, trainer
+        from w2slab.bregman import NegativeEntropy, SampleSet
         from w2slab.cli import run_bias_variance
 
         cfg = {key: default for key, (_, default) in SCHEMAS["bias-variance"].items()}
@@ -834,8 +850,8 @@ class TestBiasVarianceCommand:
                 student = fit_probe(task.dim, probe_student, chunk_x,
                                     teachers[j].predict_proba(chunk_x), seed_ij + 1)
                 student_runs.append(student.predict_proba(data.test_x))
-                ensemble_labels = harness.ensemble_dual_mean(
-                    [t.predict_proba(chunk_x) for t in teachers])
+                ensemble_labels = NegativeEntropy(2).dual_mean(SampleSet(np.stack(
+                    [t.predict_proba(chunk_x) for t in teachers], axis=-2)))
                 ens_student = fit_probe(task.dim, probe_student, chunk_x,
                                         ensemble_labels, seed_ij + 2)
                 ens_runs.append(ens_student.predict_proba(data.test_x))

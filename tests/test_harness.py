@@ -23,7 +23,6 @@ from w2slab.harness import (
     PreconditionError,
     bias_variance_estimate,
     cross_entropy_form_report,
-    ensemble_dual_mean,
     misfit_variance_split,
     random_scenario,
     stack_scenarios,
@@ -461,8 +460,20 @@ class TestScenarioBlocks:
         block = stack_scenarios(self.draw(g, self.SIZES, 52), g)
         joint = block.joint.copy()
         joint[1] *= 1.01
-        with pytest.raises(ValueError, match="joint of block scenario 1 sums to 1.01"):
+        with pytest.raises(ValueError, match="joint of block scenario 1 must sum to 1 "
+                                             "within 1e-12, got 1.01"):
             dataclasses.replace(block, joint=joint)
+
+    @pytest.mark.parametrize("name", ["input_probs", "joint"])
+    def test_negative_entry_in_third_scenario_named(self, name):
+        g = SquaredNorm(2)
+        block = stack_scenarios(self.draw(g, self.SIZES, 52), g)
+        table = getattr(block, name).copy()
+        # the first two entries of scenario 2 move mass, so its table still sums to one
+        first_two = table[2].flat[:2]
+        table[2].flat[:2] = [first_two.sum() + 0.5, -0.5]
+        with pytest.raises(ValueError, match=f"{name} of block scenario 2 must be nonnegative"):
+            dataclasses.replace(block, **{name: table})
 
     @pytest.mark.parametrize("g", [SquaredNorm(3), NegativeEntropy(3)],
                              ids=["squared-norm", "negative-entropy"])
@@ -591,34 +602,38 @@ class TestIdealStudentGains:
 
 
 class TestEnsembleAndBiasVariance:
+    # the ensemble prediction is NegativeEntropy.dual_mean of the runs, as
+    # bias-variance builds its ensemble labels: one sample per row
     def test_identical_predictions_fixed_point(self):
         p = np.array([0.3, 0.7])
-        np.testing.assert_allclose(ensemble_dual_mean([p, p, p]), p, atol=1e-12)
+        got = NegativeEntropy(2).dual_mean(SampleSet(np.stack([p, p, p])))
+        np.testing.assert_allclose(got, p, atol=1e-12)
 
     def test_mirrored_pair_gives_uniform(self):
-        got = ensemble_dual_mean(np.array([[0.8, 0.2], [0.2, 0.8]]))
+        got = NegativeEntropy(2).dual_mean(SampleSet(np.array([[0.8, 0.2], [0.2, 0.8]])))
         np.testing.assert_allclose(got, [0.5, 0.5], atol=1e-12)
-
-    def test_matches_geometry_dual_mean(self):
-        g = NegativeEntropy(3)
-        preds = [
-            clamp_simplex([1.0, 0.0, 0.0]),
-            np.array([1 / 3, 1 / 3, 1 / 3]),
-            clamp_simplex([0.2, 0.5, 0.3]),
-        ]
-        got = ensemble_dual_mean(preds)
-        want = g.dual_mean(SampleSet(np.stack(preds)))
-        np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_row_wise_dual_mean_matches_per_row_prediction(self):
         rng = np.random.default_rng(3)
         stack = [clamp_simplex(rng.dirichlet(np.ones(2), size=50)) for _ in range(4)]
-        got = ensemble_dual_mean(stack)
-        assert got.shape == (50, 2)
         g = NegativeEntropy(2)
+        got = g.dual_mean(SampleSet(np.stack(stack, axis=-2)))
+        assert got.shape == (50, 2)
         for i in range(50):
             want = g.dual_mean(SampleSet(np.stack([run[i] for run in stack])))
-            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(got[i], want)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (9, 7, 3)])
+    def test_is_the_reverse_decomposition_of_the_runs(self, shape):
+        rng = np.random.default_rng(list(shape))
+        runs = clamp_simplex(rng.dirichlet(np.ones(3), size=shape[:-1]))
+        truth = clamp_simplex(rng.dirichlet(np.ones(3), size=shape[1:-1]))
+        want = NegativeEntropy(3).reverse_decomposition(
+            truth, SampleSet(np.moveaxis(runs, 0, -2)))
+        got = bias_variance_estimate(runs, truth)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        for got_value, want_value in zip(got, want):
+            np.testing.assert_array_equal(got_value, want_value)
 
     def test_bias_variance_identity(self):
         runs = np.array([[0.8, 0.2], [0.6, 0.4]])

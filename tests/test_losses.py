@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from w2slab import losses as L
-from w2slab.bregman import clamp_simplex
+from w2slab.bregman import NegativeEntropy, clamp_simplex
 from w2slab.losses import ProbVector
 
 
@@ -69,6 +69,15 @@ class TestLossValues:
     def test_rkl_is_swapped_kl(self):
         y, yhat = ProbVector([0.2, 0.8]), ProbVector([0.6, 0.4])
         assert L.rkl(y, yhat) == pytest.approx(float(L.kl(yhat, y)))
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_kl_is_the_negative_entropy_divergence(self, k):
+        rng = np.random.default_rng(k)
+        y = clamp_simplex(rng.dirichlet(np.ones(k), size=500))
+        yhat = clamp_simplex(rng.dirichlet(np.ones(k), size=500))
+        g = NegativeEntropy(k)
+        np.testing.assert_array_equal(L.kl(y, yhat), g.divergence(y, yhat))
+        np.testing.assert_array_equal(L.rkl(y, yhat), g.divergence(yhat, y))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
