@@ -246,10 +246,12 @@ class BregmanGeometry:
             raise DomainError(f"point outside the {where} of {self.kind}")
         return x
 
-    def _check_rows(self, x, block: bool, interior: bool = False) -> np.ndarray:
-        """``check_point`` on a block's points or targets at once; on a
-        failure each sample is checked alone, and the error names the
-        first one that fails."""
+    def _check_rows(
+        self, x, block: bool, interior: bool = False, item: str = "sample"
+    ) -> np.ndarray:
+        """``check_point`` on a block's arrays at once; on a failure each
+        ``item`` (sample or scenario) is checked alone, and the error names
+        the first one that fails."""
         try:
             return self.check_point(x, interior=interior)
         except DomainError as err:
@@ -259,7 +261,7 @@ class BregmanGeometry:
                 try:
                     self.check_point(part, interior=interior)
                 except DomainError as row_err:
-                    raise DomainError(f"block sample {row}: {row_err}") from err
+                    raise DomainError(f"block {item} {row}: {row_err}") from err
             raise
 
     def tangent_project(self, v: np.ndarray) -> np.ndarray:

@@ -200,10 +200,11 @@ class TheoremReport:
 def _domain_check(geometry: BregmanGeometry, sc: FiniteScenario) -> None:
     # each public verifier checks its scenario or block once, before any
     # arithmetic; the helpers below and the geometry primitives they use
-    # never check
-    geometry.check_point(sc.truth)
-    geometry.check_point(sc.teacher_preds, interior=True)
-    geometry.check_point(sc.student_preds, interior=True)
+    # never check.  A block's error names its first failing scenario
+    block = sc.input_probs.ndim == 2
+    geometry._check_rows(sc.truth, block, item="scenario")
+    geometry._check_rows(sc.teacher_preds, block, interior=True, item="scenario")
+    geometry._check_rows(sc.student_preds, block, interior=True, item="scenario")
 
 
 def _posterior_average(sc: FiniteScenario, per_teacher: np.ndarray) -> np.ndarray:

@@ -2,20 +2,19 @@
 
 Implements forward/reverse cross-entropy, forward/reverse KL and Shannon
 entropy over K classes, proportional label smoothing, and the batch loss
-table the trainer uses.  ``loss_table`` is the one definition of every
-training loss in ``LOSS_NAMES``: for ``(n, 2)`` rows it gives each loss's
-per-row values and its analytic gradient along the first coordinate, with
-the second tied as its complement, in one call, and on a ``(fits, n, 2)``
-block each fit's batch gets its lone result.  The composite losses (the
-confidence-adaptive CE/RCE switch, the symmetric cross-entropy and the
-confidence-regularized loss with hardened self-targets) are reached only
-through it.  Their settings are fixed, except for the two a fit supplies:
-the adaptive loss's confidence cut ``cut``, which the trainer derives from
-each fit's own labels (``confidence_threshold``), and the regularized
-loss's weight ``beta``, which follows the step (``aux_beta``).
-``loss_values`` and ``loss_grads`` are its two halves (``loss_grads``
-computes no loss value) and ``numeric_loss_grads`` is its central-difference
-oracle.  ``kl`` is the divergence of ``bregman.NegativeEntropy``.
+table the trainer uses.  The entropy family sums ``bregman._xlogy`` terms,
+so at a simplex-boundary point it gives the limit (0 log 0 = 0), with no
+warning; ``kl`` is the divergence of ``bregman.NegativeEntropy``.
+
+``_entry`` is the one definition of every training loss in
+``LOSS_NAMES``, the composite ones included.  Its two faces are
+``loss_grads``, which computes no loss value and is what the training step
+calls, and ``loss_values``, which the trainer calls only to report a
+diverged fit; ``tests/test_losses.py`` holds their central-difference
+oracle.  A fit supplies two settings: the adaptive loss's confidence cut
+``cut``, which the trainer derives from each fit's own labels
+(``confidence_threshold``), and the regularized loss's weight ``beta``,
+which follows the step (``aux_beta``).
 
 Probability rows are plain arrays whose trailing axis indexes classes;
 :class:`ProbVector` is a checked, clamped single point that every function
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import NegativeEntropy, clamp_simplex
+from .bregman import NegativeEntropy, _xlogy, clamp_simplex
 
 __all__ = [
     "ProbVector",
@@ -49,10 +48,8 @@ __all__ = [
     "harden",
     "aux_beta",
     "LOSS_NAMES",
-    "loss_table",
     "loss_values",
     "loss_grads",
-    "numeric_loss_grads",
 ]
 
 LOSS_NAMES = ("ce", "rce", "kl", "rkl", "cace", "sl", "aux")
@@ -129,13 +126,13 @@ def _pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
 def ce(y, yhat):
     """Cross-entropy -sum_i y_i log(yhat_i)."""
     y, yhat = _pair(y, yhat)
-    return -np.sum(y * np.log(yhat), axis=-1)
+    return -np.add.reduce(_xlogy(y, yhat), axis=-1)
 
 
 def rce(y, yhat):
     """Reverse cross-entropy -sum_i yhat_i log(y_i)."""
     y, yhat = _pair(y, yhat)
-    return -np.sum(yhat * np.log(y), axis=-1)
+    return -np.add.reduce(_xlogy(yhat, y), axis=-1)
 
 
 def kl(y, yhat):
@@ -152,7 +149,7 @@ def rkl(y, yhat):
 def entropy(y):
     """Shannon entropy -sum_i y_i log(y_i)."""
     y = _p(y)
-    return -np.sum(y * np.log(y), axis=-1)
+    return -np.add.reduce(_xlogy(y, y), axis=-1)
 
 
 # --- label smoothing ---------------------------------------------------------
@@ -242,8 +239,21 @@ def _d_rce(y1, p1):
 
 
 def _entry(name: str, y, p, cut, beta: float):
-    """``loss_table``'s gradients of a batch, and a function that computes
-    its values only when called."""
+    """A batch's per-row d(loss)/d(p_1), with p_2 = 1 - p_1 tied, and a
+    function that computes its per-row loss values only when called.
+
+    ``y`` and ``p`` are an ``(n, 2)`` batch or a ``(fits, n, 2)`` block of
+    batches, where each fit's batch gets its lone result.  cace, the
+    confidence-adaptive switch, is RCE on rows whose label confidence is
+    below ``cut`` and CE elsewhere (so CE at the default cut 0); on a block
+    ``cut`` may be a ``(fits, 1)`` column, one cut per batch.  sl is the
+    symmetric cross-entropy with unit weights, ``RCE + CE``.  aux, the
+    confidence-regularized loss, is ``beta * CE(y, p) + (1 - beta) *
+    CE(t, p)``, whose target ``t`` is ``p`` hardened at the half-batch cut
+    of its own batch of ``p`` and is a constant under differentiation.  The
+    other entries read neither ``cut`` nor ``beta``.
+    Rows with K != 2 classes raise ``BinaryOnlyError``.
+    """
     y, p = _pair(y, p)
     if y.shape[-1] != 2:
         raise BinaryOnlyError("the loss table is defined for K = 2 only")
@@ -273,47 +283,13 @@ def _entry(name: str, y, p, cut, beta: float):
     raise ValueError(f"unknown loss {name!r}")
 
 
-def loss_table(name: str, y, p, cut=0.0, beta: float = 0.0):
-    """Per-row loss values and d(loss)/d(p_1) of a batch, as one pair.
-
-    ``y`` and ``p`` are an ``(n, 2)`` batch or a ``(fits, n, 2)`` block of
-    batches.  cace is RCE on rows whose label confidence is below ``cut``
-    and CE elsewhere (so CE at the default cut 0); on a block ``cut`` may be
-    a ``(fits, 1)`` column, one cut per batch.  sl is the symmetric
-    cross-entropy with unit weights, ``RCE + CE``; aux is ``beta * CE(y, p)
-    + (1 - beta) * CE(t, p)``, whose target ``t`` is ``p`` hardened at the
-    half-batch cut of its own batch of ``p`` and is a constant under
-    differentiation.  The other entries read neither ``cut`` nor ``beta``.
-    Rows with K != 2 classes raise ``BinaryOnlyError``.
-    """
-    grads, values = _entry(name, y, p, cut, beta)
-    return values(), grads
-
-
 def loss_values(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
-    """Per-row loss values for a batch: the first half of ``loss_table``."""
+    """Per-row loss values for a batch (see ``_entry``)."""
     return _entry(name, y, p, cut, beta)[1]()
 
 
 def loss_grads(name: str, y, p, cut: float = 0.0, beta: float = 0.0):
-    """Per-row d(loss)/d(p_1) for a batch: the second half of ``loss_table``,
-    computed without any loss value."""
+    """Per-row d(loss)/d(p_1) for a batch (see ``_entry``), computed without
+    any loss value."""
     return _entry(name, y, p, cut, beta)[0]
 
-
-def numeric_loss_grads(
-    name: str, y, p, cut: float = 0.0, beta: float = 0.0, step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference d(loss)/d(p_1) with aux targets frozen.
-
-    CE is linear in its label, so aux with its target t frozen is the ce
-    entry against the label ``beta * y + (1 - beta) * t``.
-    """
-    if name == "aux":
-        name, y = "ce", beta * y + (1.0 - beta) * harden(p, harden_threshold(p))
-
-    def shifted(delta: float) -> np.ndarray:
-        q1 = p[:, 0] + delta
-        return loss_values(name, y, np.stack([q1, 1.0 - q1], axis=-1), cut, beta)
-
-    return (shifted(step) - shifted(-step)) / (2 * step)

@@ -11,22 +11,22 @@ ensembles, are commands in :mod:`w2slab.cli`.
 
 Losses and their analytic per-sample gradients in the tied binary
 parameterization come from the batch loss table in :mod:`w2slab.losses`
-(``LOSS_NAMES``, ``loss_table`` and its halves ``loss_values`` and
-``loss_grads``), which also holds their central-difference oracle
-``numeric_loss_grads``.  A fit is a ``(rows, labels, loss_name, seed)``
-tuple; the step loop derives the two settings a fit supplies to the table,
-the adaptive loss's confidence cut from the fit's labels and the aux weight
-from the step.  ``train_fits`` trains a list of models in place, one fit
-each, on rows of one input array, every row when ``rows`` is None;
-``train`` is its one-fit case.  ``fit_probes`` builds the untrained probes
-of a fit list, one per seed, and trains a copy for each fit; both trained
-commands build their probes through it.  Training returns nothing: the
-caller reads what it needs off the trained models.  The step loop gathers
-every fit's batch in one call, forms each product as one stacked
-``np.matmul`` over the fits, whose slices are the products a lone fit
-makes, and makes one ``loss_grads`` call per loss name (loss values are
-computed only to report ``TrainingDiverged``), so its count of numpy calls
-does not grow with the number of fits and its arithmetic is a lone fit's.
+(``LOSS_NAMES`` and its two faces ``loss_grads`` and ``loss_values``);
+``tests/test_losses.py`` holds their central-difference oracle.  A fit is
+a ``(rows, labels, loss_name, seed)`` tuple; the step loop derives the two
+settings a fit supplies to the table, the adaptive loss's confidence cut
+from the fit's labels and the aux weight from the step.  ``train_fits``
+trains a list of models in place, one fit each, on rows of one input
+array, every row when ``rows`` is None; ``train`` is its one-fit case.
+``fit_probes`` builds the untrained probes of a fit list, one per seed,
+and trains a copy for each fit; both trained commands build their probes
+through it.  Training returns nothing: the caller reads what it needs off
+the trained models.  The step loop gathers every fit's batch in one call,
+forms each product as one stacked ``np.matmul`` over the fits, whose
+slices are the products a lone fit makes, and makes one ``loss_grads``
+call per loss name (loss values are computed only to report
+``TrainingDiverged``), so its count of numpy calls does not grow with the
+number of fits and its arithmetic is a lone fit's.
 ``SyntheticTask.splits`` draws a task's splits lazily, one at a time.
 
 Every probe trains in input space.  A projection probe's features
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bregman import clamp_simplex
+from .bregman import SIMPLEX_EPS, clamp_simplex
 from .losses import (
     LOSS_NAMES,
     aux_beta,
@@ -489,7 +489,7 @@ def _descend(models, x, rows, names, labels, seeds) -> None:
         np.divide(1.0, e, out=e)
         # np.clip, not np.maximum and np.minimum: their loops are code the
         # run otherwise never touches, about 0.2 MB more peak RSS in classify
-        np.clip(e, 1e-12, 1.0 - 1e-12, out=p1)
+        np.clip(e, SIMPLEX_EPS, 1.0 - SIMPLEX_EPS, out=p1)
         np.subtract(1.0, p1, out=p0)
         for fits, name, y, offset, cut in calls:
             beta = aux_beta(step, steps) if name == "aux" else 0.0

@@ -10,7 +10,9 @@ import os
 import numpy as np
 import pytest
 
+from w2slab.bregman import clamp_simplex
 from w2slab.cli import SCHEMAS, ConfigError, load_config, main
+from w2slab.losses import entropy
 
 # a config per command small enough for a unit test
 TINY = {
@@ -347,6 +349,14 @@ class TestVerdicts:
         assert verdict[0]["measured"] < -1.0
 
 
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_csv_byte_identical_across_runs(tmp_path, command):
+    csv = f"{command.replace('-', '_')}.csv"
+    run_tiny(command, tmp_path / "a")
+    run_tiny(command, tmp_path / "b")
+    assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
 class TestVerifyCommand:
     def test_small_run_passes_and_writes_artifacts(self, tmp_path):
         code = run([
@@ -535,14 +545,6 @@ class TestRidgeCommand:
         assert verdicts["bound_monotone_and_in_range"]["passed"]
         assert code == 0
 
-    def test_csv_byte_identical_across_runs(self, tmp_path):
-        args = ["ridge", "--set", "gammas=1.5,2", "--set", "eta0s=0.5,1e-12",
-                "--set", "trials=3", "--set", "d_w=40", "--set", "n_ratio=5"]
-        run(args + ["--out", str(tmp_path / "a")])
-        run(args + ["--out", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "ridge.csv").read_bytes() == (
-            tmp_path / "b" / "ridge.csv").read_bytes()
-
 
 class TestClassifyCommand:
     def test_single_baseline_cell(self, tmp_path):
@@ -679,24 +681,40 @@ class TestClassifyCommand:
             tmp_path / "eight" / "classify.csv").read_bytes()
 
 
+def worst_identity_gap(report):
+    """max |bias + variance + H(truth) - mean CE| over a bias-variance
+    report's rows; every row's truth is a clamped one-hot row at K = 2, so
+    H(truth) is one constant, about 2.9e-11."""
+    h_truth = entropy(clamp_simplex([1.0, 0.0]))
+    return max(abs(r["bias"] + r["variance"] + h_truth - r["mean_ce"])
+               for r in report["rows"])
+
+
 class TestBiasVarianceCommand:
     def test_small_run_identity_and_artifacts(self, tmp_path):
-        code = run([
-            "bias-variance", "--set", "task_seeds=1", "--set", "k=1",
-            "--set", "n_splits=2", "--set", "n_test=20",
-            "--set", "split_pseudo=128", "--set", "dim=20",
-            "--out", str(tmp_path),
-        ])
+        code = run_tiny("bias-variance", tmp_path)
         report = json.loads((tmp_path / "bias_variance.json").read_text())
         identity = [v for v in report["verdicts"]
                     if v["name"] == "bias_variance_identity"][0]
         assert identity["passed"]
         # verdict recomputable from rows
-        worst = max(abs(r["bias"] + r["variance"] - r["mean_ce"])
-                    for r in report["rows"])
-        assert worst <= 1e-9
+        assert worst_identity_gap(report) <= 1e-13
         assert {r["model"] for r in report["rows"]} == {
             "teacher", "student", "ens_student"}
+
+    def test_row_identity_gap_sees_a_variance_off_by_1e_12(self, tmp_path, monkeypatch):
+        from w2slab import harness
+
+        estimate = harness.bias_variance_estimate
+
+        def shifted(runs, truth):
+            bias, variance = estimate(runs, truth)
+            return bias, variance + 1e-12
+
+        monkeypatch.setattr(harness, "bias_variance_estimate", shifted)
+        run_tiny("bias-variance", tmp_path)
+        report = json.loads((tmp_path / "bias_variance.json").read_text())
+        assert worst_identity_gap(report) > 1e-13
 
     def test_one_estimator_call_per_task_seed_and_model(self, tmp_path, monkeypatch):
         from w2slab import harness

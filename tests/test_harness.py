@@ -455,6 +455,20 @@ class TestScenarioBlocks:
         with pytest.raises(DomainError):
             BLOCK_VERIFIERS[verifier](dataclasses.replace(block, teacher_preds=T), g)
 
+    @pytest.mark.parametrize("name, where", [("truth", "domain"),
+                                             ("teacher_preds", "interior"),
+                                             ("student_preds", "interior")])
+    def test_non_simplex_row_in_third_scenario_named(self, name, where):
+        # the block's arrays are checked at once; only a failing check looks
+        # at the scenarios one by one to name the first that fails
+        g = NegativeEntropy(3)
+        block = stack_scenarios(self.draw(g, self.SIZES, 55), g)
+        table = getattr(block, name).copy()
+        table[2].reshape(-1, 3)[-1] = [1.5, -0.25, -0.25]
+        with pytest.raises(DomainError, match=f"^block scenario 2: point outside the "
+                                              f"{where} of negative-entropy$"):
+            verify_risk_gap(dataclasses.replace(block, **{name: table}), g, "forward")
+
     def test_joint_off_one_in_second_scenario_rejected(self):
         g = SquaredNorm(2)
         block = stack_scenarios(self.draw(g, self.SIZES, 52), g)

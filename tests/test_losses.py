@@ -1,6 +1,6 @@
 """Loss identities, analytic gradients vs finite differences, the batch
-loss table, smoothing, composite losses, and the smoothed-risk ordering
-inequality."""
+loss table and its central-difference oracle, smoothing, composite losses,
+and the smoothed-risk ordering inequality."""
 
 import numpy as np
 import pytest
@@ -83,6 +83,15 @@ class TestLossValues:
         with pytest.raises(ValueError):
             L.ce(ProbVector([0.5, 0.5]), ProbVector([0.2, 0.3, 0.5]))
 
+    def test_boundary_points_give_the_limit(self):
+        # 0 log 0 = 0: at a one-hot point the entropy family reads exactly 0,
+        # with no RuntimeWarning (an error under the test settings)
+        e = np.array([1.0, 0.0])
+        for value in (L.entropy(e), L.ce(e, e), L.rce(e, e)):
+            assert value == 0.0
+        assert L.ce(e, [0.5, 0.5]) == pytest.approx(np.log(2))
+        assert L.rce([0.5, 0.5], e) == pytest.approx(np.log(2))
+
 
 def numeric_gradient(loss, y, yhat, step=1e-6):
     """Central difference of a K-class loss along yhat_1, yhat_2 = 1 - yhat_1."""
@@ -145,6 +154,22 @@ class TestGradients:
             L.loss_grads("ce", y, y)
 
 
+def numeric_loss_grads(name, y, p, cut=0.0, beta=0.0, step=1e-6):
+    """Central-difference d(loss)/d(p_1) of ``loss_values``, aux targets frozen.
+
+    CE is linear in its label, so aux with its target t frozen is the ce
+    entry against the label ``beta * y + (1 - beta) * t``.
+    """
+    if name == "aux":
+        name, y = "ce", beta * y + (1.0 - beta) * L.harden(p, L.harden_threshold(p))
+
+    def shifted(delta):
+        q1 = p[:, 0] + delta
+        return L.loss_values(name, y, np.stack([q1, 1.0 - q1], axis=-1), cut, beta)
+
+    return (shifted(step) - shifted(-step)) / (2 * step)
+
+
 class TestGradientEngine:
     """The batch loss table over (n, 2) rows, checked against its
     central-difference oracle and against the per-row losses."""
@@ -162,7 +187,7 @@ class TestGradientEngine:
             p = np.stack([p1, 1 - p1], axis=-1)
             beta = float(rng.uniform(0, 1))
             a = L.loss_grads(name, y, p, cut, beta)
-            num = L.numeric_loss_grads(name, y, p, cut, beta)
+            num = numeric_loss_grads(name, y, p, cut, beta)
             np.testing.assert_allclose(a, num, rtol=1e-4, atol=1e-7)
 
     def test_values_match_scalar_losses(self):
@@ -202,13 +227,15 @@ class TestGradientEngine:
             return threshold(batch)
 
         monkeypatch.setattr(L, "harden_threshold", counted)
-        values, grads = L.loss_table("aux", y, p, beta=0.3)
-        assert len(cuts) == 1
+        for half in (L.loss_values, L.loss_grads):
+            cuts.clear()
+            half("aux", y, p, beta=0.3)
+            assert len(cuts) == 1
+            with pytest.raises(ValueError, match="beta"):
+                half("aux", y, p, beta=1.5)
         target = L.harden(p, threshold(p))
-        np.testing.assert_array_equal(values, 0.3 * L.ce(y, p) + (1.0 - 0.3) * L.ce(target, p))
-        np.testing.assert_array_equal(grads, L.loss_grads("aux", y, p, beta=0.3))
-        with pytest.raises(ValueError, match="beta"):
-            L.loss_table("aux", y, p, beta=1.5)
+        np.testing.assert_array_equal(L.loss_values("aux", y, p, beta=0.3),
+                                      0.3 * L.ce(y, p) + (1.0 - 0.3) * L.ce(target, p))
 
     @pytest.mark.parametrize("name", L.LOSS_NAMES)
     def test_row_losses_on_a_block_equal_each_batch(self, name):
@@ -221,29 +248,20 @@ class TestGradientEngine:
         p = np.stack([random_binary(rng, 6) for _ in range(3)])
         p[1] = 0.5 + 0.1 * (p[1] - 0.5)  # one batch far less confident than the others
         cut, beta = np.array([[0.5], [0.25], [0.0]]), 0.3
-        values, grads = L.loss_table(name, y, p, cut, beta)
-        for j in range(3):
-            lone_values, lone_grads = L.loss_table(name, y[j], p[j], cut[j, 0], beta)
-            np.testing.assert_array_equal(values[j], lone_values)
-            np.testing.assert_array_equal(grads[j], lone_grads)
-            np.testing.assert_array_equal(
-                lone_values, L.loss_values(name, y[j], p[j], cut[j, 0], beta))
-            np.testing.assert_array_equal(
-                lone_grads, L.loss_grads(name, y[j], p[j], cut[j, 0], beta))
-        # the halves on the block, loss_grads without computing a value
-        np.testing.assert_array_equal(L.loss_values(name, y, p, cut, beta), values)
-        np.testing.assert_array_equal(L.loss_grads(name, y, p, cut, beta), grads)
+        for half in (L.loss_values, L.loss_grads):
+            block = half(name, y, p, cut, beta)
+            for j in range(3):
+                np.testing.assert_array_equal(block[j], half(name, y[j], p[j], cut[j, 0], beta))
 
     @pytest.mark.parametrize("name", L.LOSS_NAMES)
     def test_multiclass_rows_rejected(self, name):
         y = p = np.full((4, 3), 1 / 3)
-        with pytest.raises(L.BinaryOnlyError):
-            L.loss_table(name, y, p, beta=0.5)
+        for half in (L.loss_values, L.loss_grads):
+            with pytest.raises(L.BinaryOnlyError):
+                half(name, y, p, beta=0.5)
 
     def test_unknown_loss_rejected(self):
         y = p = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError):
-            L.loss_table("mse", y, p)
         with pytest.raises(ValueError):
             L.loss_values("mse", y, p)
         with pytest.raises(ValueError):

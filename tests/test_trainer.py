@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from w2slab.losses import aux_beta, confidence_threshold, loss_table, rce, smooth_labels
+from w2slab.losses import aux_beta, confidence_threshold, loss_grads, rce, smooth_labels
 from w2slab.trainer import (
     LOSS_NAMES,
     LinearProbeModel,
@@ -201,8 +201,8 @@ def replay_in_weight_space(model, data, cell, seed):
             idx = order[batch * s: batch * (s + 1)]
             p1 = np.clip(1.0 / (1.0 + np.exp(-(z[idx] @ w + b))), 1e-12, 1.0 - 1e-12)
             beta = aux_beta(done + s, steps) if name == "aux" else 0.0
-            _, dldp = loss_table(name, labels[idx], np.stack([p1, 1.0 - p1], axis=-1),
-                                 cut, beta)
+            dldp = loss_grads(name, labels[idx], np.stack([p1, 1.0 - p1], axis=-1),
+                              cut, beta)
             dldu = dldp * p1 * (1.0 - p1)
             grad = np.append(z[idx].T @ dldu / batch, dldu.mean())
             w, b = w - lr * grad[:-1], b - lr * grad[-1]
